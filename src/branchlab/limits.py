@@ -40,6 +40,20 @@ __all__ = [
 ]
 
 
+# the midpoint grids hold one float64 per box point and coordinate, plus
+# the stacked copy: 10^7 points in three dimensions take about 0.5 GB
+_GRID_POINT_LIMIT = 10**7
+
+
+def _check_grid(n_cells, dim):
+    if n_cells**dim > _GRID_POINT_LIMIT:
+        raise ValueError(
+            f"a {dim}-dimensional grid of {n_cells} cells per axis has "
+            f"{n_cells**dim:.3g} points, above the limit of "
+            f"{_GRID_POINT_LIMIT:.0e}; use a larger grid_step"
+        )
+
+
 def _as_rng(rng):
     if isinstance(rng, np.random.Generator):
         return rng
@@ -85,6 +99,7 @@ def lambda_k_integral(
         return est, err
     if method == "grid":
         n_cells = max(1, int(round(R / grid_step)))
+        _check_grid(n_cells, dim)
         mids = (np.arange(n_cells) + 0.5) * (R / n_cells)
         axes = np.meshgrid(*([mids] * dim), indexing="ij")
         pts = np.stack([a.reshape(-1) for a in axes], axis=1)
@@ -131,6 +146,7 @@ def lambda_tilde_k_integral(
         return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n_samples)
     if method == "grid":
         n_cells = max(1, int(round(1.0 / grid_step)))
+        _check_grid(n_cells, dim)
         mids = (np.arange(n_cells) + 0.5) / n_cells
         axes = np.meshgrid(*([mids] * dim), indexing="ij")
         B = np.stack([a.reshape(-1) for a in axes], axis=1)

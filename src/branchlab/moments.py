@@ -24,7 +24,7 @@ import numpy as np
 
 from .process import enumerate_population
 from .spine import build_kernel, q_expectation
-from .trees import TreeShape, enumerate_shapes, meet
+from .trees import TreeShape, enumerate_shapes
 
 __all__ = [
     "MomentQuery",
@@ -63,6 +63,17 @@ class BruteForceMoments:
     types, branch types) to total probability weight, once; evaluating a
     functional is then a plain weighted sum.  Feasible only while the
     outcome count stays under the cap.
+
+    The table walks each outcome's vertices by index in planar order.  A
+    vertex's subtree is the index interval [i, end[i]), so the k-tuples
+    with no ancestor pair are exactly the increasing index tuples with
+    i_{t+1} >= end[i_t]; ancestral tuples are never visited.  For
+    j >= end[i] the meet of i and j is the parent of the shallowest
+    vertex in (i, j], which a running minimum over j yields for every j
+    at once.  Tuples are visited in the lexicographic order of the
+    vertex k-subsets, each adding its outcome's probability to its key,
+    so the table's key order and every float are those of filtering all
+    k-subsets in that order.
     """
 
     def __init__(self, model, x0, horizon, cap=200_000):
@@ -76,28 +87,33 @@ class BruteForceMoments:
         tab = self._tables.get(k)
         if tab is not None:
             return tab
+        if k < 1:
+            raise ValueError("k must be at least 1")
         tab = {}
+        get = tab.get
         for prob, mt in self.outcomes:
             p = float(prob)
-            marks = mt.marks
             vs = mt.tree.vertices
-            for combo in itertools.combinations(vs, k):
-                # in planar order an ancestor pair, if any, occurs at
-                # consecutive positions
-                if any(
-                    combo[i] == combo[i + 1][: len(combo[i])]
-                    for i in range(k - 1)
-                ):
-                    continue
-                l = tuple(len(v) for v in combo)
-                ms = tuple(meet(combo[i], combo[i + 1]) for i in range(k - 1))
-                key = (
-                    l,
-                    tuple(len(m) for m in ms),
-                    tuple(marks[v] for v in combo),
-                    tuple(marks[m] for m in ms),
-                )
-                tab[key] = tab.get(key, 0.0) + p
+            # one-element tuples, concatenated into the key components
+            dt = [(len(v),) for v in vs]
+            mk = [(mt.marks[v],) for v in vs]
+            prefixes = [(i, dt[i], (), mk[i], ()) for i in range(len(vs))]
+            if k == 1:
+                for _, l, b, lt, bt in prefixes:
+                    key = (l, b, lt, bt)
+                    tab[key] = get(key, 0.0) + p
+                continue
+            steps = _planar_steps(dt, mk)
+            for _ in range(k - 2):
+                prefixes = [
+                    (j, l + dj, b + dw, lt + mj, bt + mw)
+                    for i, l, b, lt, bt in prefixes
+                    for j, dj, dw, mj, mw in steps[i]
+                ]
+            for i, l, b, lt, bt in prefixes:
+                for _, dj, dw, mj, mw in steps[i]:
+                    key = (l + dj, b + dw, lt + mj, bt + mw)
+                    tab[key] = get(key, 0.0) + p
         self._tables[k] = tab
         return tab
 
@@ -109,6 +125,40 @@ class BruteForceMoments:
             if max(l) <= R:
                 total += w * F(TreeShape(l, b), lt, bt)
         return total
+
+
+def _planar_steps(dt, mk):
+    """Per vertex i, the ways to append a later vertex j outside its subtree.
+
+    dt and mk hold (depth,) and (mark,) per vertex in planar order.
+    steps[i] lists (j, (depth j,), (depth w,), (mark j,), (mark w,)) for
+    j >= end[i] in increasing order, w being the meet of i and j.
+    """
+    n = len(dt)
+    parent = [0] * n
+    end = [n] * n
+    stack = []
+    for j in range(n):
+        d = dt[j][0]
+        while stack and dt[stack[-1]][0] >= d:
+            end[stack.pop()] = j
+        if stack:
+            parent[j] = stack[-1]
+        stack.append(j)
+    steps = []
+    for i in range(n):
+        row = []
+        low = n
+        for j in range(end[i], n):
+            # (i, end[i]) is i's subtree, deeper than end[i], so the
+            # minimum over (i, j] starts at end[i]; the shallowest vertex
+            # of (i, j] is a child of the meet
+            if dt[j][0] < low:
+                low = dt[j][0]
+                w = parent[j]
+            row.append((j, dt[j], dt[w], mk[j], mk[w]))
+        steps.append(row)
+    return steps
 
 
 def moment_bruteforce(model, query, horizon=None, cap=200_000):

@@ -134,7 +134,10 @@ class SpineKernel:
                 row[z] = row.get(z, 0.0) + float(p) * w
         total = self.m[d, i]
         row = {z: w / total for z, w in row.items() if w != 0.0}
-        assert abs(sum(row.values()) - 1.0) < 1e-9
+        if abs(sum(row.values()) - 1.0) >= 1e-9:
+            raise ValueError(
+                f"branch-type law of {x!r} at degree {d} does not sum to one"
+            )
         return row
 
     def matrix_power(self, n, biased=True):

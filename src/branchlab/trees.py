@@ -74,18 +74,14 @@ class PlanarTree:
                     raise ValueError(f"vertex {v!r} has no parent")
                 if not 1 <= v[-1] <= degrees[parent]:
                     raise ValueError(f"vertex {v!r} is outside its parent's degree")
-        for v, d in degrees.items():
-            for i in range(1, d + 1):
-                if v + (i,) not in degrees:
-                    raise ValueError(f"missing child {i} of {v!r}")
+        # each non-root vertex fills a distinct child slot of its parent,
+        # so no child is missing exactly when the slots are all filled
+        if len(degrees) - 1 != sum(degrees.values()):
+            raise ValueError("some vertex has fewer children than its out-degree")
         self.degrees = degrees
         self.vertices = sorted(degrees)
         self.leaves = [v for v in self.vertices if degrees[v] == 0]
         self.branch_points = [v for v in self.vertices if degrees[v] >= 2]
-        # in any tree the leaf count is one more than the total excess degree
-        assert len(self.leaves) == 1 + sum(
-            degrees[v] - 1 for v in self.branch_points
-        )
 
     @property
     def size(self):
@@ -224,7 +220,8 @@ def decompose_first_branch(tree):
     for v in leaves[1:]:
         w = meet(w, v)
     d = tree.degrees[w]
-    assert d >= 2
+    if d < 2:
+        raise ValueError(f"the meet of all leaves has out-degree {d}, not >= 2")
     subtrees = []
     for i in range(1, d + 1):
         prefix = w + (i,)

@@ -286,6 +286,20 @@ class TestConvergence:
         # even generation counts align with the threshold exactly
         assert any(r["rel_error"] == 0 for r in slice_rows)
 
+    def test_oversized_limit_grid_exits_1(self, capsys, tmp_path):
+        write_model(
+            tmp_path, "m.json", ["a"], {"a": [(0.5, ()), (0.5, ("a", "a"))]}
+        )
+        cfg = write_config(
+            tmp_path,
+            "conv.json",
+            {"model": "m.json", "x0": "a", "k": 3, "n_values": [4]},
+        )
+        rc, out, err = run(capsys, "convergence", "--config", str(cfg))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "grid_step" in err
+
     def test_subcritical_leaves_limit_columns_empty(self, capsys):
         rc, out, _ = run(
             capsys,

@@ -37,6 +37,12 @@ class TestShapeIntegrals:
         assert err == 0.0
         assert abs(val - 1 / 3) <= 5e-3
 
+    def test_huge_grids_rejected(self):
+        with pytest.raises(ValueError, match="grid_step"):
+            lambda_k_integral(3, ones_f, method="grid", grid_step=0.02)
+        with pytest.raises(ValueError, match="grid_step"):
+            lambda_tilde_k_integral(4, ones_f, method="grid", grid_step=1e-3)
+
     def test_pair_volume_mc(self):
         val, err = lambda_k_integral(2, ones_f, method="mc", rng=8)
         assert 0 < err < 2.5e-3
@@ -366,6 +372,18 @@ class TestReports:
         assert not rep.critical
         assert all(r["limit"] is None for r in rep.rows)
         assert all(r["rel_error"] is None for r in rep.rows)
+
+    def test_default_k3_grid_fails_fast(self, binary):
+        # the default step 0.02 would need 50^5 points in five dimensions
+        calls = []
+
+        def F(shape, lt, bt):
+            calls.append(shape)
+            return 1.0
+
+        with pytest.raises(ValueError, match="grid_step"):
+            convergence_report(binary, 3, F, [4], "a")
+        assert calls == []
 
     def test_unknown_mode_rejected(self, binary):
         F = lambda shape, lt, bt: 1.0

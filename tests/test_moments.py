@@ -1,5 +1,8 @@
 """Moment identities: shape sum vs enumeration vs recursion, rescalings."""
 
+import itertools
+import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +23,7 @@ from branchlab.moments import (
 )
 from branchlab.process import enumerate_population, mean_matrix
 from branchlab.spine import build_kernel
-from branchlab.trees import TreeShape, distance_matrix
+from branchlab.trees import TreeShape, distance_matrix, is_ancestor, meet
 
 
 def count_F(shape, lt, bt):
@@ -81,6 +84,71 @@ class TestShapeSumVsEnumeration:
         bf = BruteForceMoments(binary, "a", horizon=2)
         with pytest.raises(ValueError):
             bf.moment(1, count_F, 3)
+
+
+def reference_table(bf, k):
+    """The table by filtering every vertex k-subset, in planar order."""
+    tab = {}
+    for prob, mt in bf.outcomes:
+        p = float(prob)
+        marks = mt.marks
+        for combo in itertools.combinations(mt.tree.vertices, k):
+            # in planar order an ancestor pair, if any, occurs at
+            # consecutive positions
+            if any(
+                combo[i] == combo[i + 1][: len(combo[i])] for i in range(k - 1)
+            ):
+                continue
+            l = tuple(len(v) for v in combo)
+            ms = tuple(meet(combo[i], combo[i + 1]) for i in range(k - 1))
+            key = (
+                l,
+                tuple(len(m) for m in ms),
+                tuple(marks[v] for v in combo),
+                tuple(marks[m] for m in ms),
+            )
+            tab[key] = tab.get(key, 0.0) + p
+    return tab
+
+
+def bits(table):
+    return [(key, struct.pack("<d", w)) for key, w in table.items()]
+
+
+class TestBruteForceTable:
+    @pytest.mark.parametrize(
+        "model, k, horizon",
+        [
+            (m, k, 3)
+            for m in ("binary", "symmetric", "asymmetric")
+            for k in (1, 2, 3, 4)
+        ]
+        # the asymmetric model has 29,634 outcomes at horizon 4 (about 45 s)
+        + [(m, 2, 4) for m in ("binary", "symmetric")],
+    )
+    def test_matches_subset_filter(self, request, model, k, horizon):
+        m = request.getfixturevalue(model)
+        bf = BruteForceMoments(m, m.types[0], horizon=horizon)
+        got = bf.table(k)
+        assert bits(got) == bits(reference_table(bf, k))
+        # every non-ancestral k-subset carries its outcome's weight once
+        want = Fraction(0)
+        for prob, mt in bf.outcomes:
+            free = sum(
+                1
+                for combo in itertools.combinations(mt.tree.vertices, k)
+                if not any(
+                    is_ancestor(u, v) for u, v in itertools.combinations(combo, 2)
+                )
+            )
+            want += prob * free
+        assert abs(math.fsum(got.values()) - float(want)) <= 1e-12 * float(want)
+
+    def test_cached_and_k_checked(self, binary):
+        bf = BruteForceMoments(binary, "a", horizon=2)
+        assert bf.table(2) is bf.table(2)
+        with pytest.raises(ValueError):
+            bf.table(0)
 
 
 class TestSingleVertexSums:
