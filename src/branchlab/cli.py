@@ -14,6 +14,7 @@ failures (an identity or statistical check did not hold).
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
@@ -59,6 +60,40 @@ def _load_config(path, required, optional=()):
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     sha = hashlib.sha256(raw).hexdigest()
     return cfg, sha
+
+
+def _cfg_int(cfg, key, default=None, many=False):
+    """cfg[key] (or default) as an int, or as a list of ints when many.
+
+    Integral numbers pass (3, 3.0, 1e5); anything else (2.5, "3", true,
+    null) is a ConfigError naming the key, where int() would truncate or
+    coerce it.
+    """
+    value = cfg.get(key, default)
+    if many and not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config key {key!r} must be a list of integers, got {value!r}")
+    out = []
+    for v in value if many else [value]:
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if isinstance(v, bool) or not isinstance(v, int):
+            kind = "a list of integers" if many else "an integer"
+            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+        out.append(v)
+    return out if many else out[0]
+
+
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Record the warnings raised in the block; print each distinct one to
+    stderr as "warning: <message>", leaving stdout untouched."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 def _load_model(cfg, config_path, exact=False):
@@ -173,19 +208,22 @@ def _leaf_weights(spec, model):
     return {x: float(weights.get(x, 1.0)) for x in model.types}
 
 
-def build_functional(spec, model):
+def build_functional(spec, model, k=None):
     """Shape functional from a config dict: {"name": ..., parameters}.
 
     Names: "count" (constant one), "height_indicator" with "r" (one when
     every leaf height is at most r), "pair_indicator" with "r" (one when
-    the first two leaves sit within distance r; needs k >= 2).  All accept
-    "weights", a per-leaf-type factor.
+    the first two leaves sit within distance r; needs k >= 2, checked
+    here when the smallest k is given).  All accept "weights", a
+    per-leaf-type factor.
     """
     allowed = {"name", "r", "weights"}
     unknown = set(spec) - allowed
     if unknown:
         raise ConfigError(f"unknown functional keys: {sorted(unknown)}")
     name = spec.get("name", "count")
+    if name == "pair_indicator" and k is not None and k < 2:
+        raise ConfigError("pair_indicator needs k >= 2")
     weights = _leaf_weights(spec, model)
 
     def wprod(lt):
@@ -243,14 +281,13 @@ def cmd_model_check(args):
     meta = _meta(args.seed, sha)
     tol = float(cfg.get("tol", 1e-9))
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with _warnings_to_stderr():
             eig = process.eigenpair(model)
     except ValueError as e:
         _write_out(args, _json_text(meta, {"error": str(e), "critical": False}))
         return EXIT_MODEL
     sig2 = process.sigma_squared(model, eig)
-    critical = abs(eig.perron - 1.0) <= tol
+    critical = process.is_critical(eig, tol)
     payload = {
         "types": list(model.types),
         "perron": eig.perron,
@@ -272,7 +309,7 @@ def cmd_simulate(args):
         args.config, required=("model", "x0", "n_gen"), optional=()
     )
     model = _load_model(cfg, args.config)
-    mt = process.simulate(model, cfg["x0"], int(cfg["n_gen"]), rng=args.seed)
+    mt = process.simulate(model, cfg["x0"], _cfg_int(cfg, "n_gen"), rng=args.seed)
     meta = _meta(args.seed, sha)
     lines = _header_lines(meta)
     lines.append(f"# tree={trees.tree_to_string(mt.tree)}")
@@ -291,12 +328,14 @@ def cmd_verify_m2f(args):
     )
     model = _load_model(cfg, args.config)
     x0 = cfg.get("x0", model.types[0])
-    ks = [int(k) for k in cfg.get("ks", [1, 2, 3])]
-    Rs = [int(R) for R in cfg.get("Rs", [1, 2, 3])]
+    ks = _cfg_int(cfg, "ks", [1, 2, 3], many=True)
+    Rs = _cfg_int(cfg, "Rs", [1, 2, 3], many=True)
     psis = cfg.get("psis", ["unit", "harmonic"])
     tol = float(cfg.get("tol", 1e-9))
-    cap = int(cfg.get("cap", 200_000))
-    F = build_functional(cfg.get("functional", {"name": "count"}), model)
+    cap = _cfg_int(cfg, "cap", 200_000)
+    F = build_functional(
+        cfg.get("functional", {"name": "count"}), model, k=min(ks, default=None)
+    )
     meta = _meta(args.seed, sha)
     rows = []
     failed = False
@@ -342,15 +381,16 @@ def cmd_moments(args):
     )
     model = _load_model(cfg, args.config)
     x0 = cfg["x0"]
-    k = int(cfg["k"])
-    R = int(cfg["R"])
+    k = _cfg_int(cfg, "k")
+    R = _cfg_int(cfg, "R")
+    cap = _cfg_int(cfg, "cap", 200_000)
     psi = cfg.get("psi", "unit")
     routes = cfg.get("route", "both")
     if routes == "both":
         routes = ["m2f", "bruteforce"]
     elif isinstance(routes, str):
         routes = [routes]
-    F = build_functional(cfg.get("functional", {"name": "count"}), model)
+    F = build_functional(cfg.get("functional", {"name": "count"}), model, k=k)
     q = moments.MomentQuery(k=k, x0=x0, F=F, R=R, psi=psi)
     records = []
     for route in routes:
@@ -358,9 +398,7 @@ def cmd_moments(args):
         if route == "m2f":
             value = moments.moment_m2f(model, q)
         elif route == "bruteforce":
-            value = moments.moment_bruteforce(
-                model, q, cap=int(cfg.get("cap", 200_000))
-            )
+            value = moments.moment_bruteforce(model, q, cap=cap)
         else:
             raise ConfigError(f"unknown route {route!r}")
         ms = int(round(1000 * (time.perf_counter() - t0)))
@@ -390,19 +428,23 @@ def cmd_convergence(args):
         optional=("mode", "R", "functional", "kolmogorov_ns", "grid_step"),
     )
     model = _load_model(cfg, args.config)
-    F = build_functional(cfg.get("functional", {"name": "height_indicator", "r": 1.0}), model)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    k = _cfg_int(cfg, "k")
+    n_values = _cfg_int(cfg, "n_values", many=True)
+    kolmogorov_ns = tuple(_cfg_int(cfg, "kolmogorov_ns", (), many=True))
+    F = build_functional(
+        cfg.get("functional", {"name": "height_indicator", "r": 1.0}), model, k=k
+    )
+    with _warnings_to_stderr():
         report = limits.convergence_report(
             model,
-            int(cfg["k"]),
+            k,
             F,
-            [int(n) for n in cfg["n_values"]],
+            n_values,
             cfg["x0"],
             R=float(cfg.get("R", 1.0)),
             mode=cfg.get("mode", "rescaled"),
             grid_step=cfg.get("grid_step"),
-            kolmogorov_ns=tuple(int(n) for n in cfg.get("kolmogorov_ns", ())),
+            kolmogorov_ns=kolmogorov_ns,
         )
     meta = _meta(args.seed, sha)
     meta_extra = dict(meta)
@@ -437,13 +479,11 @@ def cmd_survival(args):
         args.config, required=("model", "n_values"), optional=("x0",)
     )
     model = _load_model(cfg, args.config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    n_values = _cfg_int(cfg, "n_values", many=True)
+    with _warnings_to_stderr():
         eig = process.eigenpair(model)
-        prof = process.kolmogorov_profile(
-            model, [int(n) for n in cfg["n_values"]], x0=cfg.get("x0")
-        )
-    critical = abs(eig.perron - 1.0) <= 1e-6
+        prof = process.kolmogorov_profile(model, n_values, x0=cfg.get("x0"))
+    critical = process.is_critical(eig)
     rows = []
     for r in prof:
         limit = r["limit"] if critical else None
@@ -478,16 +518,16 @@ def cmd_cpp(args):
         required=("k",),
         optional=("sigma_sq", "phi", "n_samples", "eps", "n_inner", "marks", "grid_step", "z_max"),
     )
-    k = int(cfg["k"])
+    k = _cfg_int(cfg, "k")
     sigma_sq = float(cfg.get("sigma_sq", 1.0))
     phi = build_phi(cfg.get("phi", {"name": "ones"}))
     mark_probs = cfg.get("marks")
     query = limits.LimitQuery(
         k=k, phi=phi, sigma_sq=sigma_sq, mark_probs=mark_probs
     )
-    n_samples = int(cfg.get("n_samples", 100_000))
+    n_samples = _cfg_int(cfg, "n_samples", 100_000)
     eps = float(cfg.get("eps", 1e-3))
-    n_inner = int(cfg.get("n_inner", 8))
+    n_inner = _cfg_int(cfg, "n_inner", 8)
     z_max = float(cfg.get("z_max", 3.0))
     formula = limits.cpp_moment(query, grid_step=float(cfg.get("grid_step", 1e-3)))
     # fixed block layout, so results do not depend on the thread count

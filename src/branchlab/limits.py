@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mmm import FiniteMmmSpace
-from .process import eigenpair, kolmogorov_profile, sigma_squared
+from .process import eigenpair, is_critical, kolmogorov_profile, sigma_squared
 from .trees import TreeShape, distance_matrix
 
 __all__ = [
@@ -545,7 +545,7 @@ def convergence_report(
 
     eig = eigenpair(model)
     sig2 = sigma_squared(model, eig)
-    critical = abs(eig.perron - 1.0) <= 1e-6
+    critical = is_critical(eig)
     kernel = build_kernel(model, eig.h)
     hx = float(eig.h[model.index[x0]])
     pi = {x: float(eig.pi[i]) for i, x in enumerate(model.types)}

@@ -356,9 +356,14 @@ def rescaled_moment(model, k, F_cont, n, x0, R=1.0, kernel=None):
     if kernel is None:
         kernel = build_kernel(model, "harmonic")
     R_disc = int(math.floor(R * n + 1e-9))
+    # q_expectation calls F once per typed key of a shape: scale each
+    # shape once, on its first call
+    last = [None, None]
 
     def F(shape, lt, bt):
-        return F_cont(shape.scale(1.0 / n), lt, bt)
+        if shape is not last[0]:
+            last[:] = shape, shape.scale(1.0 / n)
+        return F_cont(last[1], lt, bt)
 
     q = MomentQuery(k=k, x0=x0, F=F, R=R_disc, psi="harmonic")
     return moment_m2f(model, q, kernel=kernel) / float(n) ** (2 * k)

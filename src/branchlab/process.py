@@ -26,6 +26,7 @@ __all__ = [
     "enumerate_population",
     "mean_matrix",
     "eigenpair",
+    "is_critical",
     "sigma_squared",
     "extinction_by",
     "survival_probability",
@@ -266,7 +267,7 @@ def eigenpair(model, tol=1e-12, max_iter=100_000):
 
     Power iteration to `tol` on both M and its transpose; requires the
     matrix to be irreducible and aperiodic.  Warns when the model is not
-    critical, i.e. when |perron - 1| > 1e-9.
+    critical (see is_critical).
     """
     M = mean_matrix(model)
     if not _is_primitive(M):
@@ -280,11 +281,17 @@ def eigenpair(model, tol=1e-12, max_iter=100_000):
         raise ValueError("right eigenvector residual too large")
     if np.max(np.abs(M.T @ pi - perron * pi)) > 1e-10 * scale:
         raise ValueError("left eigenvector residual too large")
-    if abs(perron - 1) > 1e-9:
+    eig = Eigenpair(h=h, pi=pi, perron=perron)
+    if not is_critical(eig):
         warnings.warn(
             f"model is not critical: perron root {perron!r}", stacklevel=2
         )
-    return Eigenpair(h=h, pi=pi, perron=perron)
+    return eig
+
+
+def is_critical(eig, tol=1e-9):
+    """Whether the Perron root of an eigenpair is within tol of one."""
+    return abs(eig.perron - 1.0) <= tol
 
 
 def sigma_squared(model, eig=None):

@@ -42,7 +42,7 @@ def elementary_symmetric(values, d):
 
 
 class SpineKernel:
-    """All spine quantities of (model, psi), plus a matrix power cache.
+    """All spine quantities of (model, psi), plus power and table caches.
 
     Attributes
     ----------
@@ -102,6 +102,8 @@ class SpineKernel:
         # biased one-step matrix: diag(lam) times the transition
         self.step = self.lam[:, None] * P
         self._pow = {True: [np.eye(nt)], False: [np.eye(nt)]}
+        self._blocks = {}
+        self._branch_points = {}
 
     def _chi_row(self, x, d):
         model = self.model
@@ -147,6 +149,64 @@ class SpineKernel:
         while len(powers) <= n:
             powers.append(powers[-1] @ base)
         return powers[n]
+
+    def block_table(self, l, b, biased=True):
+        """Assignment table of a block shape over all start types, cached.
+
+        A tuple of (leaf type labels, branch type labels, weights), the
+        weights a tuple of floats over start types.  Shapes summed by
+        q_expectation read the tables of the blocks above their lowest
+        meet, which have fewer leaves, so only those are kept.
+        """
+        key = (l, b, bool(biased))
+        table = self._blocks.get(key)
+        if table is None:
+            if len(l) == 1:
+                table = []
+                Mn = self.matrix_power(l[0], biased)
+                for y, x in enumerate(self.model.types):
+                    vec = Mn[:, y]
+                    if biased:
+                        vec = vec / self.psi[y]
+                    if np.any(vec):
+                        table.append(((x,), (), tuple(vec.tolist())))
+            else:
+                table = [
+                    (lt, bt, tuple(vec.tolist()))
+                    for (lt, bt), vec in _combine(self, l, b, biased).items()
+                ]
+            table = self._blocks[key] = tuple(table)
+        return table
+
+    def _branch_point(self, s, d, biased):
+        """Per branch type y, what a degree-d branch at height s adds, cached.
+
+        None where the branch is impossible, else (chi row items with
+        float weights, stem column into y over start types as an array
+        and as a list of floats).  The column carries, when biased, the
+        correction factor m_d / (d! psi) of the branch point.
+        """
+        key = (s, d, bool(biased))
+        cols = self._branch_points.get(key)
+        if cols is None:
+            Ms = self.matrix_power(s, biased)
+            chi_d = self.chi.get(d, [{}] * len(self.model.types))
+            cols = []
+            for y, row in enumerate(chi_d):
+                col = None
+                if row:
+                    coef = 1.0
+                    if biased:
+                        coef = self.m[d, y] / (math.factorial(d) * self.psi[y])
+                    if coef != 0.0:
+                        col = Ms[:, y] * coef
+                if col is None or not np.any(col):
+                    cols.append(None)
+                else:
+                    items = [(z, float(q)) for z, q in row.items()]
+                    cols.append((items, col, col.tolist()))
+            self._branch_points[key] = cols
+        return cols
 
     def to_json(self):
         """Dump every table for inspection; chi keys become type-label strings."""
@@ -231,69 +291,50 @@ def _blocks_at_minimum(b):
     return s, blocks
 
 
-def _assignment_table(kernel, l, b, biased):
-    """dict (leaf type idxs, branch type idxs) -> weight vector over start types.
+def _combine(kernel, l, b, biased, i0=None):
+    """Table of a shape with two or more leaves, split at its lowest meet.
 
-    The weight vector entry at x is the spine-tree probability of seeing
-    those types on the given shape started from x, multiplied (when
-    biased) by the full correction factor of the typed skeleton.  Shapes
-    are split at the lowest meet height, mirroring the first-branch
-    decomposition of trees.
+    Maps (leaf type labels, branch type labels) to the spine-tree
+    probability of seeing those types on the shape, multiplied (when
+    biased) by the full correction factor of the typed skeleton.  The
+    blocks above the lowest meet come from the kernel's block tables and
+    are combined at the branch point, mirroring the first-branch
+    decomposition of trees.  Values are vectors over start types, or the
+    floats at start type index i0 when it is given.
     """
-    nt = len(kernel.model.types)
-    if len(l) == 1:
-        Mn = kernel.matrix_power(l[0], biased)
-        out = {}
-        for y in range(nt):
-            vec = Mn[:, y]
-            if biased:
-                vec = vec / kernel.psi[y]
-            if np.any(vec):
-                out[((y,), ())] = vec
-        return out
     s, blocks = _blocks_at_minimum(b)
-    d = len(blocks)
-    subtables = []
-    for a, c in blocks:
-        sub_l = tuple(x - s - 1 for x in l[a : c + 1])
-        sub_b = tuple(x - s - 1 for x in b[a:c])
-        subtables.append(_assignment_table(kernel, sub_l, sub_b, biased))
-    Ms = kernel.matrix_power(s, biased)
-    chi_d = kernel.chi.get(d, [{}] * nt)
+    subtables = [
+        kernel.block_table(
+            tuple(x - s - 1 for x in l[a : c + 1]),
+            tuple(x - s - 1 for x in b[a:c]),
+            biased,
+        )
+        for a, c in blocks
+    ]
+    types = kernel.model.types
     out = {}
-    for y in range(nt):
-        row = chi_d[y]
-        if not row:
+    for y, point in enumerate(kernel._branch_point(s, len(blocks), biased)):
+        if point is None:
             continue
-        if biased:
-            coef = kernel.m[d, y] / (math.factorial(d) * kernel.psi[y])
-            if coef == 0.0:
-                continue
-        else:
-            coef = 1.0
-        col = Ms[:, y] * coef
-        if not np.any(col):
-            continue
-        for combo in itertools.product(*[list(t.items()) for t in subtables]):
+        row, col, col_list = point
+        if i0 is not None:
+            col = col_list[i0]
+        at_y = (types[y],)
+        for combo in itertools.product(*subtables):
             inner = 0.0
-            for z, q in row.items():
+            for z, q in row:
                 term = q
-                for (_, vec_i), zi in zip(combo, z):
-                    term *= vec_i[zi]
+                for (_, _, w), zi in zip(combo, z):
+                    term *= w[zi]
                     if term == 0.0:
                         break
                 inner += term
             if inner == 0.0:
                 continue
-            lt = tuple(
-                t for (key_i, _) in combo for t in key_i[0]
-            )
-            bt_parts = []
-            for idx, (key_i, _) in enumerate(combo):
-                if idx:
-                    bt_parts.append((y,))
-                bt_parts.append(key_i[1])
-            bt = tuple(t for part in bt_parts for t in part)
+            lt, bt, _ = combo[0]
+            for lt_i, bt_i, _ in combo[1:]:
+                lt += lt_i
+                bt += at_y + bt_i
             key = (lt, bt)
             prev = out.get(key)
             out[key] = col * inner if prev is None else prev + col * inner
@@ -312,19 +353,16 @@ def q_expectation(kernel, shape, F, x0, with_bias=True):
     """
     if not shape.is_discrete:
         raise ValueError("spine expectations need an integer shape")
-    model = kernel.model
-    table = _assignment_table(
-        kernel, shape.leaf_heights, shape.branch_heights, with_bias
-    )
-    i0 = model.index[x0]
-    types = model.types
+    i0 = kernel.model.index[x0]
+    l, b = shape.leaf_heights, shape.branch_heights
+    if len(l) == 1:
+        table = {
+            (lt, bt): w[i0] for lt, bt, w in kernel.block_table(l, b, with_bias)
+        }
+    else:
+        table = _combine(kernel, l, b, with_bias, i0)
     total = 0.0
-    for (lt, bt), vec in table.items():
-        w = float(vec[i0])
+    for (lt, bt), w in table.items():
         if w != 0.0:
-            total += w * F(
-                shape,
-                tuple(types[t] for t in lt),
-                tuple(types[t] for t in bt),
-            )
+            total += w * F(shape, lt, bt)
     return total

@@ -139,6 +139,85 @@ class TestConfigHandling:
         assert rc == 1
 
 
+BINARY = {"a": [(0.5, ()), (0.5, ("a", "a"))]}
+
+
+class TestConfigIntegers:
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("moments", {"x0": "a", "k": 2.5, "R": 2}, "k"),
+            ("moments", {"x0": "a", "k": "3", "R": 2}, "k"),
+            ("moments", {"x0": "a", "k": True, "R": 2}, "k"),
+            ("moments", {"x0": "a", "k": 1, "R": None}, "R"),
+            ("moments", {"x0": "a", "k": 1, "R": 2, "cap": 1e3 + 0.5}, "cap"),
+            ("convergence", {"x0": "a", "k": 1, "n_values": [4, 4.5]}, "n_values"),
+            ("convergence", {"x0": "a", "k": 1, "n_values": 4}, "n_values"),
+            (
+                "convergence",
+                {"x0": "a", "k": 1, "n_values": [4], "kolmogorov_ns": ["8"]},
+                "kolmogorov_ns",
+            ),
+            ("verify-m2f", {"ks": [1, 2.5]}, "ks"),
+            ("verify-m2f", {"Rs": [False]}, "Rs"),
+            ("simulate", {"x0": "a", "n_gen": 2.5}, "n_gen"),
+            ("survival", {"n_values": [10, "20"]}, "n_values"),
+        ],
+    )
+    def test_non_integer_rejected_by_name(self, capsys, tmp_path, command, payload, key):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(tmp_path, "c.json", {"model": "m.json", **payload})
+        rc, out, err = run(capsys, command, "--config", str(cfg))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error:") and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [({"k": 2, "n_samples": 10.5}, "n_samples"), ({"k": 2, "n_inner": "8"}, "n_inner")],
+    )
+    def test_cpp_counts_rejected_by_name(self, capsys, tmp_path, payload, key):
+        cfg = write_config(tmp_path, "c.json", payload)
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert repr(key) in err
+
+    def test_integral_floats_accepted(self, capsys, tmp_path):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        as_ints = write_config(
+            tmp_path, "i.json", {"model": "m.json", "x0": "a", "k": 2, "R": 2, "cap": 1000}
+        )
+        as_floats = write_config(
+            tmp_path, "f.json", {"model": "m.json", "x0": "a", "k": 2.0, "R": 2.0, "cap": 1e3}
+        )
+        values = []
+        for cfg in (as_ints, as_floats):
+            rc, out, _ = run(capsys, "moments", "--config", str(cfg))
+            assert rc == 0
+            values.append([r["value"] for r in json.loads(out)["records"]])
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("moments", {"x0": "a", "k": 1, "R": 2}),
+            ("convergence", {"x0": "a", "k": 1, "n_values": [4], "mode": "ultrametric"}),
+            ("verify-m2f", {"ks": [1, 2], "Rs": [2]}),
+        ],
+    )
+    def test_pair_indicator_needs_two_leaves(self, capsys, tmp_path, command, payload):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"model": "m.json", "functional": {"name": "pair_indicator", "r": 1.0}, **payload},
+        )
+        rc, out, err = run(capsys, command, "--config", str(cfg))
+        assert rc == 1
+        assert out == ""
+        assert "pair_indicator needs k >= 2" in err
+
+
 class TestSimulate:
     def test_deterministic_and_parseable(self, capsys):
         rc1, out1, _ = run(
@@ -311,6 +390,16 @@ class TestConvergence:
         meta, rows = read_csv_rows_from_text(out)
         assert meta["critical"] == "false"
         assert all(r["limit"] is None for r in rows)
+
+    def test_subcritical_warning_goes_to_stderr(self, capsys):
+        args = ("convergence", "--config", f"{CONFIG_DIR}/convergence_subcritical.json")
+        rc, out, err = run(capsys, *args)
+        assert rc == 0
+        assert err.splitlines() == ["warning: model is not critical: perron root 0.5"]
+        assert "warning" not in out
+        # stdout does not depend on whether the warning was printed
+        rc, out2, _ = run(capsys, *args)
+        assert out2 == out
 
 
 class TestSurvival:

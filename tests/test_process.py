@@ -10,7 +10,9 @@ from branchlab.process import (
     Model,
     eigenpair,
     enumerate_population,
+    Eigenpair,
     extinction_by,
+    is_critical,
     kolmogorov_profile,
     mean_matrix,
     sigma_squared,
@@ -100,6 +102,18 @@ class TestPerronData:
         with pytest.warns(UserWarning, match="not critical"):
             eig = eigenpair(subcritical)
         assert abs(eig.perron - 0.5) <= 1e-9
+
+    def test_one_criticality_threshold(self, subcritical):
+        def at(perron):
+            return Eigenpair(h=np.ones(1), pi=np.ones(1), perron=perron)
+
+        assert is_critical(at(1.0 + 5e-10))
+        assert not is_critical(at(1.0 + 5e-9))
+        assert is_critical(at(1.0 + 5e-9), tol=1e-8)
+        assert not is_critical(at(float("nan")))
+        # the eigenpair warning uses the same test
+        with pytest.warns(UserWarning, match="not critical"):
+            assert not is_critical(eigenpair(subcritical))
 
     def test_reducible_rejected(self):
         split = Model(

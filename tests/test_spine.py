@@ -1,11 +1,13 @@
 """Weighted spine chain: moments m_d, branch-type laws, skeleton weights."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from branchlab import moments
 from branchlab.process import Model, eigenpair, sigma_squared, MarkedTree
 from branchlab.spine import (
     SpineKernel,
@@ -14,7 +16,14 @@ from branchlab.spine import (
     elementary_symmetric,
     q_expectation,
 )
-from branchlab.trees import PlanarTree, TreeShape
+from branchlab.trees import PlanarTree, TreeShape, enumerate_shapes
+
+from conftest import (
+    make_asymmetric,
+    make_binary,
+    make_subcritical,
+    make_symmetric,
+)
 
 
 def make_triple():
@@ -195,3 +204,176 @@ class TestSpineExpectation:
             q_expectation(
                 ker, TreeShape((1.5,), ()), lambda s, lt, bt: 1.0, "a"
             )
+
+
+# The uncached shape tables as first written: every block table is rebuilt
+# for every shape, as vectors over start types.  Kept as the reference the
+# cached tables must reproduce in key order and float bits.
+
+
+def _reference_blocks_at_minimum(b):
+    s = min(b)
+    blocks = []
+    start = 0
+    for j, bj in enumerate(b):
+        if bj == s:
+            blocks.append((start, j))
+            start = j + 1
+    blocks.append((start, len(b)))
+    return s, blocks
+
+
+def reference_assignment_table(kernel, l, b, biased):
+    nt = len(kernel.model.types)
+    if len(l) == 1:
+        Mn = kernel.matrix_power(l[0], biased)
+        out = {}
+        for y in range(nt):
+            vec = Mn[:, y]
+            if biased:
+                vec = vec / kernel.psi[y]
+            if np.any(vec):
+                out[((y,), ())] = vec
+        return out
+    s, blocks = _reference_blocks_at_minimum(b)
+    d = len(blocks)
+    subtables = []
+    for a, c in blocks:
+        sub_l = tuple(x - s - 1 for x in l[a : c + 1])
+        sub_b = tuple(x - s - 1 for x in b[a:c])
+        subtables.append(reference_assignment_table(kernel, sub_l, sub_b, biased))
+    Ms = kernel.matrix_power(s, biased)
+    chi_d = kernel.chi.get(d, [{}] * nt)
+    out = {}
+    for y in range(nt):
+        row = chi_d[y]
+        if not row:
+            continue
+        if biased:
+            coef = kernel.m[d, y] / (math.factorial(d) * kernel.psi[y])
+            if coef == 0.0:
+                continue
+        else:
+            coef = 1.0
+        col = Ms[:, y] * coef
+        if not np.any(col):
+            continue
+        for combo in itertools.product(*[list(t.items()) for t in subtables]):
+            inner = 0.0
+            for z, q in row.items():
+                term = q
+                for (_, vec_i), zi in zip(combo, z):
+                    term *= vec_i[zi]
+                    if term == 0.0:
+                        break
+                inner += term
+            if inner == 0.0:
+                continue
+            lt = tuple(t for (key_i, _) in combo for t in key_i[0])
+            bt_parts = []
+            for idx, (key_i, _) in enumerate(combo):
+                if idx:
+                    bt_parts.append((y,))
+                bt_parts.append(key_i[1])
+            bt = tuple(t for part in bt_parts for t in part)
+            key = (lt, bt)
+            prev = out.get(key)
+            out[key] = col * inner if prev is None else prev + col * inner
+    return out
+
+
+def reference_q_expectation(kernel, shape, F, x0, with_bias=True):
+    model = kernel.model
+    table = reference_assignment_table(
+        kernel, shape.leaf_heights, shape.branch_heights, with_bias
+    )
+    i0 = model.index[x0]
+    types = model.types
+    total = 0.0
+    for (lt, bt), vec in table.items():
+        w = float(vec[i0])
+        if w != 0.0:
+            total += w * F(
+                shape,
+                tuple(types[t] for t in lt),
+                tuple(types[t] for t in bt),
+            )
+    return total
+
+
+def reference_rescaled(kernel, k, F_cont, n, x0):
+    def F(shape, lt, bt):
+        return F_cont(shape.scale(1.0 / n), lt, bt)
+
+    total = 0.0
+    for shape in enumerate_shapes(k, n):
+        total += reference_q_expectation(kernel, shape, F, x0)
+    psi_x = float(kernel.psi[kernel.model.index[x0]])
+    return psi_x * total / float(n) ** (2 * k)
+
+
+def reference_ultrametric(kernel, k, F_cont, n, x0):
+    total = 0.0
+    for b in itertools.product(range(n), repeat=k - 1):
+        shape = TreeShape((n,) * k, b)
+        scaled = shape.scale(1.0 / n)
+        total += reference_q_expectation(
+            kernel, shape, lambda _s, lt, bt: F_cont(scaled, lt, bt), x0
+        )
+    psi_x = float(kernel.psi[kernel.model.index[x0]])
+    return psi_x * total / float(n) ** k
+
+
+def rough_functional(shape, lt, bt):
+    """Depends on heights and on every leaf and branch type, with weights
+    no binary fraction rounds away, so any change in which terms meet or
+    in what order they are summed shows in the last bits."""
+    v = 1.0 + 0.1 * sum(shape.leaf_heights) + 0.03 * sum(shape.branch_heights)
+    for i, x in enumerate(lt):
+        v *= (1.3 if x in ("a", "A") else 0.7) + 0.01 * i
+    for x in bt:
+        v *= 1.1 if x in ("a", "A") else 0.9
+    return v
+
+
+class TestCachedTablesMatchReference:
+    @pytest.mark.parametrize(
+        "make", [make_binary, make_symmetric, make_asymmetric, make_subcritical]
+    )
+    def test_every_small_shape_bit_for_bit(self, make):
+        model = make()
+        # one kernel for every shape, bias flag and start type, so that a
+        # cache keyed too coarsely would hand one of them another's table
+        ker = build_kernel(model, (0.75, 1.5)[: len(model.types)])
+        compared = 0
+        for k in range(1, 5):
+            for shape in enumerate_shapes(k, 4):
+                for with_bias in (True, False):
+                    for x0 in model.types:
+                        got = q_expectation(
+                            ker, shape, rough_functional, x0, with_bias
+                        )
+                        want = reference_q_expectation(
+                            ker, shape, rough_functional, x0, with_bias
+                        )
+                        assert got.hex() == want.hex(), (shape, with_bias, x0)
+                        compared += got != 0.0
+        assert compared > 0
+
+    @pytest.mark.parametrize("make", [make_binary, make_symmetric, make_asymmetric])
+    def test_rescaled_and_ultrametric_bit_for_bit(self, make):
+        model = make()
+        ker = build_kernel(model, "harmonic")
+        for x0 in model.types:
+            for k, ns in ((1, (5,)), (2, (4, 7)), (3, (3, 4))):
+                for n in ns:
+                    got = moments.rescaled_moment(
+                        model, k, rough_functional, n, x0, kernel=ker
+                    )
+                    want = reference_rescaled(ker, k, rough_functional, n, x0)
+                    assert got.hex() == want.hex(), ("rescaled", x0, k, n)
+                    got = moments.ultrametric_moment(
+                        model, k, rough_functional, n, x0, kernel=ker
+                    )
+                    want = reference_ultrametric(ker, k, rough_functional, n, x0)
+                    assert got.hex() == want.hex(), ("ultrametric", x0, k, n)
