@@ -16,8 +16,8 @@ import math
 import sys
 from pathlib import Path
 
-from branchlab.cli import build_functional
-from branchlab.limits import convergence_report
+from branchlab.cli import build_functional, csv_text
+from branchlab.limits import REPORT_COLUMNS, convergence_report
 from branchlab.process import Model
 
 
@@ -92,7 +92,7 @@ def main(argv=None):
         prev_err = rel
     if args.out is not None:
         with open(args.out, "w") as fh:
-            report.to_csv(fh)
+            fh.write(csv_text({}, REPORT_COLUMNS, report.rows))
     return 0
 
 

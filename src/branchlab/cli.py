@@ -13,7 +13,6 @@ failures (an identity or statistical check did not hold).
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -123,7 +122,7 @@ def _meta(seed, sha):
 
 
 def _header_lines(meta):
-    return [f"# {k}={meta[k]}" for k in ("seed", "git", "config_sha256")]
+    return [f"# {k}={v}" for k, v in meta.items()]
 
 
 def _write_out(args, text):
@@ -142,7 +141,10 @@ def _fmt(v):
     return str(v)
 
 
-def _csv_text(meta, header, rows):
+def csv_text(meta, header, rows):
+    """CSV with one "# key=value" comment line per meta entry, in order,
+    then the header and one line per row dict; read back by read_csv_rows.
+    """
     lines = _header_lines(meta)
     lines.append(",".join(header))
     for row in rows:
@@ -298,7 +300,7 @@ def cmd_model_check(args):
     }
     if args.format == "csv":
         rows = [{"key": k, "value": _fmt(payload[k]) if not isinstance(payload[k], list) else json.dumps(payload[k])} for k in sorted(payload)]
-        _write_out(args, _csv_text(meta, ["key", "value"], rows))
+        _write_out(args, csv_text(meta, ["key", "value"], rows))
     else:
         _write_out(args, _json_text(meta, payload))
     return EXIT_OK if critical else EXIT_MODEL
@@ -310,13 +312,12 @@ def cmd_simulate(args):
     )
     model = _load_model(cfg, args.config)
     mt = process.simulate(model, cfg["x0"], _cfg_int(cfg, "n_gen"), rng=args.seed)
-    meta = _meta(args.seed, sha)
-    lines = _header_lines(meta)
-    lines.append(f"# tree={trees.tree_to_string(mt.tree)}")
-    lines.append("vertex,type")
-    for v in mt.tree.vertices:
-        lines.append(f"{'.'.join(map(str, v))},{mt.marks[v]}")
-    _write_out(args, "\n".join(lines) + "\n")
+    meta = {**_meta(args.seed, sha), "tree": trees.tree_to_string(mt.tree)}
+    rows = [
+        {"vertex": ".".join(map(str, v)), "type": mt.marks[v]}
+        for v in mt.tree.vertices
+    ]
+    _write_out(args, csv_text(meta, ["vertex", "type"], rows))
     return EXIT_OK
 
 
@@ -369,7 +370,7 @@ def cmd_verify_m2f(args):
     if args.format == "json":
         _write_out(args, _json_text(meta, {"rows": rows, "tol": tol}))
     else:
-        _write_out(args, _csv_text(meta, header, rows))
+        _write_out(args, csv_text(meta, header, rows))
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -415,7 +416,7 @@ def cmd_moments(args):
     meta = _meta(args.seed, sha)
     if args.format == "csv":
         header = ["k", "n", "psi", "value", "path", "runtime_ms"]
-        _write_out(args, _csv_text(meta, header, records))
+        _write_out(args, csv_text(meta, header, records))
     else:
         _write_out(args, _json_text(meta, {"records": records}))
     return EXIT_OK
@@ -447,10 +448,6 @@ def cmd_convergence(args):
             kolmogorov_ns=kolmogorov_ns,
         )
     meta = _meta(args.seed, sha)
-    meta_extra = dict(meta)
-    meta_extra["critical"] = str(report.critical).lower()
-    meta_extra["perron"] = _fmt(report.perron)
-    meta_extra["sigma_sq"] = _fmt(report.sigma_sq)
     if args.format == "json":
         _write_out(
             args,
@@ -465,12 +462,10 @@ def cmd_convergence(args):
             ),
         )
     else:
-        lines = [f"# {k}={meta_extra[k]}" for k in ("seed", "git", "config_sha256", "critical", "perron", "sigma_sq")]
-        header = ["n", "observed", "limit", "rel_error", "path"]
-        lines.append(",".join(header))
-        for row in report.rows:
-            lines.append(",".join(_fmt(row[c]) for c in header))
-        _write_out(args, "\n".join(lines) + "\n")
+        meta["critical"] = str(report.critical).lower()
+        meta["perron"] = _fmt(report.perron)
+        meta["sigma_sq"] = _fmt(report.sigma_sq)
+        _write_out(args, csv_text(meta, limits.REPORT_COLUMNS, report.rows))
     return EXIT_OK
 
 
@@ -481,35 +476,14 @@ def cmd_survival(args):
     model = _load_model(cfg, args.config)
     n_values = _cfg_int(cfg, "n_values", many=True)
     with _warnings_to_stderr():
-        eig = process.eigenpair(model)
-        prof = process.kolmogorov_profile(model, n_values, x0=cfg.get("x0"))
-    critical = process.is_critical(eig)
-    rows = []
-    for r in prof:
-        limit = r["limit"] if critical else None
-        rows.append(
-            {
-                "n": r["n"],
-                "observed": r["observed"],
-                "limit": limit,
-                "rel_error": abs(r["observed"] - limit) / limit if limit else None,
-                "path": f"kolmogorov:{r['type']}",
-            }
-        )
+        critical = process.is_critical(process.eigenpair(model))
+        rows = limits.kolmogorov_rows(model, n_values, cfg.get("x0"), critical)
     meta = _meta(args.seed, sha)
-    header = ["n", "observed", "limit", "rel_error", "path"]
     if args.format == "json":
         _write_out(args, _json_text(meta, {"critical": critical, "rows": rows}))
     else:
-        _write_out(args, _csv_text(meta, header, rows))
+        _write_out(args, csv_text(meta, limits.REPORT_COLUMNS, rows))
     return EXIT_OK
-
-
-def _cpp_block(query, count, eps, n_inner, seed):
-    rng = np.random.default_rng(seed)
-    return limits.cpp_monomial_samples(
-        query, n_samples=count, eps=eps, n_inner=n_inner, rng=rng
-    )
 
 
 def cmd_cpp(args):
@@ -530,17 +504,16 @@ def cmd_cpp(args):
     n_inner = _cfg_int(cfg, "n_inner", 8)
     z_max = float(cfg.get("z_max", 3.0))
     formula = limits.cpp_moment(query, grid_step=float(cfg.get("grid_step", 1e-3)))
-    # fixed block layout, so results do not depend on the thread count
+    # samples are drawn in fixed blocks, each from its own spawned seed
     seeds = np.random.SeedSequence(args.seed).spawn(_MC_BLOCKS)
     counts = [n_samples // _MC_BLOCKS] * _MC_BLOCKS
     counts[-1] += n_samples - sum(counts)
-    jobs = [(query, c, eps, n_inner, s) for c, s in zip(counts, seeds)]
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as ex:
-            chunks = list(ex.map(lambda j: _cpp_block(*j), jobs))
-    else:
-        chunks = [_cpp_block(*j) for j in jobs]
-    ests = np.concatenate(chunks)
+    ests = np.concatenate([
+        limits.cpp_monomial_samples(
+            query, n_samples=c, eps=eps, n_inner=n_inner, rng=np.random.default_rng(s)
+        )
+        for c, s in zip(counts, seeds)
+    ])
     estimate = float(ests.mean())
     stderr = float(ests.std(ddof=1)) / np.sqrt(len(ests))
     z = (estimate - formula) / stderr if stderr > 0 else float("inf")
@@ -558,7 +531,7 @@ def cmd_cpp(args):
     if args.format == "csv":
         keys = sorted(payload)
         rows = [{"key": key, "value": _fmt(payload[key])} for key in keys]
-        _write_out(args, _csv_text(meta, ["key", "value"], rows))
+        _write_out(args, csv_text(meta, ["key", "value"], rows))
     else:
         _write_out(args, _json_text(meta, payload))
     return EXIT_OK if abs(z) <= z_max else EXIT_VERIFY
@@ -585,7 +558,9 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=int, default=1, help="ignored; kept for old command lines"
+        )
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)

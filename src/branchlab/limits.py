@@ -24,6 +24,7 @@ from .trees import TreeShape, distance_matrix
 __all__ = [
     "lambda_k_integral",
     "lambda_tilde_k_integral",
+    "rowwise",
     "LimitQuery",
     "crt_moment",
     "cpp_moment",
@@ -36,7 +37,9 @@ __all__ = [
     "sample_excursions",
     "donsker_crt_check",
     "ConvergenceReport",
+    "REPORT_COLUMNS",
     "convergence_report",
+    "kolmogorov_rows",
 ]
 
 
@@ -60,6 +63,38 @@ def _as_rng(rng):
     return np.random.default_rng(rng)
 
 
+def rowwise(f):
+    """Batched integrand from a per-point one: f(l, b) is called on each
+    row of the (N, k) leaf heights and (N, k-1) meet heights."""
+
+    def batched(L, B):
+        return np.fromiter((f(l, b) for l, b in zip(L, B)), dtype=float, count=len(L))
+
+    return batched
+
+
+def _evaluate(f, L, B):
+    vals = np.asarray(f(L, B), dtype=float)
+    if vals.shape != (len(L),):
+        raise ValueError(
+            f"a batched integrand must return {len(L)} values, one per row, "
+            f"not an array of shape {vals.shape}; wrap a per-point f(l, b) "
+            f"with rowwise(f)"
+        )
+    return vals
+
+
+def _midpoint_grid(mids, dim):
+    axes = np.meshgrid(*([mids] * dim), indexing="ij")
+    return np.stack([a.reshape(-1) for a in axes], axis=1)
+
+
+def _grid_total(f, L, B):
+    # builtin sum over Python floats in index order, so a batched f and its
+    # rowwise form give the same bits
+    return sum(map(float, _evaluate(f, L, B))) if len(L) else 0.0
+
+
 def lambda_k_integral(
     k,
     f,
@@ -68,14 +103,13 @@ def lambda_k_integral(
     n_samples=100_000,
     grid_step=0.01,
     rng=None,
-    vectorized=False,
 ):
     """Integral of f over k-leaf shapes with every leaf height in [0, R].
 
-    f(l, b) takes arrays of k leaf heights and k-1 meet heights; with
-    vectorized=True it receives (N, k) and (N, k-1) batches and returns N
-    values.  method "mc" returns (estimate, stderr) from uniform sampling
-    of the bounding box; "grid" returns (midpoint-rule value, 0.0).
+    f(L, B) is batched: it takes (N, k) leaf heights and (N, k-1) meet
+    heights and returns N values; rowwise(f) adapts a per-point f(l, b).
+    method "mc" returns (estimate, stderr) from uniform sampling of the
+    bounding box; "grid" returns (midpoint-rule value, 0.0).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -84,15 +118,10 @@ def lambda_k_integral(
         rng = _as_rng(rng)
         L = rng.uniform(0.0, R, size=(n_samples, k))
         B = rng.uniform(0.0, R, size=(n_samples, k - 1))
-        ok = np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1)
+        idx = np.flatnonzero(np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1))
         vals = np.zeros(n_samples)
-        if vectorized:
-            idx = np.flatnonzero(ok)
-            if idx.size:
-                vals[idx] = f(L[idx], B[idx])
-        else:
-            for i in np.flatnonzero(ok):
-                vals[i] = f(L[i], B[i])
+        if idx.size:
+            vals[idx] = _evaluate(f, L[idx], B[idx])
         box = float(R) ** dim
         est = box * float(vals.mean())
         err = box * float(vals.std(ddof=1)) / math.sqrt(n_samples)
@@ -100,19 +129,12 @@ def lambda_k_integral(
     if method == "grid":
         n_cells = max(1, int(round(R / grid_step)))
         _check_grid(n_cells, dim)
-        mids = (np.arange(n_cells) + 0.5) * (R / n_cells)
-        axes = np.meshgrid(*([mids] * dim), indexing="ij")
-        pts = np.stack([a.reshape(-1) for a in axes], axis=1)
+        pts = _midpoint_grid((np.arange(n_cells) + 0.5) * (R / n_cells), dim)
         L = pts[:, :k]
         B = pts[:, k:]
         ok = np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1)
         cell = (R / n_cells) ** dim
-        if vectorized:
-            idx = np.flatnonzero(ok)
-            total = float(f(L[idx], B[idx]).sum()) if idx.size else 0.0
-        else:
-            total = sum(float(f(L[i], B[i])) for i in np.flatnonzero(ok))
-        return cell * total, 0.0
+        return cell * _grid_total(f, L[ok], B[ok]), 0.0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -123,38 +145,25 @@ def lambda_tilde_k_integral(
     n_samples=100_000,
     grid_step=0.001,
     rng=None,
-    vectorized=False,
 ):
     """Integral of f(ones, b) over meet heights b in the unit cube.
 
-    Same calling conventions as lambda_k_integral; for k = 1 the value is
-    exactly f at the single shape.
+    Same batched integrand as lambda_k_integral, with every leaf height
+    one; for k = 1 the value is exactly f at the single shape.
     """
-    ones = np.ones(k)
     if k == 1:
-        if vectorized:
-            return float(f(ones[None, :], np.zeros((1, 0)))[0]), 0.0
-        return float(f(ones, np.zeros(0))), 0.0
+        return float(_evaluate(f, np.ones((1, 1)), np.zeros((1, 0)))[0]), 0.0
     dim = k - 1
     if method == "mc":
-        rng = _as_rng(rng)
-        B = rng.uniform(0.0, 1.0, size=(n_samples, dim))
-        if vectorized:
-            vals = f(np.broadcast_to(ones, (n_samples, k)), B)
-        else:
-            vals = np.array([f(ones, B[i]) for i in range(n_samples)])
+        B = _as_rng(rng).uniform(0.0, 1.0, size=(n_samples, dim))
+        vals = _evaluate(f, np.broadcast_to(np.ones(k), (n_samples, k)), B)
         return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n_samples)
     if method == "grid":
         n_cells = max(1, int(round(1.0 / grid_step)))
         _check_grid(n_cells, dim)
-        mids = (np.arange(n_cells) + 0.5) / n_cells
-        axes = np.meshgrid(*([mids] * dim), indexing="ij")
-        B = np.stack([a.reshape(-1) for a in axes], axis=1)
-        if vectorized:
-            total = float(f(np.broadcast_to(ones, (B.shape[0], k)), B).sum())
-        else:
-            total = sum(float(f(ones, B[i])) for i in range(B.shape[0]))
-        return total / n_cells**dim, 0.0
+        B = _midpoint_grid((np.arange(n_cells) + 0.5) / n_cells, dim)
+        ones = np.broadcast_to(np.ones(k), (len(B), k))
+        return _grid_total(f, ones, B) / n_cells**dim, 0.0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -176,22 +185,22 @@ class LimitQuery:
     R: float = 1.0
 
 
-def _mark_tuples(query):
-    if query.mark_probs is None:
-        return [((None,) * query.k, 1.0)]
-    labels = sorted(query.mark_probs)
+def _type_tuples(labels, probs, k):
+    """Every k-tuple of labels, in product order, with its probability."""
     out = []
-    for combo in itertools.product(labels, repeat=query.k):
+    for combo in itertools.product(labels, repeat=k):
         p = 1.0
         for c in combo:
-            p *= query.mark_probs[c]
-        if p > 0:
-            out.append((combo, p))
+            p *= probs[c]
+        out.append((combo, p))
     return out
 
 
 def _symmetrized_integrand(query):
-    marks = _mark_tuples(query)
+    if query.mark_probs is None:
+        marks = [((None,) * query.k, 1.0)]
+    else:
+        marks = _type_tuples(sorted(query.mark_probs), query.mark_probs, query.k)
     perms = [
         np.array((0,) + s) for s in itertools.permutations(range(1, query.k + 1))
     ]
@@ -205,7 +214,7 @@ def _symmetrized_integrand(query):
                 total += p * query.phi(Dp, mk)
         return total
 
-    return g
+    return rowwise(g)
 
 
 def crt_moment(query, method="grid", n_samples=200_000, grid_step=0.02, rng=None):
@@ -481,41 +490,38 @@ def donsker_crt_check(
 
 @dataclass
 class ConvergenceReport:
-    """Rows of finite-size values against their limit, plus run diagnostics."""
+    """Rows (keyed by REPORT_COLUMNS) of finite-size values against their
+    limit, plus run diagnostics."""
 
     rows: list
     critical: bool
     perron: float
     sigma_sq: float
 
-    def to_csv(self, fh):
-        fh.write("n,observed,limit,rel_error,path\n")
-        for r in self.rows:
-            limit = "" if r["limit"] is None else f"{r['limit']:.12g}"
-            rel = "" if r["rel_error"] is None else f"{r['rel_error']:.12g}"
-            fh.write(f"{r['n']},{r['observed']:.12g},{limit},{rel},{r['path']}\n")
 
-    @staticmethod
-    def read_csv(fh):
-        header = fh.readline().strip()
-        if header != "n,observed,limit,rel_error,path":
-            raise ValueError("unexpected header")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n, obs, limit, rel, path = line.split(",")
-            rows.append(
-                {
-                    "n": int(n),
-                    "observed": float(obs),
-                    "limit": None if limit == "" else float(limit),
-                    "rel_error": None if rel == "" else float(rel),
-                    "path": path,
-                }
-            )
-        return rows
+REPORT_COLUMNS = ("n", "observed", "limit", "rel_error", "path")
+
+
+def kolmogorov_rows(model, n_values, x0, critical):
+    """Report rows of the scaled survival n * P_x(alive at n) against its
+    Kolmogorov limit, one per (n, type), or per n for x0 alone when x0 is
+    not None; limits are left empty when not critical."""
+    if not n_values:
+        return []
+    rows = []
+    for row in kolmogorov_profile(model, n_values, x0=x0):
+        obs = row["observed"]
+        shown = row["limit"] if critical else None
+        rows.append(
+            {
+                "n": row["n"],
+                "observed": obs,
+                "limit": shown,
+                "rel_error": abs(obs - shown) / shown if shown else None,
+                "path": f"kolmogorov:{row['type']}",
+            }
+        )
+    return rows
 
 
 def convergence_report(
@@ -549,14 +555,13 @@ def convergence_report(
     kernel = build_kernel(model, eig.h)
     hx = float(eig.h[model.index[x0]])
     pi = {x: float(eig.pi[i]) for i, x in enumerate(model.types)}
+    types = _type_tuples(model.types, pi, k)
 
+    @rowwise
     def mark_avg(l, b):
         shape = TreeShape(tuple(l), tuple(b))
         total = 0.0
-        for lt in itertools.product(model.types, repeat=k):
-            p = 1.0
-            for c in lt:
-                p *= pi[c]
+        for lt, p in types:
             total += p * F_cont(shape, lt, None)
         return total
 
@@ -588,18 +593,7 @@ def convergence_report(
                 "path": f"{mode}:k={k}",
             }
         )
-    for row in kolmogorov_profile(model, kolmogorov_ns, x0=x0) if kolmogorov_ns else []:
-        obs, lim = row["observed"], row["limit"]
-        shown = lim if critical else None
-        rows.append(
-            {
-                "n": row["n"],
-                "observed": obs,
-                "limit": shown,
-                "rel_error": abs(obs - shown) / shown if shown else None,
-                "path": f"kolmogorov:{row['type']}",
-            }
-        )
+    rows += kolmogorov_rows(model, kolmogorov_ns, x0, critical)
     return ConvergenceReport(
         rows=rows, critical=critical, perron=eig.perron, sigma_sq=sig2
     )

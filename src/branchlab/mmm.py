@@ -4,9 +4,9 @@ A space is a finite point set with a distinguished root, a pseudo-distance
 matrix, a nonnegative mass per point and an optional mark per point.  The
 k-th monomial statistic of a test function phi sums, over all k-tuples of
 points drawn with repetition, the product of masses times
-phi(distance matrix including the root row, marks).  Restriction
-operators zero out mass rather than dropping points, which keeps monomial
-identities exact in floating point.
+phi(distance matrix including the root row, marks).  Points of zero mass
+never contribute, so a space can be restricted by zeroing masses while
+its points and distances stay as they are.
 """
 
 import itertools
@@ -19,9 +19,6 @@ __all__ = [
     "tree_to_mmm",
     "generation_slice",
     "monomial",
-    "restrict_ball",
-    "restrict_height",
-    "restrict_lower_mass",
 ]
 
 _TRIANGLE_CHECK_LIMIT = 300
@@ -200,37 +197,3 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
         var += scale**2 * float(vals.var(ddof=1)) / n_sub
     return float(value), float(np.sqrt(var))
 
-
-def restrict_ball(space, center, radius):
-    """Zero the mass of every point outside the closed ball around `center`.
-
-    Points and distances are kept, so monomials of the restricted space
-    equal monomials of the original with the ball indicator folded into
-    phi, with identical floating-point arithmetic.
-    """
-    keep = space.dist[center] <= radius
-    return FiniteMmmSpace(
-        space.points,
-        space.root,
-        space.dist,
-        np.where(keep, space.mass, 0.0),
-        space.mark,
-    )
-
-
-def restrict_height(space, radius):
-    """Closed ball around the root."""
-    return restrict_ball(space, space.root, radius)
-
-
-def restrict_lower_mass(space, delta, threshold):
-    """Keep mass only where the closed delta-ball carries at least `threshold`."""
-    ball_mass = (space.dist <= delta) @ space.mass
-    keep = ball_mass >= threshold
-    return FiniteMmmSpace(
-        space.points,
-        space.root,
-        space.dist,
-        np.where(keep, space.mass, 0.0),
-        space.mark,
-    )

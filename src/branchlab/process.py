@@ -142,11 +142,19 @@ class Eigenpair:
     perron: float
 
 
+# vertices are tuple words in two dicts, about 430 bytes each, so a tree
+# at the limit takes about 45 MB; the largest tree the tests, the shipped
+# configs and the benchmark draw has under a thousand vertices
+_SIMULATE_VERTEX_LIMIT = 10**5
+
+
 def simulate(model, x0, n_gen, rng=None):
     """Sample a population tree run for n_gen generations from one x0 ancestor.
 
     Vertices in generation n_gen are recorded with out-degree zero; their
     offspring are not sampled.  rng may be a seed or a numpy Generator.
+    Raises ValueError as soon as a generation takes the tree past
+    _SIMULATE_VERTEX_LIMIT vertices.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -157,7 +165,7 @@ def simulate(model, x0, n_gen, rng=None):
     degrees = {}
     marks = {(): x0}
     frontier = [()]
-    for _ in range(n_gen):
+    for gen in range(1, n_gen + 1):
         nxt = []
         for v in frontier:
             cum, kids = tables[marks[v]]
@@ -169,6 +177,12 @@ def simulate(model, x0, n_gen, rng=None):
                 marks[v + (i,)] = c
                 nxt.append(v + (i,))
         frontier = nxt
+        if len(marks) > _SIMULATE_VERTEX_LIMIT:
+            raise ValueError(
+                f"simulated tree has {len(marks)} vertices by generation {gen}, "
+                f"above the limit of {_SIMULATE_VERTEX_LIMIT}; lower n_gen "
+                f"(a supercritical model grows without bound)"
+            )
     for v in frontier:
         degrees[v] = 0
     return MarkedTree(PlanarTree(degrees), marks)

@@ -305,9 +305,7 @@ def test_a07_comb_sampler(capsys):
 
 def test_a08_shape_volume_mc(capsys):
     f = lambda L, B: np.ones(L.shape[0])
-    est, err = lambda_k_integral(
-        2, f, method="mc", n_samples=1_000_000, rng=0, vectorized=True
-    )
+    est, err = lambda_k_integral(2, f, method="mc", n_samples=1_000_000, rng=0)
     z = (est - 1 / 3) / err
     ok = abs(est - 1 / 3) <= 3 * err
     _report(

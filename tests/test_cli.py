@@ -268,6 +268,16 @@ class TestSimulate:
         )
         assert out1 != out2
 
+    def test_supercritical_model_exits_1(self, capsys, tmp_path):
+        write_model(tmp_path, "m.json", ["a"], {"a": [(1.0, ("a",) * 10)]})
+        cfg = write_config(
+            tmp_path, "sim.json", {"model": "m.json", "x0": "a", "n_gen": 40}
+        )
+        rc, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "n_gen" in err
+
 
 class TestVerify:
     def test_binary_grid_all_ok(self, capsys):

@@ -1,13 +1,16 @@
 """Continuum limits: shape integrals, the Poisson comb, excursion contours."""
 
 import io
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from branchlab.cli import csv_text, read_csv_rows
 from branchlab.limits import (
-    ConvergenceReport,
+    REPORT_COLUMNS,
     CppSample,
     LimitQuery,
     contour_tree,
@@ -20,14 +23,17 @@ from branchlab.limits import (
     donsker_crt_check,
     lambda_k_integral,
     lambda_tilde_k_integral,
+    rowwise,
     sample_excursions,
 )
 from branchlab.limits import _pair_distances
 from branchlab.mmm import monomial
+from branchlab.process import eigenpair, sigma_squared
+from branchlab.trees import TreeShape, distance_matrix
 
 
-def ones_f(l, b):
-    return 1.0
+def ones_f(L, B):
+    return np.ones(len(L))
 
 
 class TestShapeIntegrals:
@@ -50,7 +56,7 @@ class TestShapeIntegrals:
 
     def test_truncated_meet_height(self):
         # cutting the meet at 1/2 leaves 7/24 of the volume
-        f = lambda l, b: float(b[0] <= 0.5)
+        f = lambda L, B: B[:, 0] <= 0.5
         val, _ = lambda_k_integral(2, f, method="grid", grid_step=0.005)
         assert abs(val - 7 / 24) <= 5e-3
 
@@ -60,17 +66,33 @@ class TestShapeIntegrals:
         val2, _ = lambda_k_integral(1, ones_f, R=2.5, method="grid", grid_step=1e-3)
         assert abs(val2 - 2.5) <= 1e-9
 
-    def test_vectorized_matches_loop(self):
+    def test_rowwise_matches_batched(self):
         f = lambda l, b: l[0] + 0.25 * b[0]
         fv = lambda L, B: L[:, 0] + 0.25 * B[:, 0]
-        a, _ = lambda_k_integral(2, f, method="grid", grid_step=0.05)
-        b, _ = lambda_k_integral(2, fv, method="grid", grid_step=0.05, vectorized=True)
-        assert abs(a - b) <= 1e-12
-        am, ae = lambda_k_integral(2, f, method="mc", n_samples=5000, rng=1)
-        bm, be = lambda_k_integral(
-            2, fv, method="mc", n_samples=5000, rng=1, vectorized=True
-        )
-        assert abs(am - bm) <= 1e-12 and abs(ae - be) <= 1e-12
+        for method, kw in (
+            ("grid", {"grid_step": 0.05}),
+            ("mc", {"n_samples": 5000, "rng": 1}),
+        ):
+            a = lambda_k_integral(2, rowwise(f), method=method, **kw)
+            b = lambda_k_integral(2, fv, method=method, **kw)
+            assert a == b
+            a = lambda_tilde_k_integral(3, rowwise(f), method=method, **kw)
+            b = lambda_tilde_k_integral(3, fv, method=method, **kw)
+            assert a == b
+
+    def test_wrong_shaped_return_raises(self):
+        # a per-point lambda handed a batch returns one row, not N values
+        per_point = lambda l, b: l[0] + 0.25 * b[0]
+        for bad in (per_point, lambda L, B: 1.0, lambda L, B: L):
+            for method in ("grid", "mc"):
+                with pytest.raises(ValueError, match="rowwise"):
+                    lambda_k_integral(2, bad, method=method, grid_step=0.1, n_samples=50)
+                with pytest.raises(ValueError, match="rowwise"):
+                    lambda_tilde_k_integral(2, bad, method=method, grid_step=0.1, n_samples=50)
+        with pytest.raises(ValueError, match="rowwise"):
+            lambda_tilde_k_integral(1, lambda L, B: 7.25)
+        with pytest.raises(ValueError):
+            lambda_k_integral(2, rowwise(lambda l, b: l), method="grid", grid_step=0.1)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -81,26 +103,26 @@ class TestShapeIntegrals:
 
 class TestUnitCubeIntegrals:
     def test_single_leaf_is_point_evaluation(self):
-        f = lambda l, b: 7.25
+        f = lambda L, B: np.full(len(L), 7.25)
         assert lambda_tilde_k_integral(1, f) == (7.25, 0.0)
 
     def test_linear_integrand_is_exact_on_grid(self):
-        f = lambda l, b: b[0]
+        f = lambda L, B: B[:, 0]
         val, _ = lambda_tilde_k_integral(2, f, method="grid", grid_step=1e-3)
         assert abs(val - 0.5) <= 1e-12
 
     def test_indicator_with_aligned_threshold(self):
-        f = lambda l, b: float(b[0] >= 0.5)
+        f = rowwise(lambda l, b: float(b[0] >= 0.5))
         val, _ = lambda_tilde_k_integral(2, f, method="grid", grid_step=1e-3)
         assert abs(val - 0.5) <= 1e-12
 
     def test_product_integrand_three_leaves(self):
-        f = lambda l, b: b[0] * b[1]
+        f = lambda L, B: B[:, 0] * B[:, 1]
         val, _ = lambda_tilde_k_integral(3, f, method="grid", grid_step=0.01)
         assert abs(val - 0.25) <= 1e-9
 
     def test_mc_agrees(self):
-        f = lambda l, b: float(b[0] >= 0.5)
+        f = lambda L, B: B[:, 0] >= 0.5
         val, err = lambda_tilde_k_integral(2, f, method="mc", n_samples=40_000, rng=5)
         assert abs(val - 0.5) <= 4 * err
 
@@ -316,20 +338,32 @@ class TestWalkLimit:
 
 
 class TestReports:
-    def test_csv_roundtrip(self):
+    def test_report_rows_roundtrip(self, binary):
         rows = [
             {"n": 5, "observed": 0.5, "limit": 1.0, "rel_error": 0.5, "path": "a:k=1"},
             {"n": 9, "observed": 0.25, "limit": None, "rel_error": None, "path": "b"},
         ]
-        rep = ConvergenceReport(rows=rows, critical=True, perron=1.0, sigma_sq=1.0)
-        buf = io.StringIO()
-        rep.to_csv(buf)
-        buf.seek(0)
-        assert ConvergenceReport.read_csv(buf) == rows
+        text = csv_text({"seed": 3, "critical": "true"}, REPORT_COLUMNS, rows)
+        meta, back = read_csv_rows(io.StringIO(text))
+        assert meta == {"seed": "3", "critical": "true"}
+        assert back == rows
+        # a real report: twelve significant digits survive the round trip
+        F = lambda shape, lt, bt: float(shape.height <= 1.0)
+        rep = convergence_report(binary, 1, F, [30], "a", kolmogorov_ns=(100,))
+        meta, back = read_csv_rows(io.StringIO(csv_text({}, REPORT_COLUMNS, rep.rows)))
+        assert meta == {}
+        assert len(back) == len(rep.rows) == 2
+        for got, want in zip(back, rep.rows):
+            assert set(got) == set(REPORT_COLUMNS)
+            for c in REPORT_COLUMNS:
+                if isinstance(want[c], float):
+                    assert got[c] == pytest.approx(want[c], rel=1e-11)
+                else:
+                    assert got[c] == want[c]
 
-    def test_csv_header_checked(self):
-        with pytest.raises(ValueError):
-            ConvergenceReport.read_csv(io.StringIO("nope\n"))
+    def test_csv_without_header_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            read_csv_rows(io.StringIO("# seed=0\n"))
 
     def test_rescaled_single_leaf(self, binary):
         F = lambda shape, lt, bt: float(shape.height <= 1.0)
@@ -389,3 +423,206 @@ class TestReports:
         F = lambda shape, lt, bt: 1.0
         with pytest.raises(ValueError):
             convergence_report(binary, 1, F, [5], "a", mode="diagonal")
+
+
+# The seed's per-point integrators and integrands, kept as the reference:
+# the batched integrators must reproduce their float bits.
+
+
+def _reference_lambda_k(k, f, R=1.0, method="mc", n_samples=100_000, grid_step=0.01, rng=None):
+    dim = 2 * k - 1
+    if method == "mc":
+        rng = np.random.default_rng(rng)
+        L = rng.uniform(0.0, R, size=(n_samples, k))
+        B = rng.uniform(0.0, R, size=(n_samples, k - 1))
+        ok = np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1)
+        vals = np.zeros(n_samples)
+        for i in np.flatnonzero(ok):
+            vals[i] = f(L[i], B[i])
+        box = float(R) ** dim
+        return box * float(vals.mean()), box * float(vals.std(ddof=1)) / math.sqrt(n_samples)
+    n_cells = max(1, int(round(R / grid_step)))
+    mids = (np.arange(n_cells) + 0.5) * (R / n_cells)
+    axes = np.meshgrid(*([mids] * dim), indexing="ij")
+    pts = np.stack([a.reshape(-1) for a in axes], axis=1)
+    L = pts[:, :k]
+    B = pts[:, k:]
+    ok = np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1)
+    cell = (R / n_cells) ** dim
+    return cell * sum(float(f(L[i], B[i])) for i in np.flatnonzero(ok)), 0.0
+
+
+def _reference_lambda_tilde(k, f, method="mc", n_samples=100_000, grid_step=0.001, rng=None):
+    ones = np.ones(k)
+    if k == 1:
+        return float(f(ones, np.zeros(0))), 0.0
+    dim = k - 1
+    if method == "mc":
+        rng = np.random.default_rng(rng)
+        B = rng.uniform(0.0, 1.0, size=(n_samples, dim))
+        vals = np.array([f(ones, B[i]) for i in range(n_samples)])
+        return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n_samples)
+    n_cells = max(1, int(round(1.0 / grid_step)))
+    mids = (np.arange(n_cells) + 0.5) / n_cells
+    axes = np.meshgrid(*([mids] * dim), indexing="ij")
+    B = np.stack([a.reshape(-1) for a in axes], axis=1)
+    return sum(float(f(ones, B[i])) for i in range(B.shape[0])) / n_cells**dim, 0.0
+
+
+def _reference_symmetrized(query):
+    if query.mark_probs is None:
+        marks = [((None,) * query.k, 1.0)]
+    else:
+        marks = []
+        for combo in itertools.product(sorted(query.mark_probs), repeat=query.k):
+            p = 1.0
+            for c in combo:
+                p *= query.mark_probs[c]
+            if p > 0:
+                marks.append((combo, p))
+    perms = [np.array((0,) + s) for s in itertools.permutations(range(1, query.k + 1))]
+
+    def g(l, b):
+        D = distance_matrix(TreeShape(tuple(l), tuple(b)))
+        total = 0.0
+        for perm in perms:
+            Dp = D[np.ix_(perm, perm)]
+            for mk, p in marks:
+                total += p * query.phi(Dp, mk)
+        return total
+
+    return g
+
+
+def _reference_report_limit(model, k, F_cont, x0, R=1.0, mode="rescaled", grid_step=None):
+    eig = eigenpair(model)
+    sig2 = sigma_squared(model, eig)
+    pi = {x: float(eig.pi[i]) for i, x in enumerate(model.types)}
+
+    def mark_avg(l, b):
+        shape = TreeShape(tuple(l), tuple(b))
+        total = 0.0
+        for lt in itertools.product(model.types, repeat=k):
+            p = 1.0
+            for c in lt:
+                p *= pi[c]
+            total += p * F_cont(shape, lt, None)
+        return total
+
+    if mode == "rescaled":
+        step = grid_step if grid_step is not None else (0.02 if k > 1 else 1e-4)
+        integral, _ = _reference_lambda_k(k, mark_avg, R=R, method="grid", grid_step=step)
+    else:
+        step = grid_step if grid_step is not None else 1e-3
+        integral, _ = _reference_lambda_tilde(k, mark_avg, method="grid", grid_step=step)
+    return float(eig.h[model.index[x0]]) * (sig2 / 2.0) ** (k - 1) * integral
+
+
+def _bits(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+def _marked_phi(D, m, r=0.9):
+    # products, not sums, so that a one-ulp change of a grid point shows
+    w = {"A": 1.5, "B": 0.5, "C": 4.0, None: 1.0}
+    value = D[1, -1] * D[0, -1] if len(D) > 2 else D[0, 1]
+    return w[m[0]] * float(D[0, 1] <= r) * value
+
+
+class TestSeedOracle:
+    """Batched integrators against the seed's per-point ones, bit for bit."""
+
+    # grid steps keep each k below a few thousand in-region points
+    STEPS = {1: 1e-3, 2: 0.05, 3: 0.125}
+    MARKS = (None, {"A": 0.3, "B": 0.7}, {"A": 0.25, "B": 0.75, "C": 0.0})
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("marks", range(3))
+    def test_crt_moment(self, k, marks):
+        q = LimitQuery(k=k, phi=_marked_phi, sigma_sq=1.3, mark_probs=self.MARKS[marks], R=0.9)
+        pref = (q.sigma_sq / 2.0) ** (k - 1)
+        g = _reference_symmetrized(q)
+        for method, kw in (
+            ("grid", {"grid_step": self.STEPS[k]}),
+            ("mc", {"n_samples": 1500, "rng": 11}),
+        ):
+            val, err = _reference_lambda_k(k, g, R=q.R, method=method, **kw)
+            want = (pref * val, pref * err)
+            assert val != 0.0
+            assert _bits(crt_moment(q, method=method, **kw)) == _bits(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("marks", range(3))
+    def test_cpp_moment(self, k, marks):
+        # every root distance is one here
+        phi = lambda D, m: _marked_phi(D, m, r=1.0)
+        q = LimitQuery(k=k, phi=phi, sigma_sq=0.8, mark_probs=self.MARKS[marks])
+        step = {1: 1e-3, 2: 1e-3, 3: 0.02}[k]
+        val, _ = _reference_lambda_tilde(k, _reference_symmetrized(q), method="grid", grid_step=step)
+        want = (q.sigma_sq / 2.0) ** k * val
+        assert want != 0.0
+        assert float(cpp_moment(q, grid_step=step)).hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "tilde, k, kw",
+        [
+            (False, 2, {"method": "grid", "grid_step": 0.03, "R": 0.9}),
+            (False, 3, {"method": "grid", "grid_step": 0.15, "R": 0.9}),
+            (False, 2, {"method": "mc", "n_samples": 500, "rng": 3, "R": 0.9}),
+            (True, 2, {"method": "grid", "grid_step": 1e-3}),
+            (True, 3, {"method": "grid", "grid_step": 0.02}),
+            (True, 3, {"method": "mc", "n_samples": 500, "rng": 3}),
+        ],
+    )
+    def test_points_handed_to_the_integrand(self, tilde, k, kw):
+        # the same points, bit for bit and in the same order
+        seen, want = [], []
+
+        def batched(L, B):
+            seen.extend(np.concatenate([L, B], axis=1).tolist())
+            return np.zeros(len(L))
+
+        def per_point(l, b):
+            want.append(np.concatenate([l, b]).tolist())
+            return 0.0
+
+        if tilde:
+            lambda_tilde_k_integral(k, batched, **kw)
+            _reference_lambda_tilde(k, per_point, **kw)
+        else:
+            lambda_k_integral(k, batched, **kw)
+            _reference_lambda_k(k, per_point, **kw)
+        assert len(want) > 100 and seen == want
+
+    def test_unit_cube_mc(self):
+        f = lambda l, b: float(len(b) and b[0] <= 0.4) + l[-1] * (1.0 + b.sum())
+        for k in (1, 2, 3):
+            want = _reference_lambda_tilde(k, f, method="mc", n_samples=3000, rng=4)
+            got = lambda_tilde_k_integral(k, rowwise(f), method="mc", n_samples=3000, rng=4)
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "model_name, x0, k, mode, step",
+        [
+            ("binary", "a", 1, "rescaled", None),
+            ("symmetric", "B", 2, "rescaled", 0.05),
+            ("asymmetric", "A", 2, "rescaled", 0.05),
+            ("asymmetric", "B", 2, "ultrametric", None),
+            ("asymmetric", "A", 3, "ultrametric", 0.05),
+        ],
+    )
+    def test_convergence_report_limit(self, request, model_name, x0, k, mode, step):
+        model = request.getfixturevalue(model_name)
+        weights = {"a": 1.0, "A": 1.4, "B": 0.6}
+
+        def F(shape, lt, bt):
+            w = 1.0
+            for x in lt:
+                w *= weights[x]
+            inside = mode == "ultrametric" or shape.height <= 0.8
+            return w * inside * shape.leaf_heights[0] * math.prod(shape.branch_heights)
+
+        rep = convergence_report(model, k, F, [4], x0, R=0.8, mode=mode, grid_step=step)
+        want = _reference_report_limit(model, k, F, x0, R=0.8, mode=mode, grid_step=step)
+        assert want != 0.0
+        assert float(rep.rows[0]["limit"]).hex() == want.hex()

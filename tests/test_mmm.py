@@ -1,4 +1,4 @@
-"""Measured metric spaces: monomial statistics and mass restrictions."""
+"""Measured metric spaces: monomial statistics and zero-mass points."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,6 @@ from branchlab.mmm import (
     FiniteMmmSpace,
     generation_slice,
     monomial,
-    restrict_ball,
-    restrict_height,
-    restrict_lower_mass,
     tree_to_mmm,
 )
 from branchlab.process import MarkedTree, simulate
@@ -140,38 +137,7 @@ class TestMonomials:
 
 
 class TestRestrictions:
-    def test_masses_zeroed_points_kept(self):
-        space = line_space()
-        r = restrict_ball(space, 0, 1.0)
-        assert r.points == space.points
-        assert np.array_equal(r.mass, [1, 1, 0])
-
-    def test_restriction_identity_is_exact(self, binary):
-        # restricting then summing equals folding the indicator into phi,
-        # bit for bit
-        rng = np.random.default_rng(21)
-        for _ in range(4):
-            mt = simulate(binary, "a", 5, rng=rng)
-            space = tree_to_mmm(mt)
-            radius = 3.0
-            phi = lambda D, m: 1.0 / (1.0 + D[1, 2])
-
-            def phi_cut(D, m):
-                if D[0, 1] > radius or D[0, 2] > radius:
-                    return 0.0
-                return phi(D, m)
-
-            lhs = monomial(restrict_height(space, radius), 2, phi)[0]
-            rhs = monomial(space, 2, phi_cut)[0]
-            assert lhs == rhs
-
-    def test_lower_mass_threshold(self):
-        space = line_space()
-        r = restrict_lower_mass(space, 1.0, 3.0)
-        # only the middle point has 3 units of mass within distance 1
-        assert list(r.support()) == [1]
-        r_all = restrict_lower_mass(space, 1.0, 2.0)
-        assert list(r_all.support()) == [0, 1, 2]
+    """Spaces that differ only by zero-mass points or point order."""
 
     def test_zero_mass_points_never_contribute(self):
         space = line_space()

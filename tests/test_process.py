@@ -226,6 +226,23 @@ class TestSimulation:
             assert abs(counts[z] - n * p) <= 4 * sd
 
 
+class TestSimulationCap:
+    def test_supercritical_model_fails_fast(self):
+        # ten children each: 111,111 vertices by generation 5
+        model = Model(("a",), {"a": [(1.0, ("a",) * 10)]})
+        with pytest.raises(ValueError, match="generation 5"):
+            simulate(model, "a", 40, rng=0)
+
+    def test_tree_under_the_cap_keeps_its_stream(self, binary):
+        # one uniform per vertex below the last generation, nothing more
+        rng = np.random.default_rng(8)
+        mt = simulate(binary, "a", 6, rng=rng)
+        inner = sum(1 for v in mt.tree.vertices if len(v) < 6)
+        ref = np.random.default_rng(8)
+        ref.random(inner)
+        assert rng.random() == ref.random()
+
+
 class TestSurvival:
     def test_binary_exact_values(self, binary):
         assert extinction_by(binary, "a", 1) == 0.5
