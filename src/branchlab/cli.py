@@ -82,6 +82,35 @@ def _cfg_int(cfg, key, default=None, many=False):
     return out if many else out[0]
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _cfg_float(cfg, key, default=None):
+    """cfg[key] as a float, or default when the key is absent; anything but
+    a number (a string, true, null) is a ConfigError naming the key."""
+    if key not in cfg:
+        return default
+    if not _is_number(cfg[key]):
+        raise ConfigError(f"config key {key!r} must be a number, got {cfg[key]!r}")
+    return float(cfg[key])
+
+
+def _cfg_marks(cfg):
+    """The mark distribution: None, or an object mapping labels to
+    nonnegative numbers that sum to one within 1e-9."""
+    marks = cfg.get("marks")
+    if marks is None:
+        return None
+    probs = list(marks.values()) if isinstance(marks, dict) else [None]
+    if not all(_is_number(p) and p >= 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:
+        raise ConfigError(
+            f"config key 'marks' must map labels to nonnegative probabilities "
+            f"summing to 1, got {marks!r}"
+        )
+    return marks
+
+
 @contextlib.contextmanager
 def _warnings_to_stderr():
     """Record the warnings raised in the block; print each distinct one to
@@ -95,11 +124,11 @@ def _warnings_to_stderr():
                 print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_model(cfg, config_path, exact=False):
+def _load_model(cfg, config_path):
     model_path = cfg["model"]
     if not os.path.isabs(model_path):
         model_path = os.path.join(os.path.dirname(os.path.abspath(config_path)), model_path)
-    return process.Model.from_file(model_path, exact=exact)
+    return process.Model.from_file(model_path)
 
 
 def _git_describe():
@@ -312,12 +341,16 @@ def cmd_simulate(args):
     )
     model = _load_model(cfg, args.config)
     mt = process.simulate(model, cfg["x0"], _cfg_int(cfg, "n_gen"), rng=args.seed)
-    meta = {**_meta(args.seed, sha), "tree": trees.tree_to_string(mt.tree)}
+    meta = _meta(args.seed, sha)
+    tree = trees.tree_to_string(mt.tree)
     rows = [
         {"vertex": ".".join(map(str, v)), "type": mt.marks[v]}
         for v in mt.tree.vertices
     ]
-    _write_out(args, csv_text(meta, ["vertex", "type"], rows))
+    if args.format == "json":
+        _write_out(args, _json_text(meta, {"tree": tree, "rows": rows}))
+    else:
+        _write_out(args, csv_text({**meta, "tree": tree}, ["vertex", "type"], rows))
     return EXIT_OK
 
 
@@ -444,7 +477,7 @@ def cmd_convergence(args):
             cfg["x0"],
             R=float(cfg.get("R", 1.0)),
             mode=cfg.get("mode", "rescaled"),
-            grid_step=cfg.get("grid_step"),
+            grid_step=_cfg_float(cfg, "grid_step"),
             kolmogorov_ns=kolmogorov_ns,
         )
     meta = _meta(args.seed, sha)
@@ -495,15 +528,14 @@ def cmd_cpp(args):
     k = _cfg_int(cfg, "k")
     sigma_sq = float(cfg.get("sigma_sq", 1.0))
     phi = build_phi(cfg.get("phi", {"name": "ones"}))
-    mark_probs = cfg.get("marks")
     query = limits.LimitQuery(
-        k=k, phi=phi, sigma_sq=sigma_sq, mark_probs=mark_probs
+        k=k, phi=phi, sigma_sq=sigma_sq, mark_probs=_cfg_marks(cfg)
     )
     n_samples = _cfg_int(cfg, "n_samples", 100_000)
     eps = float(cfg.get("eps", 1e-3))
     n_inner = _cfg_int(cfg, "n_inner", 8)
     z_max = float(cfg.get("z_max", 3.0))
-    formula = limits.cpp_moment(query, grid_step=float(cfg.get("grid_step", 1e-3)))
+    formula = limits.cpp_moment(query, grid_step=_cfg_float(cfg, "grid_step", 1e-3))
     # samples are drawn in fixed blocks, each from its own spawned seed
     seeds = np.random.SeedSequence(args.seed).spawn(_MC_BLOCKS)
     counts = [n_samples // _MC_BLOCKS] * _MC_BLOCKS

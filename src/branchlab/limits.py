@@ -13,13 +13,14 @@ leaf-to-leaf distances are l_i + l_j - 2 min b.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mmm import FiniteMmmSpace
 from .process import eigenpair, is_critical, kolmogorov_profile, sigma_squared
-from .trees import TreeShape, distance_matrix
+from .trees import TreeShape, meet_distances
 
 __all__ = [
     "lambda_k_integral",
@@ -46,6 +47,15 @@ __all__ = [
 # the midpoint grids hold one float64 per box point and coordinate, plus
 # the stacked copy: 10^7 points in three dimensions take about 0.5 GB
 _GRID_POINT_LIMIT = 10**7
+
+
+def _check_step(grid_step):
+    if (
+        isinstance(grid_step, bool)
+        or not isinstance(grid_step, numbers.Real)
+        or not 0 < grid_step < math.inf
+    ):
+        raise ValueError(f"grid_step must be a positive number, got {grid_step!r}")
 
 
 def _check_grid(n_cells, dim):
@@ -113,6 +123,7 @@ def lambda_k_integral(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_step(grid_step)
     dim = 2 * k - 1
     if method == "mc":
         rng = _as_rng(rng)
@@ -151,6 +162,7 @@ def lambda_tilde_k_integral(
     Same batched integrand as lambda_k_integral, with every leaf height
     one; for k = 1 the value is exactly f at the single shape.
     """
+    _check_step(grid_step)
     if k == 1:
         return float(_evaluate(f, np.ones((1, 1)), np.zeros((1, 0)))[0]), 0.0
     dim = k - 1
@@ -196,6 +208,10 @@ def _type_tuples(labels, probs, k):
     return out
 
 
+# points per batched distance build in _symmetrized_integrand: bounds its memory
+_INTEGRAND_CHUNK = 1024
+
+
 def _symmetrized_integrand(query):
     if query.mark_probs is None:
         marks = [((None,) * query.k, 1.0)]
@@ -205,16 +221,22 @@ def _symmetrized_integrand(query):
         np.array((0,) + s) for s in itertools.permutations(range(1, query.k + 1))
     ]
 
-    def g(l, b):
-        D = distance_matrix(TreeShape(tuple(l), tuple(b)))
-        total = 0.0
-        for perm in perms:
-            Dp = D[np.ix_(perm, perm)]
-            for mk, p in marks:
-                total += p * query.phi(Dp, mk)
-        return total
+    def g(L, B):
+        out = np.empty(len(L))
+        for s in range(0, len(L), _INTEGRAND_CHUNK):
+            chunk = slice(s, s + _INTEGRAND_CHUNK)
+            root = np.zeros((len(out[chunk]), 1))  # height 0, meets leaf 1 at 0
+            D = meet_distances(np.hstack([root, L[chunk]]), np.hstack([root, B[chunk]]))
+            Dps = [D[:, perm[:, None], perm] for perm in perms]
+            for t in range(len(D)):
+                total = 0.0
+                for Dp in Dps:
+                    for mk, p in marks:
+                        total += p * query.phi(Dp[t], mk)
+                out[s + t] = total
+        return out
 
-    return rowwise(g)
+    return g
 
 
 def crt_moment(query, method="grid", n_samples=200_000, grid_step=0.02, rng=None):
@@ -391,11 +413,7 @@ def contour_tree(path, mass_scale=1.0, merge_tol=1e-12):
             f"path too long for a dense distance matrix ({n} points); "
             f"subsample it first"
         )
-    D = np.zeros((n, n))
-    for i in range(n):
-        running = np.minimum.accumulate(f[i:])
-        D[i, i:] = f[i] + f[i:] - 2.0 * running
-        D[i:, i] = D[i, i:]
+    D = meet_distances(f, np.minimum(f[:-1], f[1:]))
     reps = []
     rep_mass = []
     for i in range(n):

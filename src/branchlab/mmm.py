@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 
+from .trees import meet, meet_distances
+
 __all__ = [
     "FiniteMmmSpace",
     "tree_to_mmm",
@@ -92,29 +94,20 @@ class FiniteMmmSpace:
         return cls(data["points"], data["root"], dist, data["mass"], data["mark"])
 
 
+def _word_distances(words):
+    """Graph distances between sorted tuple words, the root first."""
+    meets = [len(meet(u, v)) for u, v in zip(words, words[1:])]
+    return meet_distances([len(v) for v in words], meets)
+
+
 def tree_to_mmm(marked_tree, edge_scale=1.0, mass_scale=1.0):
     """The whole vertex set as a space: graph distance times edge_scale, one
     mass_scale of mass per vertex, marks carried over."""
-    tree = marked_tree.tree
-    vs = tree.vertices
-    n = len(vs)
-    depth = np.array([len(v) for v in vs], dtype=float)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        vi = vs[i]
-        for j in range(i + 1, n):
-            vj = vs[j]
-            m = 0
-            for a, b in zip(vi, vj):
-                if a != b:
-                    break
-                m += 1
-            d = edge_scale * (depth[i] + depth[j] - 2.0 * m)
-            dist[i, j] = dist[j, i] = d
+    vs = marked_tree.tree.vertices
     labels = [".".join(map(str, v)) for v in vs]
-    mass = np.full(n, float(mass_scale))
+    mass = np.full(len(vs), float(mass_scale))
     marks = [marked_tree.marks[v] for v in vs]
-    return FiniteMmmSpace(labels, 0, dist, mass, marks)
+    return FiniteMmmSpace(labels, 0, edge_scale * _word_distances(vs), mass, marks)
 
 
 def generation_slice(marked_tree, n, mass_scale=1.0):
@@ -123,24 +116,13 @@ def generation_slice(marked_tree, n, mass_scale=1.0):
     The root is kept as an extra zero-mass point at distance 1 from every
     generation-n vertex.  An empty generation gives the root alone.
     """
-    tree = marked_tree.tree
-    gen = [v for v in tree.vertices if len(v) == n]
-    m = len(gen)
-    dist = np.zeros((m + 1, m + 1))
-    for i in range(m):
-        dist[0, i + 1] = dist[i + 1, 0] = 1.0
-        for j in range(i + 1, m):
-            mt = 0
-            for a, b in zip(gen[i], gen[j]):
-                if a != b:
-                    break
-                mt += 1
-            d = 2.0 * (n - mt) / n
-            dist[i + 1, j + 1] = dist[j + 1, i + 1] = d
+    if n < 1:
+        raise ValueError("the generation must be at least 1")
+    gen = [v for v in marked_tree.tree.vertices if len(v) == n]
     labels = ["root"] + [".".join(map(str, v)) for v in gen]
-    mass = np.concatenate([[0.0], np.full(m, float(mass_scale))])
+    mass = np.concatenate([[0.0], np.full(len(gen), float(mass_scale))])
     marks = [marked_tree.marks[()]] + [marked_tree.marks[v] for v in gen]
-    return FiniteMmmSpace(labels, 0, dist, mass, marks)
+    return FiniteMmmSpace(labels, 0, _word_distances([()] + gen) / n, mass, marks)
 
 
 def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):

@@ -353,6 +353,8 @@ def rescaled_moment(model, k, F_cont, n, x0, R=1.0, kernel=None):
     approaches h(x0) (sigma^2 / 2)^{k-1} times the continuum shape
     integral of F_cont averaged over leaf types.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if kernel is None:
         kernel = build_kernel(model, "harmonic")
     R_disc = int(math.floor(R * n + 1e-9))
@@ -377,6 +379,8 @@ def ultrametric_moment(model, k, F_cont, n, x0, kernel=None):
     approaches h(x0) (sigma^2 / 2)^{k-1} times the integral of F_cont over
     uniform meet heights in [0, 1]^{k-1}.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if kernel is None:
         kernel = build_kernel(model, "harmonic")
     psi_x = float(kernel.psi[model.index[x0]])

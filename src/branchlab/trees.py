@@ -29,6 +29,7 @@ __all__ = [
     "decompose_first_branch",
     "compose_first_branch",
     "subtree_spanned",
+    "meet_distances",
     "distance_matrix",
     "enumerate_shapes",
     "count_shapes",
@@ -289,25 +290,29 @@ def subtree_spanned(tree, vertices):
     return spanned, origin, len(spanned.leaves) == len(vertices)
 
 
-def distance_matrix(shape, meet_factor=2):
-    """Pairwise distances between the root (row 0) and the k leaves.
-
-    With the default meet_factor=2 this is graph distance on the tree:
-    d(v_i, v_j) = l_i + l_j - 2 * min(b[i..j-1]).  meet_factor=1 gives the
-    variant where the meet height is subtracted only once.
+def meet_distances(l, b):
+    """D[i, j] = l_i + l_j - 2 min(b[i..j-1]) for planar-ordered points of
+    heights l whose neighbours i, i+1 meet at height b[i]; leading axes are
+    batch axes.  Sorted tuple words meet at their lowest consecutive meet,
+    so this is graph distance on leaves, vertex sets and generation slices,
+    and with b = minimum(f[:-1], f[1:]) the contour distance of a path f.
     """
-    l = shape.leaf_heights
-    b = shape.branch_heights
-    k = len(l)
-    D = np.zeros((k + 1, k + 1))
-    for j in range(k):
-        D[0, j + 1] = D[j + 1, 0] = l[j]
-    for i in range(k):
-        low = l[i]
-        for j in range(i + 1, k):
-            low = min(low, b[j - 1])
-            D[i + 1, j + 1] = D[j + 1, i + 1] = l[i] + l[j] - meet_factor * low
+    l = np.asarray(l, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = l.shape[-1]
+    if b.shape != l.shape[:-1] + (max(n - 1, 0),):
+        raise ValueError("need one meet height between each pair of neighbours")
+    D = np.zeros(l.shape + (n,))
+    for i in range(n):
+        low = np.minimum.accumulate(b[..., i:], axis=-1)
+        D[..., i, i + 1:] = l[..., i, None] + l[..., i + 1:] - 2.0 * low
+        D[..., i + 1:, i] = D[..., i, i + 1:]
     return D
+
+
+def distance_matrix(shape):
+    """Graph distances between the root (row 0) and the leaves of a shape."""
+    return meet_distances((0,) + shape.leaf_heights, (0,) + shape.branch_heights)
 
 
 def enumerate_shapes(k, R):

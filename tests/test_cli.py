@@ -268,6 +268,21 @@ class TestSimulate:
         )
         assert out1 != out2
 
+    def test_json_format(self, capsys):
+        argv = ("simulate", "--config", f"{CONFIG_DIR}/simulate_binary.json", "--seed", "3")
+        rc, out_csv, _ = run(capsys, *argv)
+        rc_json, out_json, _ = run(capsys, *argv, "--format", "json")
+        assert rc == rc_json == 0
+        data = json.loads(out_json)
+        assert set(data) == {"meta", "tree", "rows"}
+        meta, _ = read_csv_rows_from_text(out_csv)
+        assert meta["tree"] == data["tree"]
+        assert meta["config_sha256"] == data["meta"]["config_sha256"]
+        assert data["meta"]["seed"] == 3
+        lines = [l for l in out_csv.splitlines() if not l.startswith("#")]
+        assert lines[0] == "vertex,type"
+        assert [f"{r['vertex']},{r['type']}" for r in data["rows"]] == lines[1:]
+
     def test_supercritical_model_exits_1(self, capsys, tmp_path):
         write_model(tmp_path, "m.json", ["a"], {"a": [(1.0, ("a",) * 10)]})
         cfg = write_config(
@@ -389,6 +404,30 @@ class TestConvergence:
         assert out == ""
         assert err.startswith("error:") and "grid_step" in err
 
+    @pytest.mark.parametrize(
+        "payload, prefix",
+        [
+            ({"grid_step": 0}, "error:"),
+            ({"grid_step": -0.5}, "error:"),
+            ({"grid_step": "0.05"}, "config error:"),
+            ({"grid_step": None}, "config error:"),
+            ({"n_values": [4, 0]}, "error:"),
+            ({"n_values": [-2]}, "error:"),
+        ],
+    )
+    def test_bad_grid_step_or_n_exits_1(self, capsys, tmp_path, payload, prefix):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        for mode in ("rescaled", "ultrametric"):
+            cfg = write_config(
+                tmp_path,
+                "conv.json",
+                {"model": "m.json", "x0": "a", "k": 2, "n_values": [4], "mode": mode, **payload},
+            )
+            rc, out, err = run(capsys, "convergence", "--config", str(cfg))
+            assert rc == 1 and out == ""
+            assert err.startswith(prefix) and err.count("\n") == 1
+            assert ("grid_step" if "grid_step" in payload else "n must be at least 1") in err
+
     def test_subcritical_leaves_limit_columns_empty(self, capsys):
         rc, out, _ = run(
             capsys,
@@ -455,6 +494,32 @@ class TestComb:
             capsys, "cpp", "--config", str(cfg), "--seed", "5", "--threads", "3"
         )
         assert out1 == out3
+
+    @pytest.mark.parametrize(
+        "extra, prefix",
+        [
+            ({"grid_step": 0}, "error:"),
+            ({"grid_step": -0.5}, "error:"),
+            ({"grid_step": "0.05"}, "config error:"),
+            ({"marks": ["A", "B"]}, "config error:"),
+            ({"marks": {"A": "0.5", "B": "0.5"}}, "config error:"),
+            ({"marks": {"A": 0.5, "B": 0.6}}, "config error:"),
+            ({"marks": {"A": 1.5, "B": -0.5}}, "config error:"),
+            ({"marks": {"A": True}}, "config error:"),
+        ],
+    )
+    def test_bad_grid_step_or_marks_exits_1(self, capsys, tmp_path, extra, prefix):
+        cfg = write_config(tmp_path, "cpp.json", {"k": 2, "n_samples": 40, **extra})
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert next(iter(extra)) in err
+
+    def test_marks_within_tolerance_accepted(self, capsys, tmp_path):
+        marks = {"A": 0.3, "B": 0.7 + 5e-10}
+        cfg = write_config(tmp_path, "cpp.json", {"k": 1, "n_samples": 40, "eps": 0.5, "marks": marks})
+        rc, out, _ = run(capsys, "cpp", "--config", str(cfg))
+        assert rc in (0, 3) and json.loads(out)["k"] == 1
 
     def test_tiny_gate_gives_code_3(self, capsys, tmp_path):
         cfg = write_config(

@@ -27,9 +27,10 @@ from branchlab.limits import (
     sample_excursions,
 )
 from branchlab.limits import _pair_distances
-from branchlab.mmm import monomial
+from branchlab import limits
+from branchlab.mmm import FiniteMmmSpace, monomial
 from branchlab.process import eigenpair, sigma_squared
-from branchlab.trees import TreeShape, distance_matrix
+from branchlab.trees import TreeShape
 
 
 def ones_f(L, B):
@@ -48,6 +49,13 @@ class TestShapeIntegrals:
             lambda_k_integral(3, ones_f, method="grid", grid_step=0.02)
         with pytest.raises(ValueError, match="grid_step"):
             lambda_tilde_k_integral(4, ones_f, method="grid", grid_step=1e-3)
+
+    @pytest.mark.parametrize("step", [0, 0.0, -0.5, "0.05", None, True, float("nan"), math.inf])
+    def test_grid_step_must_be_a_positive_number(self, step):
+        for integrate in (lambda_k_integral, lambda_tilde_k_integral):
+            for k in (1, 2):
+                with pytest.raises(ValueError, match="grid_step"):
+                    integrate(k, ones_f, method="grid", grid_step=step)
 
     def test_pair_volume_mc(self):
         val, err = lambda_k_integral(2, ones_f, method="mc", rng=8)
@@ -277,6 +285,33 @@ class TestExcursions:
         assert chi2 < 18.5  # 99.9% point of chi2 with 4 dof
 
 
+def _hex_matrix(D):
+    return [float(v).hex() for v in np.asarray(D).reshape(-1)]
+
+
+def _seed_contour_tree(path, mass_scale=1.0, merge_tol=1e-12):
+    """The seed's row-by-row contour distances and merge, kept as the
+    reference."""
+    f = np.asarray(path, dtype=float)
+    n = len(f)
+    D = np.zeros((n, n))
+    for i in range(n):
+        running = np.minimum.accumulate(f[i:])
+        D[i, i:] = f[i] + f[i:] - 2.0 * running
+        D[i:, i] = D[i, i:]
+    reps, rep_mass = [], []
+    for i in range(n):
+        for r, ri in enumerate(reps):
+            if D[i, ri] <= merge_tol:
+                rep_mass[r] += mass_scale
+                break
+        else:
+            reps.append(i)
+            rep_mass.append(float(mass_scale))
+    ids = np.array(reps)
+    return FiniteMmmSpace([f"t{r}" for r in reps], 0, D[np.ix_(ids, ids)], np.array(rep_mass))
+
+
 class TestContourTrees:
     def test_tent(self):
         space = contour_tree([0, 1, 0])
@@ -305,6 +340,18 @@ class TestContourTrees:
             contour_tree([])
         with pytest.raises(ValueError):
             contour_tree(np.zeros(5000))
+
+    def test_matches_seed_loop(self):
+        paths = list(sample_excursions(30, 40, rng=5) * 0.37)
+        t = np.linspace(0.0, 1.0, 201)
+        paths.append(np.sin(np.pi * t) * (1.3 + np.cos(17 * t)))
+        paths.append(np.array([0.0]))
+        for path in paths:
+            space = contour_tree(path, mass_scale=0.5)
+            want = _seed_contour_tree(path, mass_scale=0.5)
+            assert space.points == want.points
+            assert _hex_matrix(space.mass) == _hex_matrix(want.mass)
+            assert _hex_matrix(space.dist) == _hex_matrix(want.dist)
 
     def test_occupation_count_via_monomial(self):
         # k = 1 monomial of the contour space counts time points by height
@@ -483,7 +530,16 @@ def _reference_symmetrized(query):
     perms = [np.array((0,) + s) for s in itertools.permutations(range(1, query.k + 1))]
 
     def g(l, b):
-        D = distance_matrix(TreeShape(tuple(l), tuple(b)))
+        # the seed's per-pair loop at meet factor two, root in row 0
+        k = len(l)
+        D = np.zeros((k + 1, k + 1))
+        for j in range(k):
+            D[0, j + 1] = D[j + 1, 0] = l[j]
+        for i in range(k):
+            low = l[i]
+            for j in range(i + 1, k):
+                low = min(low, b[j - 1])
+                D[i + 1, j + 1] = D[j + 1, i + 1] = l[i] + l[j] - 2 * low
         total = 0.0
         for perm in perms:
             Dp = D[np.ix_(perm, perm)]
@@ -535,10 +591,12 @@ class TestSeedOracle:
     # grid steps keep each k below a few thousand in-region points
     STEPS = {1: 1e-3, 2: 0.05, 3: 0.125}
     MARKS = (None, {"A": 0.3, "B": 0.7}, {"A": 0.25, "B": 0.75, "C": 0.0})
+    # the library's chunk, and one that splits every batch below many times
+    CHUNKS = (limits._INTEGRAND_CHUNK, 7)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("marks", range(3))
-    def test_crt_moment(self, k, marks):
+    def test_crt_moment(self, monkeypatch, k, marks):
         q = LimitQuery(k=k, phi=_marked_phi, sigma_sq=1.3, mark_probs=self.MARKS[marks], R=0.9)
         pref = (q.sigma_sq / 2.0) ** (k - 1)
         g = _reference_symmetrized(q)
@@ -549,11 +607,13 @@ class TestSeedOracle:
             val, err = _reference_lambda_k(k, g, R=q.R, method=method, **kw)
             want = (pref * val, pref * err)
             assert val != 0.0
-            assert _bits(crt_moment(q, method=method, **kw)) == _bits(want)
+            for chunk in self.CHUNKS:
+                monkeypatch.setattr(limits, "_INTEGRAND_CHUNK", chunk)
+                assert _bits(crt_moment(q, method=method, **kw)) == _bits(want)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("marks", range(3))
-    def test_cpp_moment(self, k, marks):
+    def test_cpp_moment(self, monkeypatch, k, marks):
         # every root distance is one here
         phi = lambda D, m: _marked_phi(D, m, r=1.0)
         q = LimitQuery(k=k, phi=phi, sigma_sq=0.8, mark_probs=self.MARKS[marks])
@@ -561,7 +621,18 @@ class TestSeedOracle:
         val, _ = _reference_lambda_tilde(k, _reference_symmetrized(q), method="grid", grid_step=step)
         want = (q.sigma_sq / 2.0) ** k * val
         assert want != 0.0
-        assert float(cpp_moment(q, grid_step=step)).hex() == want.hex()
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(limits, "_INTEGRAND_CHUNK", chunk)
+            assert float(cpp_moment(q, grid_step=step)).hex() == want.hex()
+
+    def test_batch_larger_than_one_chunk(self):
+        # 10^4 grid points in one call, at the library's own chunk size
+        phi = lambda D, m: _marked_phi(D, m, r=1.0)
+        q = LimitQuery(k=2, phi=phi, sigma_sq=0.8, mark_probs=self.MARKS[1])
+        assert limits._INTEGRAND_CHUNK < 10**4
+        val, _ = _reference_lambda_tilde(2, _reference_symmetrized(q), method="grid", grid_step=1e-4)
+        want = (q.sigma_sq / 2.0) ** 2 * val
+        assert float(cpp_moment(q, grid_step=1e-4)).hex() == want.hex()
 
     @pytest.mark.parametrize(
         "tilde, k, kw",

@@ -84,6 +84,10 @@ class TestConstructors:
         assert space.dist[1, 2] == 1.0
         assert space.dist[0, 1] == 1.0 and space.dist[0, 2] == 1.0
 
+    def test_generation_zero_rejected(self):
+        with pytest.raises(ValueError):
+            generation_slice(cherry_marked(), 0)
+
     def test_empty_generation_keeps_root(self):
         mt = MarkedTree(PlanarTree({(): 0}), {(): "a"})
         space = generation_slice(mt, 3)
@@ -167,3 +171,67 @@ class TestRestrictions:
         a = monomial(space, 2, phi)[0]
         b = monomial(moved, 2, phi)[0]
         assert abs(a - b) <= 1e-12
+
+
+def seed_tree_to_mmm_dist(tree, edge_scale):
+    """The seed's per-pair loop over tuple words, kept as the reference."""
+    vs = tree.vertices
+    n = len(vs)
+    depth = np.array([len(v) for v in vs], dtype=float)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = 0
+            for a, b in zip(vs[i], vs[j]):
+                if a != b:
+                    break
+                m += 1
+            dist[i, j] = dist[j, i] = edge_scale * (depth[i] + depth[j] - 2.0 * m)
+    return dist
+
+
+def seed_generation_slice_dist(tree, n):
+    """The seed's per-pair loop for a generation slice, kept as the reference."""
+    gen = [v for v in tree.vertices if len(v) == n]
+    m = len(gen)
+    dist = np.zeros((m + 1, m + 1))
+    for i in range(m):
+        dist[0, i + 1] = dist[i + 1, 0] = 1.0
+        for j in range(i + 1, m):
+            mt = 0
+            for a, b in zip(gen[i], gen[j]):
+                if a != b:
+                    break
+                mt += 1
+            dist[i + 1, j + 1] = dist[j + 1, i + 1] = 2.0 * (n - mt) / n
+    return dist
+
+
+def hex_matrix(D):
+    return [float(v).hex() for v in D.reshape(-1)]
+
+
+class TestSeedOracle:
+    """Spaces built on trees.meet_distances against the seed's loops, bit
+    for bit, on simulated one- and two-type trees."""
+
+    @pytest.mark.parametrize("model_name, x0", [("binary", "a"), ("asymmetric", "A")])
+    def test_whole_trees_and_slices(self, request, model_name, x0):
+        model = request.getfixturevalue(model_name)
+        rng = np.random.default_rng(8)
+        empty = 0
+        for _ in range(40):
+            mt = simulate(model, x0, 5, rng=rng)
+            space = tree_to_mmm(mt, edge_scale=0.3, mass_scale=1.5)
+            want = seed_tree_to_mmm_dist(mt.tree, 0.3)
+            assert hex_matrix(space.dist) == hex_matrix(want)
+            assert space.points == [".".join(map(str, v)) for v in mt.tree.vertices]
+            assert space.mark == [mt.marks[v] for v in mt.tree.vertices]
+            for n in (1, 2, 3, 5):
+                sl = generation_slice(mt, n, mass_scale=0.7)
+                assert hex_matrix(sl.dist) == hex_matrix(seed_generation_slice_dist(mt.tree, n))
+                gen = [v for v in mt.tree.vertices if len(v) == n]
+                assert sl.points == ["root"] + [".".join(map(str, v)) for v in gen]
+                assert list(sl.mass) == [0.0] + [0.7] * len(gen)
+                empty += not gen
+        assert empty > 0

@@ -290,3 +290,10 @@ class TestRescaledMoments:
         want = float(np.linalg.matrix_power(M, n)[0] @ np.ones(2))
         got = n * ultrametric_moment(asymmetric, 1, F, n, "A")
         assert abs(got - want) <= 1e-10
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, binary, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            rescaled_moment(binary, 2, count_F, n, "a")
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            ultrametric_moment(binary, 2, count_F, n, "a")

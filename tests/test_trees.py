@@ -22,6 +22,7 @@ from branchlab.trees import (
     generate_trees,
     is_ancestor,
     meet,
+    meet_distances,
     subtree_spanned,
     tree_from_string,
     tree_to_string,
@@ -180,14 +181,6 @@ class TestDistances:
                 for j, dst in enumerate(points):
                     assert D[i, j] == dist[dst]
 
-    def test_single_subtraction_variant(self):
-        shape = TreeShape((2, 3, 1), (1, 0))
-        D2 = distance_matrix(shape)
-        D1 = distance_matrix(shape, meet_factor=1)
-        assert D2[1, 2] == 3 and D2[1, 3] == 3 and D2[2, 3] == 4
-        assert D1[1, 2] == 4 and D1[1, 3] == 3 and D1[2, 3] == 4
-        assert list(D1[0, 1:]) == [2, 3, 1]
-
     @given(discrete_shapes())
     def test_metric_axioms(self, shape):
         D = distance_matrix(shape)
@@ -197,6 +190,68 @@ class TestDistances:
         for i, j, m in itertools.product(range(n), repeat=3):
             assert D[i, j] <= D[i, m] + D[m, j] + 1e-9
 
+
+def seed_distance_matrix(shape):
+    """The seed's per-pair loop at meet factor two, kept as the reference."""
+    l = shape.leaf_heights
+    b = shape.branch_heights
+    k = len(l)
+    D = np.zeros((k + 1, k + 1))
+    for j in range(k):
+        D[0, j + 1] = D[j + 1, 0] = l[j]
+    for i in range(k):
+        low = l[i]
+        for j in range(i + 1, k):
+            low = min(low, b[j - 1])
+            D[i + 1, j + 1] = D[j + 1, i + 1] = l[i] + l[j] - 2 * low
+    return D
+
+
+def hex_matrix(D):
+    return [float(v).hex() for v in np.asarray(D, dtype=float).reshape(-1)]
+
+
+class TestMeetDistances:
+    def test_distance_matrix_matches_seed_loop(self):
+        rng = np.random.default_rng(2)
+        shapes = [encode_heights(tree) for tree in FAMILY]
+        for k in (1, 2, 3, 5):
+            for _ in range(20):
+                l = rng.uniform(0.0, 1.0, k)
+                b = rng.uniform(0.0, 1.0, k - 1) * np.minimum(l[:-1], l[1:])
+                shapes.append(TreeShape(tuple(l), tuple(b)))
+        for shape in shapes:
+            want = seed_distance_matrix(shape)
+            assert hex_matrix(distance_matrix(shape)) == hex_matrix(want)
+
+    def test_pairwise_meets_of_planar_subsets(self):
+        # the meet of two sorted words is the lowest consecutive meet
+        # between them, ancestors and repeats included
+        rng = np.random.default_rng(3)
+        for tree in FAMILY[::7]:
+            for _ in range(3):
+                size = int(rng.integers(1, tree.size + 1))
+                picks = np.sort(rng.choice(tree.size, size=size))
+                words = [tree.vertices[i] for i in picks]
+                D = meet_distances(
+                    [len(v) for v in words],
+                    [len(meet(u, v)) for u, v in zip(words, words[1:])],
+                )
+                for (i, u), (j, v) in itertools.product(enumerate(words), repeat=2):
+                    assert D[i, j] == len(u) + len(v) - 2 * len(meet(u, v))
+
+    def test_leading_axes_are_batch_axes(self):
+        rng = np.random.default_rng(4)
+        L = rng.uniform(0.0, 1.0, (2, 3, 4))
+        B = rng.uniform(0.0, 1.0, (2, 3, 3))
+        D = meet_distances(L, B)
+        assert D.shape == (2, 3, 4, 4)
+        for a, c in itertools.product(range(2), range(3)):
+            assert hex_matrix(D[a, c]) == hex_matrix(meet_distances(L[a, c], B[a, c]))
+
+    def test_wrong_meet_count_rejected(self):
+        with pytest.raises(ValueError):
+            meet_distances([1.0, 2.0, 3.0], [0.5])
 
 class TestDecomposition:
     def test_star(self):
