@@ -37,7 +37,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    phi = build_phi({"name": args.phi, "r": args.r})
+    phi = build_phi({"name": args.phi, "r": args.r}, args.k)
     query = LimitQuery(k=args.k, phi=phi, sigma_sq=args.sigma_sq)
     want = cpp_moment(query, grid_step=args.grid_step)
     print(f"# formula={want:.10g} n_samples={args.n_samples} n_inner={args.n_inner}")

@@ -82,6 +82,14 @@ def _cfg_int(cfg, key, default=None, many=False):
     return out if many else out[0]
 
 
+def _cfg_count(cfg, key, least, default=None):
+    """cfg[key] (or default) as an integer of at least `least`."""
+    value = _cfg_int(cfg, key, default)
+    if value < least:
+        raise ConfigError(f"config key {key!r} must be at least {least}, got {value!r}")
+    return value
+
+
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -287,11 +295,11 @@ def build_functional(spec, model, k=None):
     raise ConfigError(f"unknown functional {name!r}")
 
 
-def build_phi(spec):
-    """Distance-matrix test function for the continuum commands.
+def build_phi(spec, k):
+    """Distance-matrix test function of k points for the continuum commands.
 
     Names: "ones", "pair_indicator" with "r" (one when the first two
-    sampled points sit within distance r).
+    sampled points sit within distance r; needs k >= 2).
     """
     allowed = {"name", "r"}
     unknown = set(spec) - allowed
@@ -301,6 +309,8 @@ def build_phi(spec):
     if name == "ones":
         return lambda D, marks: 1.0
     if name == "pair_indicator":
+        if k < 2:
+            raise ConfigError("pair_indicator needs k >= 2")
         r = float(spec["r"])
         return lambda D, marks: 1.0 if D[1, 2] <= r else 0.0
     raise ConfigError(f"unknown phi {name!r}")
@@ -525,15 +535,16 @@ def cmd_cpp(args):
         required=("k",),
         optional=("sigma_sq", "phi", "n_samples", "eps", "n_inner", "marks", "grid_step", "z_max"),
     )
-    k = _cfg_int(cfg, "k")
+    k = _cfg_count(cfg, "k", 1)
     sigma_sq = float(cfg.get("sigma_sq", 1.0))
-    phi = build_phi(cfg.get("phi", {"name": "ones"}))
+    phi = build_phi(cfg.get("phi", {"name": "ones"}), k)
     query = limits.LimitQuery(
         k=k, phi=phi, sigma_sq=sigma_sq, mark_probs=_cfg_marks(cfg)
     )
-    n_samples = _cfg_int(cfg, "n_samples", 100_000)
+    # the stderr needs two samples
+    n_samples = _cfg_count(cfg, "n_samples", 2, 100_000)
     eps = float(cfg.get("eps", 1e-3))
-    n_inner = _cfg_int(cfg, "n_inner", 8)
+    n_inner = _cfg_count(cfg, "n_inner", 1, 8)
     z_max = float(cfg.get("z_max", 3.0))
     formula = limits.cpp_moment(query, grid_step=_cfg_float(cfg, "grid_step", 1e-3))
     # samples are drawn in fixed blocks, each from its own spawned seed

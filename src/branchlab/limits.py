@@ -31,7 +31,6 @@ __all__ = [
     "cpp_moment",
     "CppSample",
     "cpp_sample",
-    "cpp_distance",
     "cpp_monomial_samples",
     "cpp_monomial_mc",
     "contour_tree",
@@ -304,19 +303,6 @@ def cpp_sample(sigma_sq, eps, rng=None):
     return CppSample(float(sigma_sq), float(eps), Z, pos[order], depths[order])
 
 
-def cpp_distance(sample, u, v):
-    """Comb distance: twice the deepest atom strictly between the two points
-    (positions in (min, max]), zero when there is none."""
-    if u == v:
-        return 0.0
-    lo, hi = (u, v) if u < v else (v, u)
-    i1 = int(np.searchsorted(sample.positions, lo, side="right"))
-    i2 = int(np.searchsorted(sample.positions, hi, side="right"))
-    if i2 <= i1:
-        return 0.0
-    return 2.0 * float(sample.depths[i1:i2].max())
-
-
 def _pair_distances(sample, us, vs):
     lo = np.minimum(us, vs)
     hi = np.maximum(us, vs)
@@ -343,45 +329,49 @@ def cpp_monomial_samples(
     the estimate per sample is ((sigma^2/2) Z)^k times the mean of
     phi(D, marks).  Marks are drawn independently per point.  Choose eps
     below half of any distance threshold phi probes (the comb's law below
-    depth eps is cut off).
+    depth eps is cut off).  D may be a view into the sample's batch of
+    matrices, so phi must not keep it.
     """
-    rng = _as_rng(rng)
     k = query.k
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k!r}")
+    if n_inner < 1:
+        raise ValueError(f"n_inner must be at least 1, got {n_inner!r}")
+    rng = _as_rng(rng)
     if query.mark_probs is None:
         labels = None
     else:
         labels = sorted(query.mark_probs)
         probs = np.array([query.mark_probs[c] for c in labels])
     half = query.sigma_sq / 2.0
-    pairs = list(itertools.combinations(range(k), 2))
+    # leaf pairs i < j; D holds leaf i in row i + 1, the root in row 0
+    I, J = np.triu_indices(k, 1)
+    blank = np.zeros((n_inner, k + 1, k + 1))
+    blank[:, 0, 1:] = blank[:, 1:, 0] = 1.0
+    mks = [(None,) * k] * n_inner
     ests = np.empty(n_samples)
     for s in range(n_samples):
         sample = cpp_sample(query.sigma_sq, eps, rng)
         us = rng.uniform(0.0, sample.Z, size=(n_inner, k))
-        if labels is None:
-            marks = None
-        else:
+        if labels is not None:
             marks = rng.choice(len(labels), size=(n_inner, k), p=probs)
-        dmat = {}
-        for i, j in pairs:
-            dmat[(i, j)] = _pair_distances(sample, us[:, i], us[:, j])
+            mks = [tuple(labels[m] for m in row) for row in marks.tolist()]
+        # one call for every pair of every inner tuple, pair-major
+        d = _pair_distances(sample, us.T[I].reshape(-1), us.T[J].reshape(-1))
+        D = blank.copy()
+        D[:, I + 1, J + 1] = D[:, J + 1, I + 1] = d.reshape(len(I), n_inner).T
         acc = 0.0
-        for t in range(n_inner):
-            D = np.zeros((k + 1, k + 1))
-            D[0, 1:] = D[1:, 0] = 1.0
-            for i, j in pairs:
-                D[i + 1, j + 1] = D[j + 1, i + 1] = dmat[(i, j)][t]
-            if marks is None:
-                mk = (None,) * k
-            else:
-                mk = tuple(labels[m] for m in marks[t])
-            acc += query.phi(D, mk)
+        for Dt, mk in zip(D, mks):
+            acc += query.phi(Dt, mk)
         ests[s] = (half * sample.Z) ** k * (acc / n_inner)
     return ests
 
 
 def cpp_monomial_mc(query, n_samples=100_000, eps=1e-3, n_inner=8, rng=None):
-    """Monte Carlo k-th monomial of the comb: (estimate, stderr)."""
+    """Monte Carlo k-th monomial of the comb: (estimate, stderr); the
+    stderr needs n_samples >= 2."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples!r}")
     ests = cpp_monomial_samples(
         query, n_samples=n_samples, eps=eps, n_inner=n_inner, rng=rng
     )
@@ -414,21 +404,20 @@ def contour_tree(path, mass_scale=1.0, merge_tol=1e-12):
             f"subsample it first"
         )
     D = meet_distances(f, np.minimum(f[:-1], f[1:]))
-    reps = []
+    # each point joins the first representative within merge_tol, if any
+    reps = np.empty(n, dtype=np.intp)
     rep_mass = []
     for i in range(n):
-        placed = False
-        for r, ri in enumerate(reps):
-            if D[i, ri] <= merge_tol:
-                rep_mass[r] += mass_scale
-                placed = True
-                break
-        if not placed:
-            reps.append(i)
+        m = len(rep_mass)
+        hits = np.flatnonzero(D[i, reps[:m]] <= merge_tol)
+        if len(hits):
+            rep_mass[hits[0]] += mass_scale
+        else:
+            reps[m] = i
             rep_mass.append(float(mass_scale))
-    ids = np.array(reps)
+    ids = reps[: len(rep_mass)]
     return FiniteMmmSpace(
-        [f"t{r}" for r in reps],
+        [f"t{r}" for r in ids.tolist()],
         0,
         D[np.ix_(ids, ids)],
         np.array(rep_mass),

@@ -9,7 +9,6 @@ never contribute, so a space can be restricted by zeroing masses while
 its points and distances stay as they are.
 """
 
-import itertools
 import json
 
 import numpy as np
@@ -24,6 +23,31 @@ __all__ = [
 ]
 
 _TRIANGLE_CHECK_LIMIT = 300
+# elements per temporary of the blocked triangle check
+_TRIANGLE_BLOCK = 2**16
+
+
+def _is_symmetric(dist):
+    """np.allclose(dist, dist.T, atol=1e-9) spelled out: equal entries
+    (infinities included) are close, NaN never is."""
+    t = dist.T
+    if (dist == t).all():
+        return True
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(dist - t) <= 1e-9 + 1e-5 * np.abs(t)) & np.isfinite(t) | (dist == t)
+    return bool(close.all())
+
+
+def _satisfies_triangle(dist):
+    """No d[i, j] above d[i, p] + d[p, j] + 1e-9, checked for blocks of
+    intermediate points p at a time."""
+    n = len(dist)
+    step = max(1, _TRIANGLE_BLOCK // max(n * n, 1))
+    for p in range(0, n, step):
+        via = dist[:, p : p + step].T[:, :, None] + dist[p : p + step, None, :] + 1e-9
+        if (dist > via).any():
+            return False
+    return True
 
 
 class FiniteMmmSpace:
@@ -46,16 +70,14 @@ class FiniteMmmSpace:
         dist = np.asarray(dist, dtype=float)
         if dist.shape != (n, n):
             raise ValueError("distance matrix shape does not match points")
-        if not np.allclose(dist, dist.T, atol=1e-9):
+        if not _is_symmetric(dist):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.abs(np.diag(dist)) > 1e-12):
             raise ValueError("distance matrix must have zero diagonal")
         if np.any(dist < 0):
             raise ValueError("distances must be nonnegative")
-        if n <= _TRIANGLE_CHECK_LIMIT:
-            for p in range(n):
-                if np.any(dist > dist[:, p][:, None] + dist[p, :][None, :] + 1e-9):
-                    raise ValueError("triangle inequality fails")
+        if n <= _TRIANGLE_CHECK_LIMIT and not _satisfies_triangle(dist):
+            raise ValueError("triangle inequality fails")
         mass = np.asarray(mass, dtype=float)
         if mass.shape != (n,) or np.any(mass < 0):
             raise ValueError("mass must be a nonnegative vector over points")
@@ -125,16 +147,39 @@ def generation_slice(marked_tree, n, mass_scale=1.0):
     return FiniteMmmSpace(labels, 0, _word_distances([()] + gen) / n, mass, marks)
 
 
+# k-tuples per batched distance build in monomial: bounds its memory
+_MONOMIAL_CHUNK = 4096
+
+
+def _tuple_matrices(dist, root, ids):
+    """The (k+1) x (k+1) matrices of the k-tuples in the rows of ids: the
+    upper triangle read off dist with the root as point 0, mirrored below
+    a zero diagonal."""
+    T, k = ids.shape
+    pts = np.empty((T, k + 1), dtype=np.intp)
+    pts[:, 0] = root
+    pts[:, 1:] = ids
+    upper = np.triu_indices(k + 1, 1)
+    vals = dist[pts[:, upper[0]], pts[:, upper[1]]]
+    D = np.zeros((T, k + 1, k + 1))
+    D[:, upper[0], upper[1]] = vals
+    D[:, upper[1], upper[0]] = vals
+    return D
+
+
 def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
     """k-th monomial statistic: sum over point tuples (with repetition) of
     the mass product times phi(D, marks).
 
     phi(D, marks) sees the (k+1) x (k+1) distance matrix whose row 0 is
-    the root and a k-tuple of marks.  Exhaustive while the tuple count is
-    at most `cap`; beyond that, stratified subsampling over the first
-    coordinate with n_sub draws per point.  Returns (value, stderr) with
-    stderr 0.0 in the exhaustive case.
+    the root and a k-tuple of marks; D may be a view into a batch of such
+    matrices, so phi must not keep it.  Exhaustive while the tuple count
+    is at most `cap`; beyond that, stratified subsampling over the first
+    coordinate with n_sub >= 2 draws per point.  Returns (value, stderr)
+    with stderr 0.0 in the exhaustive case.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k!r}")
     support = space.support()
     ns = len(support)
     if ns == 0:
@@ -144,23 +189,24 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
     mark = space.mark
     root = space.root
 
-    def build(ids):
-        D = np.zeros((k + 1, k + 1))
-        for a in range(k):
-            D[0, a + 1] = D[a + 1, 0] = dist[root, ids[a]]
-            for b in range(a + 1, k):
-                D[a + 1, b + 1] = D[b + 1, a + 1] = dist[ids[a], ids[b]]
-        return D
-
     if ns**k <= cap:
         total = 0.0
-        for ids in itertools.product(support, repeat=k):
-            w = 1.0
-            for i in ids:
-                w *= mass[i]
-            total += w * phi(build(ids), tuple(mark[i] for i in ids))
+        # tuples in product order, chunk by chunk: digit a of flat index f
+        # picks support[(f // ns^(k-1-a)) % ns]
+        radix = ns ** np.arange(k - 1, -1, -1)
+        for s in range(0, ns**k, _MONOMIAL_CHUNK):
+            flat = np.arange(s, min(s + _MONOMIAL_CHUNK, ns**k))
+            ids = support[(flat[:, None] // radix) % ns]
+            w = mass[ids[:, 0]]
+            for a in range(1, k):
+                w = w * mass[ids[:, a]]
+            D = _tuple_matrices(dist, root, ids)
+            for wt, Dt, row in zip(w, D, ids.tolist()):
+                total += wt * phi(Dt, tuple(map(mark.__getitem__, row)))
         return float(total), 0.0
 
+    if n_sub < 2:
+        raise ValueError(f"n_sub must be at least 2, got {n_sub!r}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     weights = mass[support]
@@ -170,12 +216,12 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
     var = 0.0
     for lead in support:
         draws = rng.choice(support, size=(n_sub, k - 1), p=probs)
+        ids = np.hstack([np.full((n_sub, 1), lead), draws])
+        D = _tuple_matrices(dist, root, ids)
         vals = np.empty(n_sub)
-        for t in range(n_sub):
-            ids = (lead,) + tuple(draws[t])
-            vals[t] = phi(build(ids), tuple(mark[i] for i in ids))
+        for t, row in enumerate(ids.tolist()):
+            vals[t] = phi(D[t], tuple(map(mark.__getitem__, row)))
         scale = float(mass[lead]) * total_mass ** (k - 1)
         value += scale * float(vals.mean())
         var += scale**2 * float(vals.var(ddof=1)) / n_sub
     return float(value), float(np.sqrt(var))
-

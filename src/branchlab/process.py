@@ -7,6 +7,7 @@ matrix with its Perron eigenpair, the branching variance, and extinction
 probabilities with the associated survival-decay profile.
 """
 
+import bisect
 import itertools
 import json
 import math
@@ -153,29 +154,39 @@ def simulate(model, x0, n_gen, rng=None):
 
     Vertices in generation n_gen are recorded with out-degree zero; their
     offspring are not sampled.  rng may be a seed or a numpy Generator.
-    Raises ValueError as soon as a generation takes the tree past
-    _SIMULATE_VERTEX_LIMIT vertices.
+    The draws are one uniform per vertex below generation n_gen,
+    generation by generation, each generation in planar order; a vertex
+    takes the first atom whose cumulative probability exceeds its uniform.
+    Raises ValueError for a negative n_gen or an unknown x0, and as soon
+    as a generation takes the tree past _SIMULATE_VERTEX_LIMIT vertices.
     """
+    if n_gen < 0:
+        raise ValueError(f"n_gen must be nonnegative, got {n_gen!r}")
+    if x0 not in model.types:
+        raise ValueError(f"unknown start type {x0!r}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     tables = {}
     for x in model.types:
         probs = np.array([float(p) for p, _ in model.offspring[x]])
-        tables[x] = (np.cumsum(probs), [cs for _, cs in model.offspring[x]])
+        kids = [cs for _, cs in model.offspring[x]]
+        tables[x] = (np.cumsum(probs).tolist(), kids, len(kids) - 1)
     degrees = {}
     marks = {(): x0}
-    frontier = [()]
+    frontier = [((), x0)]
     for gen in range(1, n_gen + 1):
+        if not frontier:
+            break
         nxt = []
-        for v in frontier:
-            cum, kids = tables[marks[v]]
-            a = int(np.searchsorted(cum, rng.random(), side="right"))
-            a = min(a, len(kids) - 1)
-            cs = kids[a]
+        # one uniform per frontier vertex, the same stream as one call each
+        for (v, x), u in zip(frontier, rng.random(len(frontier)).tolist()):
+            cum, kids, last = tables[x]
+            cs = kids[min(bisect.bisect_right(cum, u), last)]
             degrees[v] = len(cs)
             for i, c in enumerate(cs, start=1):
-                marks[v + (i,)] = c
-                nxt.append(v + (i,))
+                w = v + (i,)
+                marks[w] = c
+                nxt.append((w, c))
         frontier = nxt
         if len(marks) > _SIMULATE_VERTEX_LIMIT:
             raise ValueError(
@@ -183,7 +194,7 @@ def simulate(model, x0, n_gen, rng=None):
                 f"above the limit of {_SIMULATE_VERTEX_LIMIT}; lower n_gen "
                 f"(a supercritical model grows without bound)"
             )
-    for v in frontier:
+    for v, _ in frontier:
         degrees[v] = 0
     return MarkedTree(PlanarTree(degrees), marks)
 

@@ -293,6 +293,18 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:") and "n_gen" in err
 
+    @pytest.mark.parametrize(
+        "payload, needle",
+        [({"x0": "a", "n_gen": -1}, "n_gen"), ({"x0": "zz", "n_gen": 3}, "'zz'")],
+    )
+    def test_bad_start_exits_1(self, capsys, tmp_path, payload, needle):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(tmp_path, "sim.json", {"model": "m.json", **payload})
+        rc, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
 
 class TestVerify:
     def test_binary_grid_all_ok(self, capsys):
@@ -514,6 +526,38 @@ class TestComb:
         assert rc == 1 and out == ""
         assert err.startswith(prefix) and err.count("\n") == 1
         assert next(iter(extra)) in err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"k": 0}, "k"),
+            ({"k": -2}, "k"),
+            ({"n_samples": 0}, "n_samples"),
+            ({"n_samples": 1}, "n_samples"),
+            ({"n_inner": 0}, "n_inner"),
+        ],
+    )
+    def test_counts_below_their_least_exit_1(self, capsys, tmp_path, extra, key):
+        cfg = write_config(tmp_path, "cpp.json", {"k": 2, "n_samples": 40, **extra})
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert repr(key) in err
+
+    def test_pair_indicator_needs_two_points(self, capsys, tmp_path):
+        phi = {"name": "pair_indicator", "r": 1.0}
+        cfg = write_config(tmp_path, "cpp.json", {"k": 1, "n_samples": 40, "phi": phi})
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err == "config error: pair_indicator needs k >= 2\n"
+
+    def test_two_samples_suffice(self, capsys, tmp_path):
+        # blocks of 0 and 2 samples: the 16 blocks still give one estimate
+        cfg = write_config(tmp_path, "cpp.json", {"k": 1, "n_samples": 2, "eps": 0.5})
+        rc, out, _ = run(capsys, "cpp", "--config", str(cfg))
+        assert rc in (0, 3)
+        data = json.loads(out)
+        assert data["n_samples"] == 2 and data["stderr"] >= 0.0
 
     def test_marks_within_tolerance_accepted(self, capsys, tmp_path):
         marks = {"A": 0.3, "B": 0.7 + 5e-10}

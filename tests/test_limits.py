@@ -15,7 +15,6 @@ from branchlab.limits import (
     LimitQuery,
     contour_tree,
     convergence_report,
-    cpp_distance,
     cpp_moment,
     cpp_monomial_mc,
     cpp_sample,
@@ -189,6 +188,20 @@ class TestCombMoment:
             assert abs(cpp_moment(q) - want) <= 1e-12
 
 
+def scalar_cpp_distance(sample, u, v):
+    """Comb distance of one pair, the reference for _pair_distances: twice
+    the deepest atom strictly between the two points (positions in
+    (min, max]), zero when there is none."""
+    if u == v:
+        return 0.0
+    lo, hi = (u, v) if u < v else (v, u)
+    i1 = int(np.searchsorted(sample.positions, lo, side="right"))
+    i2 = int(np.searchsorted(sample.positions, hi, side="right"))
+    if i2 <= i1:
+        return 0.0
+    return 2.0 * float(sample.depths[i1:i2].max())
+
+
 class TestCombSampler:
     def test_eps_validated(self):
         with pytest.raises(ValueError):
@@ -221,15 +234,16 @@ class TestCombSampler:
             positions=np.array([1.0, 2.0, 3.0]),
             depths=np.array([0.3, 0.9, 0.5]),
         )
-        assert cpp_distance(s, 0.5, 2.5) == 1.8
-        assert cpp_distance(s, 2.5, 0.5) == 1.8
-        assert cpp_distance(s, 2.1, 2.9) == 0.0
-        assert cpp_distance(s, 1.5, 3.0) == 1.8
-        assert cpp_distance(s, 2.2, 2.2) == 0.0
+        cases = [(0.5, 2.5, 1.8), (2.5, 0.5, 1.8), (2.1, 2.9, 0.0), (1.5, 3.0, 1.8), (2.2, 2.2, 0.0)]
+        for u, v, want in cases:
+            assert scalar_cpp_distance(s, u, v) == want
+        us, vs, want = map(np.array, zip(*cases))
+        assert _pair_distances(s, us, vs).tolist() == want.tolist()
 
     def test_empty_comb(self):
         s = CppSample(1.0, 0.5, 1.0, np.array([]), np.array([]))
-        assert cpp_distance(s, 0.1, 0.9) == 0.0
+        assert scalar_cpp_distance(s, 0.1, 0.9) == 0.0
+        assert _pair_distances(s, np.array([0.1, 0.5]), np.array([0.9, 0.5])).tolist() == [0.0, 0.0]
 
     def test_batch_distances_match_scalar(self):
         s = cpp_sample(1.0, 0.1, rng=13)
@@ -238,7 +252,7 @@ class TestCombSampler:
         vs = rng.uniform(0, s.Z, 40)
         batch = _pair_distances(s, us, vs)
         for i in range(40):
-            assert batch[i] == cpp_distance(s, us[i], vs[i])
+            assert batch[i] == scalar_cpp_distance(s, us[i], vs[i])
 
     def test_monomial_estimates_match_formula(self):
         q1 = LimitQuery(k=1, phi=lambda D, m: float(D[0, 1] <= 1.0))
@@ -260,6 +274,78 @@ class TestCombSampler:
         q = LimitQuery(k=1, phi=phi, mark_probs={"A": 0.3, "B": 0.7})
         est, err = cpp_monomial_mc(q, n_samples=10_000, eps=0.4, rng=3)
         assert abs(est - 0.15) <= 4 * err
+
+
+def seed_cpp_monomial_samples(query, n_samples, eps, n_inner, rng):
+    """The seed's comb estimates, one matrix per inner tuple, with distances
+    from the scalar reference; kept as the oracle of the batched sampler."""
+    k = query.k
+    if query.mark_probs is not None:
+        labels = sorted(query.mark_probs)
+        probs = np.array([query.mark_probs[c] for c in labels])
+    ests = np.empty(n_samples)
+    for s in range(n_samples):
+        sample = cpp_sample(query.sigma_sq, eps, rng)
+        us = rng.uniform(0.0, sample.Z, size=(n_inner, k))
+        if query.mark_probs is not None:
+            marks = rng.choice(len(labels), size=(n_inner, k), p=probs)
+        acc = 0.0
+        for t in range(n_inner):
+            D = np.zeros((k + 1, k + 1))
+            D[0, 1:] = D[1:, 0] = 1.0
+            for i, j in itertools.combinations(range(k), 2):
+                D[i + 1, j + 1] = D[j + 1, i + 1] = scalar_cpp_distance(sample, us[t, i], us[t, j])
+            if query.mark_probs is None:
+                mk = (None,) * k
+            else:
+                mk = tuple(labels[m] for m in marks[t])
+            acc += query.phi(D, mk)
+        ests[s] = (query.sigma_sq / 2.0 * sample.Z) ** k * (acc / n_inner)
+    return ests
+
+
+def _every_comb_entry(D, marks):
+    # each entry of D with its own weight, and the first mark
+    w = np.arange(1.0, D.size + 1.0).reshape(D.shape) ** 0.5
+    return float((D * w).sum()) * (1.5 if marks[0] == "A" else 1.0)
+
+
+class TestCombOracle:
+    """The batched comb draws what the seed draws and gives its bits."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("marks", [None, {"A": 0.3, "B": 0.7}])
+    @pytest.mark.parametrize("n_inner", [1, 3, 8])
+    def test_against_seed(self, k, marks, n_inner):
+        q = LimitQuery(k=k, phi=_every_comb_entry, sigma_sq=1.3, mark_probs=marks)
+        rng = np.random.default_rng(40 + k)
+        ref = np.random.default_rng(40 + k)
+        # eps 0.05 gives 19 Z atoms on average, none in one comb of twenty
+        got = limits.cpp_monomial_samples(q, n_samples=60, eps=0.05, n_inner=n_inner, rng=rng)
+        want = seed_cpp_monomial_samples(q, 60, 0.05, n_inner, ref)
+        assert _hex_matrix(got) == _hex_matrix(want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_indicator_phi(self):
+        q = LimitQuery(k=3, phi=lambda D, m: float(D[1, 3] <= 0.4), sigma_sq=0.9)
+        got = limits.cpp_monomial_samples(q, n_samples=200, eps=0.1, n_inner=8, rng=3)
+        want = seed_cpp_monomial_samples(q, 200, 0.1, 8, np.random.default_rng(3))
+        assert _hex_matrix(got) == _hex_matrix(want)
+        assert 0 < np.count_nonzero(got) < len(got)
+
+    def test_bad_sizes_rejected(self):
+        q = LimitQuery(k=2, phi=lambda D, m: 1.0)
+        with pytest.raises(ValueError, match="n_inner"):
+            limits.cpp_monomial_samples(q, n_samples=4, n_inner=0, rng=0)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n_samples"):
+                cpp_monomial_mc(q, n_samples=n, rng=0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                limits.cpp_monomial_samples(LimitQuery(k=k, phi=q.phi), n_samples=4, rng=0)
+        # per-realization samples may be few; only the stderr needs two
+        assert limits.cpp_monomial_samples(q, n_samples=0, rng=0).shape == (0,)
+        assert limits.cpp_monomial_samples(q, n_samples=1, rng=0).shape == (1,)
 
 
 class TestExcursions:
@@ -352,6 +438,15 @@ class TestContourTrees:
             assert space.points == want.points
             assert _hex_matrix(space.mass) == _hex_matrix(want.mass)
             assert _hex_matrix(space.dist) == _hex_matrix(want.dist)
+
+    def test_first_representative_wins(self):
+        # t2 is within merge_tol of both t0 and t1, which are not within it
+        # of each other; t2 joins t0, the first representative
+        path = [0.0, 1.6e-12, 0.8e-12, 0.0]
+        space = contour_tree(path)
+        want = _seed_contour_tree(path)
+        assert space.points == want.points == ["t0", "t1"]
+        assert space.mass.tolist() == want.mass.tolist() == [3.0, 1.0]
 
     def test_occupation_count_via_monomial(self):
         # k = 1 monomial of the contour space counts time points by height

@@ -1,8 +1,11 @@
 """Measured metric spaces: monomial statistics and zero-mass points."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from branchlab import mmm
 from branchlab.mmm import (
     FiniteMmmSpace,
     generation_slice,
@@ -10,7 +13,7 @@ from branchlab.mmm import (
     tree_to_mmm,
 )
 from branchlab.process import MarkedTree, simulate
-from branchlab.trees import PlanarTree, count_deficient_tuples
+from branchlab.trees import PlanarTree, count_deficient_tuples, meet_distances
 
 
 def cherry_marked():
@@ -235,3 +238,248 @@ class TestSeedOracle:
                 assert list(sl.mass) == [0.0] + [0.7] * len(gen)
                 empty += not gen
         assert empty > 0
+
+
+def seed_space_error(dist):
+    """The seed's FiniteMmmSpace checks, kept as the reference: the message
+    of the first failing check, or None."""
+    n = len(dist)
+    if not np.allclose(dist, dist.T, atol=1e-9):
+        return "distance matrix must be symmetric"
+    if np.any(np.abs(np.diag(dist)) > 1e-12):
+        return "distance matrix must have zero diagonal"
+    if np.any(dist < 0):
+        return "distances must be nonnegative"
+    if n <= 300:
+        for p in range(n):
+            if np.any(dist > dist[:, p][:, None] + dist[p, :][None, :] + 1e-9):
+                return "triangle inequality fails"
+    return None
+
+
+def space_error(dist):
+    try:
+        FiniteMmmSpace([str(i) for i in range(len(dist))], 0, dist, np.ones(len(dist)))
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def line_metric(n):
+    x = np.arange(n, dtype=float)
+    return np.abs(x[:, None] - x[None, :])
+
+
+def decision_corpus():
+    """Distance matrices that pass or fail each check, named."""
+    out = [("empty root", np.zeros((1, 1))), ("pair", line_metric(2))]
+    base = line_metric(5)
+    for name, value in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]:
+        for i, j in [(0, 1), (1, 3), (2, 2)]:
+            d = base.copy()
+            d[i, j] = value
+            out.append((f"{name} at {i},{j}", d))
+            d = d.copy()
+            d[j, i] = value
+            out.append((f"{name} at {i},{j} both", d))
+    d = np.full((3, 3), np.inf)
+    np.fill_diagonal(d, 0.0)
+    out.append(("all infinite", d))
+    d = base.copy()
+    d[0, 3], d[3, 0] = np.inf, -np.inf
+    out.append(("inf against -inf", d))
+    for delta in (2e-9, 5e-10, 1e-7, 1e-4):
+        d = base.copy()
+        d[1, 4] += delta
+        out.append((f"asymmetry {delta}", d))
+        d = base * 1e6
+        d[1, 4] += delta * 1e6
+        out.append((f"relative asymmetry {delta}", d))
+    for delta in (2e-12, 5e-13, -2e-12):
+        d = base.copy()
+        d[3, 3] = delta
+        out.append((f"diagonal {delta}", d))
+    d = base.copy()
+    d[0, 2] = d[2, 0] = -0.5
+    out.append(("negative", d))
+    d = base.copy()
+    d[0, 2] = d[2, 0] = -0.0
+    out.append(("negative zero", d))
+    # each off-diagonal pair too long for the path through its neighbours
+    for i in range(5):
+        for j in range(i + 2, 5):
+            for excess in (2e-9, 5e-10):
+                d = base.copy()
+                d[i, j] = d[j, i] = base[i, j] + excess
+                out.append((f"triangle {i},{j} +{excess}", d))
+    # points at 2 from each other and 0.5 from one hub: only the hub, as
+    # the intermediate point, shows the violation
+    for hub in range(5):
+        d = np.full((5, 5), 2.0)
+        d[hub, :] = d[:, hub] = 0.5
+        np.fill_diagonal(d, 0.0)
+        out.append((f"hub at {hub}", d))
+    for n in (299, 300, 301):
+        d = line_metric(n)
+        d[0, n - 1] = d[n - 1, 0] = n
+        out.append((f"violation at n={n}", d))
+        out.append((f"line n={n}", line_metric(n)))
+    return out
+
+
+class TestSpaceChecks:
+    """The spelled-out symmetry test and the blocked triangle check decide
+    and word every case as the seed's checks do."""
+
+    @pytest.mark.parametrize("block", [None, 1, 50, 75])
+    def test_decision_corpus(self, monkeypatch, block):
+        if block is not None:
+            # one, two or three of the five points at a time, the last
+            # block partial for two and three
+            monkeypatch.setattr(mmm, "_TRIANGLE_BLOCK", block)
+        seen = set()
+        for name, dist in decision_corpus():
+            if block is not None and len(dist) > 5:
+                continue
+            want = seed_space_error(dist)
+            assert space_error(dist) == want, name
+            seen.add(want)
+        assert seen == {
+            None,
+            "distance matrix must be symmetric",
+            "distance matrix must have zero diagonal",
+            "distances must be nonnegative",
+            "triangle inequality fails",
+        }
+
+    def test_simulated_tree_metrics_accepted(self, asymmetric):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            mt = simulate(asymmetric, "A", 6, rng=rng)
+            space = tree_to_mmm(mt)
+            assert seed_space_error(space.dist) is None
+
+
+def seed_monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
+    """The seed's monomial, one matrix built per tuple, kept as the reference."""
+    support = space.support()
+    ns = len(support)
+    if ns == 0:
+        return 0.0, 0.0
+    dist, mass, mark, root = space.dist, space.mass, space.mark, space.root
+
+    def build(ids):
+        D = np.zeros((k + 1, k + 1))
+        for a in range(k):
+            D[0, a + 1] = D[a + 1, 0] = dist[root, ids[a]]
+            for b in range(a + 1, k):
+                D[a + 1, b + 1] = D[b + 1, a + 1] = dist[ids[a], ids[b]]
+        return D
+
+    if ns**k <= cap:
+        total = 0.0
+        for ids in itertools.product(support, repeat=k):
+            w = 1.0
+            for i in ids:
+                w *= mass[i]
+            total += w * phi(build(ids), tuple(mark[i] for i in ids))
+        return float(total), 0.0
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    weights = mass[support]
+    total_mass = float(weights.sum())
+    probs = weights / total_mass
+    value = 0.0
+    var = 0.0
+    for lead in support:
+        draws = rng.choice(support, size=(n_sub, k - 1), p=probs)
+        vals = np.empty(n_sub)
+        for t in range(n_sub):
+            ids = (lead,) + tuple(draws[t])
+            vals[t] = phi(build(ids), tuple(mark[i] for i in ids))
+        scale = float(mass[lead]) * total_mass ** (k - 1)
+        value += scale * float(vals.mean())
+        var += scale**2 * float(vals.var(ddof=1)) / n_sub
+    return float(value), float(np.sqrt(var))
+
+
+def every_entry(D, marks):
+    # reads each entry of D with its own weight, and the marks
+    w = np.arange(1.0, D.size + 1.0).reshape(D.shape) ** 0.5
+    return float((D * w).sum()) + 0.25 * sum(m == "A" for m in marks)
+
+
+def skewed_space(n, seed):
+    """A tree metric nudged off symmetry (within 1e-9) and off a zero
+    diagonal (within 1e-12), with uneven masses, a massless point, a root
+    inside the support and marks."""
+    rng = np.random.default_rng(seed)
+    l = rng.uniform(0.5, 3.0, n)
+    b = np.minimum(l[:-1], l[1:]) * rng.uniform(0.0, 0.9, n - 1)
+    d = meet_distances(l, b)
+    np.fill_diagonal(d, 0.0)
+    d[np.triu_indices(n, 1)] += 1e-10 * rng.random(n * (n - 1) // 2)
+    d[np.diag_indices(n)] = 1e-13 * rng.random(n)
+    mass = rng.uniform(0.2, 1.7, n)
+    mass[n // 2] = 0.0
+    marks = [("A", "B", None)[i % 3] for i in range(n)]
+    return FiniteMmmSpace([str(i) for i in range(n)], n // 3, d, mass, marks)
+
+
+class TestMonomialOracle:
+    """Batched tuple matrices give the seed's per-tuple sums bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_against_seed(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(mmm, "_MONOMIAL_CHUNK", chunk)
+        phis = [
+            every_entry,
+            lambda D, m: float(D[0, -1] <= 1.7),
+            lambda D, m: 1.0,
+            lambda D, m: np.float64(D[0, 1]) * (2 if m[0] == "B" else 1),
+        ]
+        for n, k in [(1, 1), (2, 3), (5, 1), (5, 2), (5, 3), (9, 2), (13, 3)]:
+            space = skewed_space(n, n + k)
+            for phi in phis:
+                got = monomial(space, k, phi)
+                want = seed_monomial(space, k, phi)
+                assert got[0].hex() == want[0].hex() and got[1] == want[1] == 0.0
+
+    @pytest.mark.parametrize("ns", [63, 64, 65, 91])
+    def test_chunk_boundaries(self, ns):
+        # 3969, 4096, 4225 and 8281 pairs: below, at and past one chunk
+        space = skewed_space(ns + 1, ns)
+        for phi in (every_entry, lambda D, m: float(D[1, 2] <= 2.0)):
+            got = monomial(space, 2, phi)
+            assert got[0].hex() == seed_monomial(space, 2, phi)[0].hex()
+
+    def test_simulated_slices_and_trees(self, asymmetric):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            mt = simulate(asymmetric, "A", 6, rng=rng)
+            for space in (generation_slice(mt, 6, mass_scale=0.3), tree_to_mmm(mt, 0.5)):
+                for k in (1, 2):
+                    got = monomial(space, k, every_entry)
+                    assert got[0].hex() == seed_monomial(space, k, every_entry)[0].hex()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_subsampling_path(self, k):
+        space = skewed_space(9, 4)
+        rng = np.random.default_rng(12)
+        ref = np.random.default_rng(12)
+        got = monomial(space, k, every_entry, cap=20, n_sub=5, rng=rng)
+        want = seed_monomial(space, k, every_entry, cap=20, n_sub=5, rng=ref)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert rng.random() == ref.random()
+
+    def test_bad_sizes_rejected(self):
+        space = line_space()
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                monomial(space, k, lambda D, m: 1.0)
+        for n_sub in (0, 1):
+            with pytest.raises(ValueError, match="n_sub"):
+                monomial(space, 2, lambda D, m: 1.0, cap=4, n_sub=n_sub, rng=0)
+        # the exhaustive path never reads n_sub
+        assert monomial(space, 2, lambda D, m: 1.0, n_sub=1) == (9.0, 0.0)

@@ -21,6 +21,13 @@ from branchlab.process import (
 )
 from branchlab.trees import PlanarTree
 
+from conftest import (
+    make_asymmetric,
+    make_binary,
+    make_subcritical,
+    make_symmetric,
+)
+
 HALF = Fraction(1, 2)
 
 
@@ -241,6 +248,106 @@ class TestSimulationCap:
         ref = np.random.default_rng(8)
         ref.random(inner)
         assert rng.random() == ref.random()
+
+
+def seed_simulate(model, x0, n_gen, rng):
+    """The seed's simulator, one rng.random() and one np.searchsorted per
+    vertex, kept as the reference."""
+    tables = {}
+    for x in model.types:
+        probs = np.array([float(p) for p, _ in model.offspring[x]])
+        tables[x] = (np.cumsum(probs), [cs for _, cs in model.offspring[x]])
+    degrees = {}
+    marks = {(): x0}
+    frontier = [()]
+    for _ in range(1, n_gen + 1):
+        nxt = []
+        for v in frontier:
+            cum, kids = tables[marks[v]]
+            a = int(np.searchsorted(cum, rng.random(), side="right"))
+            a = min(a, len(kids) - 1)
+            cs = kids[a]
+            degrees[v] = len(cs)
+            for i, c in enumerate(cs, start=1):
+                marks[v + (i,)] = c
+                nxt.append(v + (i,))
+        frontier = nxt
+    for v in frontier:
+        degrees[v] = 0
+    return MarkedTree(PlanarTree(degrees), marks)
+
+
+def make_ties():
+    # a zero-probability atom between two others ties the cumulative sums,
+    # and ten atoms of 0.1 sum to 0.9999999999999999, so the clamp matters
+    return Model(
+        ("a", "b"),
+        {
+            "a": [(0.5, ()), (0.0, ("b",)), (0.5, ("a", "b"))],
+            "b": [(0.1, ("a",) * (i % 3)) for i in range(9)] + [(0.1, ("b",) * 3)],
+        },
+    )
+
+
+class TestSeedOracle:
+    """simulate draws one uniform array per generation and picks atoms by
+    bisect; trees, marks and the generator state after it must be the
+    seed's, vertex for vertex."""
+
+    @pytest.mark.parametrize(
+        "make, x0",
+        [
+            (make_binary, "a"),
+            (make_symmetric, "B"),
+            (make_asymmetric, "A"),
+            (make_asymmetric, "B"),
+            (make_subcritical, "a"),
+            (make_ties, "a"),
+            (make_ties, "b"),
+        ],
+    )
+    def test_trees_marks_and_stream(self, make, x0):
+        model = make()
+        rng = np.random.default_rng(21)
+        ref = np.random.default_rng(21)
+        sizes = set()
+        for G in [0, 1, 2, 3, 5, 8, 13] * 12:
+            got = simulate(model, x0, G, rng=rng)
+            want = seed_simulate(model, x0, G, ref)
+            assert got.tree.degrees == want.tree.degrees
+            assert got.tree.vertices == want.tree.vertices
+            assert got.marks == want.marks
+            assert rng.bit_generator.state == ref.bit_generator.state
+            sizes.add(got.tree.size)
+        assert len(sizes) > 3
+        assert rng.random() == ref.random()
+
+    def test_uniform_past_the_last_cumulative_sum(self):
+        # ten atoms of 0.1 sum to the largest double below one; a uniform of
+        # that value falls past the table and takes the last atom
+        class Top(np.random.Generator):
+            def random(self, size=None):
+                u = np.nextafter(1.0, 0.0)
+                return u if size is None else np.full(size, u)
+
+        model = make_ties()
+        got = simulate(model, "b", 3, rng=Top(np.random.PCG64(0)))
+        want = seed_simulate(model, "b", 3, Top(np.random.PCG64(0)))
+        assert got.tree == want.tree and got.marks == want.marks
+        assert got.tree.size == 1 + 3 + 9 + 27
+
+    def test_seed_argument_is_a_fresh_stream(self, asymmetric):
+        got = simulate(asymmetric, "A", 6, rng=5)
+        want = seed_simulate(asymmetric, "A", 6, np.random.default_rng(5))
+        assert got.tree == want.tree and got.marks == want.marks
+
+    def test_bad_start_rejected(self, binary):
+        with pytest.raises(ValueError, match="n_gen"):
+            simulate(binary, "a", -1, rng=0)
+        with pytest.raises(ValueError, match="'zz'"):
+            simulate(binary, "zz", 3, rng=0)
+        with pytest.raises(ValueError, match="unknown start type"):
+            simulate(binary, ["a"], 3, rng=0)
 
 
 class TestSurvival:
