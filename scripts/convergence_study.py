@@ -56,17 +56,15 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
-def main(argv=None):
-    args = parse_args(argv)
+def run_study(args):
     model = Model.from_json(Path(args.model).read_text())
     x0 = args.x0 if args.x0 is not None else model.types[0]
     spec = {"name": args.functional, "r": args.r}
     if args.weights is not None:
         spec["weights"] = parse_weights(args.weights, model)
-    F = build_functional(spec, model)
-
+    F = build_functional(spec, model, k=args.k)
     n_values = [args.n0 * 2**j for j in range(args.levels)]
-    report = convergence_report(
+    return convergence_report(
         model,
         args.k,
         F,
@@ -76,6 +74,15 @@ def main(argv=None):
         mode=args.mode,
         grid_step=args.grid_step,
     )
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    try:
+        report = run_study(args)
+    except ValueError as e:  # ConfigError included
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(f"# perron={report.perron:.6g} sigma_sq={report.sigma_sq:.6g}")
     if not report.critical:
         print("# model is not critical; no limit column")

@@ -255,6 +255,11 @@ def build_functional(spec, model, k=None):
     the first two leaves sit within distance r; needs k >= 2, checked
     here when the smallest k is given).  All accept "weights", a
     per-leaf-type factor.
+
+    The result is the scalar F(shape, lt, bt) with a batched leaf-type
+    form F.batched(L, B, lt): (N, k) leaf heights, (N, k-1) meet heights
+    and one leaf-type tuple give the N values F would return row by row,
+    with the same float bits.
     """
     allowed = {"name", "r", "weights"}
     unknown = set(spec) - allowed
@@ -274,10 +279,14 @@ def build_functional(spec, model, k=None):
         return w
 
     if name == "count":
-        return lambda shape, lt, bt: wprod(lt)
+        F = lambda shape, lt, bt: wprod(lt)
+        F.batched = lambda L, B, lt: np.full(len(L), wprod(lt))
+        return F
     if name == "height_indicator":
         r = float(spec["r"])
-        return lambda shape, lt, bt: wprod(lt) if shape.height <= r else 0.0
+        F = lambda shape, lt, bt: wprod(lt) if shape.height <= r else 0.0
+        F.batched = lambda L, B, lt: np.where(L.max(axis=1) <= r, wprod(lt), 0.0)
+        return F
     if name == "pair_indicator":
         r = float(spec["r"])
 
@@ -291,6 +300,13 @@ def build_functional(spec, model, k=None):
             )
             return wprod(lt) if d <= r else 0.0
 
+        def batched(L, B, lt):
+            if L.shape[1] < 2:
+                raise ConfigError("pair_indicator needs k >= 2")
+            d = L[:, 0] + L[:, 1] - 2 * B[:, 0]
+            return np.where(d <= r, wprod(lt), 0.0)
+
+        F.batched = batched
         return F
     raise ConfigError(f"unknown functional {name!r}")
 

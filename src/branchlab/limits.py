@@ -531,6 +531,44 @@ def kolmogorov_rows(model, n_values, x0, critical):
     return rows
 
 
+def _mark_average(F_cont, types):
+    """Batched integrand: F_cont summed over leaf-type tuples with their
+    probabilities, through F_cont.batched(L, B, lt) when it has one and
+    per point through rowwise otherwise; both add p * F from 0.0 in the
+    order of types, so they give the same bits."""
+    batched = getattr(F_cont, "batched", None)
+    if batched is not None:
+
+        def mark_avg(L, B):
+            total = 0.0
+            for lt, p in types:
+                total += p * batched(L, B, lt)
+            return total
+
+        return mark_avg
+
+    @rowwise
+    def mark_avg(l, b):
+        shape = TreeShape(tuple(l), tuple(b))
+        total = 0.0
+        for lt, p in types:
+            total += p * F_cont(shape, lt, None)
+        return total
+
+    return mark_avg
+
+
+def _limit_integral(k, F_cont, types, R, mode, grid_step):
+    """Grid shape integral of the mark average of F_cont: over shapes of
+    height at most R ("rescaled") or over unit-cube meets ("ultrametric")."""
+    mark_avg = _mark_average(F_cont, types)
+    if mode == "rescaled":
+        step = grid_step if grid_step is not None else (0.02 if k > 1 else 1e-4)
+        return lambda_k_integral(k, mark_avg, R=R, method="grid", grid_step=step)[0]
+    step = grid_step if grid_step is not None else 1e-3
+    return lambda_tilde_k_integral(k, mark_avg, method="grid", grid_step=step)[0]
+
+
 def convergence_report(
     model,
     k,
@@ -550,38 +588,31 @@ def convergence_report(
     over generation-n tuples against the unit-cube meet integral.  F_cont
     receives (shape, leaf_types, branch_types) and must ignore branch
     types (the limit passes None); for "rescaled" it must vanish on shapes
-    higher than R.  Kolmogorov survival rows are appended for the given
-    generations.  Off criticality the limit columns are left empty.
+    higher than R.  If F_cont has an attribute batched(L, B, lt), as the
+    functionals of cli.build_functional do, the limit calls it once per
+    leaf-type tuple on every grid point at once; it must return the N
+    values F_cont gives row by row.  Kolmogorov survival rows are appended
+    for the given generations.  Off criticality the limit columns are left
+    empty.  An unknown mode or k < 1 is a ValueError.
     """
     from .moments import rescaled_moment, ultrametric_moment
     from .spine import build_kernel
 
+    if mode not in ("rescaled", "ultrametric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k!r}")
     eig = eigenpair(model)
     sig2 = sigma_squared(model, eig)
     critical = is_critical(eig)
     kernel = build_kernel(model, eig.h)
     hx = float(eig.h[model.index[x0]])
-    pi = {x: float(eig.pi[i]) for i, x in enumerate(model.types)}
-    types = _type_tuples(model.types, pi, k)
-
-    @rowwise
-    def mark_avg(l, b):
-        shape = TreeShape(tuple(l), tuple(b))
-        total = 0.0
-        for lt, p in types:
-            total += p * F_cont(shape, lt, None)
-        return total
 
     limit = None
     if critical:
-        if mode == "rescaled":
-            step = grid_step if grid_step is not None else (0.02 if k > 1 else 1e-4)
-            integral, _ = lambda_k_integral(k, mark_avg, R=R, method="grid", grid_step=step)
-        elif mode == "ultrametric":
-            step = grid_step if grid_step is not None else 1e-3
-            integral, _ = lambda_tilde_k_integral(k, mark_avg, method="grid", grid_step=step)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        pi = {x: float(eig.pi[i]) for i, x in enumerate(model.types)}
+        types = _type_tuples(model.types, pi, k)
+        integral = _limit_integral(k, F_cont, types, R, mode, grid_step)
         limit = hx * (sig2 / 2.0) ** (k - 1) * integral
 
     rows = []

@@ -1,6 +1,8 @@
 """Command line driver: exit codes, output formats, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,11 @@ from branchlab.cli import main, read_csv_rows
 from branchlab.trees import tree_from_string
 
 CONFIG_DIR = "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def mask_git(text):
+    return re.sub(r'^(# git=|\s*"git": ).*$', r"\1<masked>", text, flags=re.M)
 
 
 def run(capsys, *argv):
@@ -439,6 +446,36 @@ class TestConvergence:
             assert rc == 1 and out == ""
             assert err.startswith(prefix) and err.count("\n") == 1
             assert ("grid_step" if "grid_step" in payload else "n must be at least 1") in err
+
+    @pytest.mark.parametrize(
+        "config, payload, message",
+        [
+            ("convergence_subcritical.json", {"mode": "diagonal"}, "unknown mode 'diagonal'"),
+            ("convergence_binary_k2.json", {"mode": "diagonal"}, "unknown mode 'diagonal'"),
+            ("convergence_binary_k2.json", {"k": 0}, "k must be at least 1"),
+            ("convergence_sym_ultra.json", {"k": 0, "functional": {"name": "count"}}, "k must be at least 1"),
+            ("convergence_subcritical.json", {"k": 0}, "k must be at least 1"),
+        ],
+    )
+    def test_bad_mode_or_k_exits_1(self, capsys, tmp_path, config, payload, message):
+        cfg = json.loads((Path(CONFIG_DIR) / config).read_text())
+        cfg["model"] = str(Path(CONFIG_DIR, cfg["model"]).resolve())
+        path = write_config(tmp_path, "conv.json", {**cfg, **payload})
+        rc, out, err = run(capsys, "convergence", "--config", str(path))
+        assert rc == 1 and out == ""
+        # one line: rejected before eigenpair, so no criticality warning
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["binary_k2", "subcritical", "sym_ultra"])
+    def test_golden_bytes(self, capsys, name, fmt):
+        # recorded before the limit column took the batched functionals
+        rc, out, _ = run(
+            capsys, "convergence", "--config", f"{CONFIG_DIR}/convergence_{name}.json", "--format", fmt
+        )
+        assert rc == 0
+        want = (GOLDEN_DIR / f"convergence_{name}.{fmt}").read_text()
+        assert mask_git(out) == mask_git(want)
 
     def test_subcritical_leaves_limit_columns_empty(self, capsys):
         rc, out, _ = run(

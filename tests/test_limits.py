@@ -1,5 +1,6 @@
 """Continuum limits: shape integrals, the Poisson comb, excursion contours."""
 
+import contextlib
 import io
 import itertools
 import math
@@ -8,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from branchlab.cli import csv_text, read_csv_rows
+from branchlab.cli import ConfigError, build_functional, csv_text, read_csv_rows
 from branchlab.limits import (
     REPORT_COLUMNS,
     CppSample,
@@ -566,6 +567,31 @@ class TestReports:
         with pytest.raises(ValueError):
             convergence_report(binary, 1, F, [5], "a", mode="diagonal")
 
+    @pytest.mark.parametrize(
+        "k, mode, match",
+        [
+            (1, "diagonal", "unknown mode 'diagonal'"),
+            (2, "Rescaled", "unknown mode 'Rescaled'"),
+            (0, "rescaled", "k must be at least 1"),
+            (0, "ultrametric", "k must be at least 1"),
+            (-1, "ultrametric", "k must be at least 1"),
+        ],
+    )
+    @pytest.mark.parametrize("model_name", ["binary", "subcritical"])
+    def test_bad_mode_or_k_rejected_before_eigenpair(
+        self, request, monkeypatch, model_name, k, mode, match
+    ):
+        # off criticality too, where the limit column is never computed
+        model = request.getfixturevalue(model_name)
+
+        def no_eigenpair(*args, **kwargs):
+            raise AssertionError("eigenpair ran before the inputs were checked")
+
+        monkeypatch.setattr(limits, "eigenpair", no_eigenpair)
+        F = lambda shape, lt, bt: 1.0
+        with pytest.raises(ValueError, match=match):
+            convergence_report(model, k, F, [5], "a", mode=mode)
+
 
 # The seed's per-point integrators and integrands, kept as the reference:
 # the batched integrators must reproduce their float bits.
@@ -648,6 +674,12 @@ def _reference_symmetrized(query):
 def _reference_report_limit(model, k, F_cont, x0, R=1.0, mode="rescaled", grid_step=None):
     eig = eigenpair(model)
     sig2 = sigma_squared(model, eig)
+    integral = _reference_limit_integral(model, k, F_cont, R, mode, grid_step)
+    return float(eig.h[model.index[x0]]) * (sig2 / 2.0) ** (k - 1) * integral
+
+
+def _reference_limit_integral(model, k, F_cont, R=1.0, mode="rescaled", grid_step=None):
+    eig = eigenpair(model)
     pi = {x: float(eig.pi[i]) for i, x in enumerate(model.types)}
 
     def mark_avg(l, b):
@@ -666,7 +698,7 @@ def _reference_report_limit(model, k, F_cont, x0, R=1.0, mode="rescaled", grid_s
     else:
         step = grid_step if grid_step is not None else 1e-3
         integral, _ = _reference_lambda_tilde(k, mark_avg, method="grid", grid_step=step)
-    return float(eig.h[model.index[x0]]) * (sig2 / 2.0) ** (k - 1) * integral
+    return integral
 
 
 def _bits(pair):
@@ -792,3 +824,85 @@ class TestSeedOracle:
         want = _reference_report_limit(model, k, F, x0, R=0.8, mode=mode, grid_step=step)
         assert want != 0.0
         assert float(rep.rows[0]["limit"]).hex() == want.hex()
+
+    # the named functionals take their batched form through the limit
+    NAMED_STEPS = {("rescaled", 1): 1e-3, ("rescaled", 2): 0.05, ("rescaled", 3): 0.125,
+                   ("ultrametric", 2): 1e-3, ("ultrametric", 3): 0.05}
+    WEIGHTS = {"a": 1.3, "A": 1.4, "B": 0.6}
+
+    @pytest.mark.parametrize("mode, k", list(NAMED_STEPS))
+    @pytest.mark.parametrize("name", ["count", "height_indicator", "pair_indicator"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        "model_name, x0",
+        [("binary", "a"), ("symmetric", "B"), ("asymmetric", "A"), ("subcritical", "a")],
+    )
+    def test_named_functional_limit(self, request, model_name, x0, weighted, name, mode, k):
+        model = request.getfixturevalue(model_name)
+        # every leaf sits at height one in ultrametric mode
+        spec = {"name": name, "r": 0.7 if mode == "rescaled" else 1.0}
+        if weighted:
+            spec["weights"] = {x: self.WEIGHTS[x] for x in model.types}
+        if model_name == "subcritical":
+            warns = pytest.warns(UserWarning, match="not critical")
+        else:
+            warns = contextlib.nullcontext()
+        if name == "pair_indicator" and k == 1:
+            F = build_functional(spec, model)
+            with warns, pytest.raises(ConfigError, match="pair_indicator needs k >= 2"):
+                convergence_report(model, k, F, [4], x0, R=0.8, mode=mode)
+            return
+        F = build_functional(spec, model, k=k)
+        assert callable(F.batched)
+        step = self.NAMED_STEPS[mode, k]
+        if model_name == "subcritical":
+            # no limit column off criticality: check the integral itself
+            with warns:
+                eig = eigenpair(model)
+                want = _reference_limit_integral(model, k, F, R=0.8, mode=mode, grid_step=step)
+            pi = {x: float(eig.pi[i]) for i, x in enumerate(model.types)}
+            types = limits._type_tuples(model.types, pi, k)
+            got = limits._limit_integral(k, F, types, 0.8, mode, step)
+        else:
+            rep = convergence_report(model, k, F, [4], x0, R=0.8, mode=mode, grid_step=step)
+            got = rep.rows[0]["limit"]
+            want = _reference_report_limit(model, k, F, x0, R=0.8, mode=mode, grid_step=step)
+        assert want != 0.0
+        assert float(got).hex() == want.hex()
+
+    @pytest.mark.parametrize("name", ["count", "height_indicator", "pair_indicator"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_named_batched_at_the_threshold(self, asymmetric, name, weighted):
+        # rows exactly at height == r and d == r, and one ulp on either side
+        r = 0.5
+        up, down = np.nextafter(r, 1.0), np.nextafter(r, 0.0)
+        L = np.array(
+            [[0.5, 0.25, 0.125], [0.375, 0.25, 0.125], [up, 0.25, 0.125], [down, 0.25, 0.125],
+             [0.25, 0.5, 0.5], [0.375, 0.25, 0.0625], [0.4375, 0.25, 0.125]]
+        )
+        B = np.array(
+            [[0.0, 0.0], [0.0625, 0.0], [0.0, 0.0], [0.0, 0.0],
+             [0.125, 0.25], [0.0625 + 2**-30, 0.0], [0.09375, 0.0]]
+        )
+        d = L[:, 0] + L[:, 1] - 2 * B[:, 0]
+        assert L.max(axis=1)[0] == r and d[1] == r and d[6] == r
+        spec = {"name": name, "r": r}
+        if weighted:
+            spec["weights"] = {"A": 1.4, "B": 0.6}
+        F = build_functional(spec, asymmetric, k=3)
+        for lt in [("A", "A", "B"), ("B", "A", "B")]:
+            got = F.batched(L, B, lt)
+            want = [F(TreeShape(tuple(l), tuple(b)), lt, None) for l, b in zip(L, B)]
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+            # the threshold itself is inside
+            w = got.max()
+            assert w > 0.0
+            if name == "height_indicator":
+                assert got[0] == w and got[3] == w and got[2] == 0.0
+            if name == "pair_indicator":
+                assert got[1] == w and got[6] == w
+
+    def test_named_pair_indicator_batched_needs_two_leaves(self, binary):
+        F = build_functional({"name": "pair_indicator", "r": 1.0}, binary)
+        with pytest.raises(ConfigError, match="pair_indicator needs k >= 2"):
+            F.batched(np.full((3, 1), 0.5), np.zeros((3, 0)), ("a",))

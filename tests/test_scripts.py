@@ -47,6 +47,24 @@ def test_convergence_study(tmp_path, capsys, model, argv):
     assert ("no limit column" in printed) == (model == "subcritical.json")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--functional", "pair_indicator", "--k", "1"], "pair_indicator needs k >= 2"),
+        (["--k", "0"], "k must be at least 1"),
+        (["--n0", "0"], "n must be at least 1"),
+        (["--weights", "a=x"], "could not convert string to float"),
+    ],
+)
+def test_convergence_study_bad_input(capsys, argv, message):
+    argv = ["--model", str(CONFIGS / "binary_gw.json")] + argv
+    rc = load("convergence_study").main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_cpp_vs_formula(capsys):
     rc = load("cpp_vs_formula").main(
         ["--k", "2", "--phi", "pair_indicator", "--eps", "0.5", "0.2", "--n-samples", "400", "--n-inner", "2"]
