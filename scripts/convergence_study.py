@@ -62,6 +62,8 @@ def run_study(args):
     spec = {"name": args.functional, "r": args.r}
     if args.weights is not None:
         spec["weights"] = parse_weights(args.weights, model)
+    if args.levels < 1:
+        raise ValueError(f"levels must be at least 1, got {args.levels}")
     F = build_functional(spec, model, k=args.k)
     n_values = [args.n0 * 2**j for j in range(args.levels)]
     return convergence_report(

@@ -501,7 +501,7 @@ def cmd_convergence(args):
             F,
             n_values,
             cfg["x0"],
-            R=float(cfg.get("R", 1.0)),
+            R=_cfg_float(cfg, "R", 1.0),
             mode=cfg.get("mode", "rescaled"),
             grid_step=_cfg_float(cfg, "grid_step"),
             kolmogorov_ns=kolmogorov_ns,

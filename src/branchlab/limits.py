@@ -593,7 +593,8 @@ def convergence_report(
     leaf-type tuple on every grid point at once; it must return the N
     values F_cont gives row by row.  Kolmogorov survival rows are appended
     for the given generations.  Off criticality the limit columns are left
-    empty.  An unknown mode or k < 1 is a ValueError.
+    empty.  An unknown mode, k < 1 or an R that is negative or not finite
+    is a ValueError.
     """
     from .moments import rescaled_moment, ultrametric_moment
     from .spine import build_kernel
@@ -602,6 +603,8 @@ def convergence_report(
         raise ValueError(f"unknown mode {mode!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
+    if not 0.0 <= R < math.inf:
+        raise ValueError(f"R must be a finite nonnegative number, got {R!r}")
     eig = eigenpair(model)
     sig2 = sigma_squared(model, eig)
     critical = is_critical(eig)

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .process import enumerate_population
-from .spine import build_kernel, q_expectation
-from .trees import TreeShape, enumerate_shapes
+from .spine import build_kernel, shape_sum
+from .trees import TreeShape, product_batches, shape_batches
 
 __all__ = [
     "MomentQuery",
@@ -177,9 +177,9 @@ def moment_m2f(model, query, kernel=None):
     if kernel is None:
         kernel = build_kernel(model, query.psi)
     psi_x = float(kernel.psi[model.index[query.x0]])
-    total = 0.0
-    for shape in enumerate_shapes(query.k, int(query.R)):
-        total += q_expectation(kernel, shape, query.F, query.x0)
+    total = shape_sum(
+        kernel, shape_batches(query.k, int(query.R)), query.F, query.x0
+    )
     return psi_x * total
 
 
@@ -358,17 +358,9 @@ def rescaled_moment(model, k, F_cont, n, x0, R=1.0, kernel=None):
     if kernel is None:
         kernel = build_kernel(model, "harmonic")
     R_disc = int(math.floor(R * n + 1e-9))
-    # q_expectation calls F once per typed key of a shape: scale each
-    # shape once, on its first call
-    last = [None, None]
-
-    def F(shape, lt, bt):
-        if shape is not last[0]:
-            last[:] = shape, shape.scale(1.0 / n)
-        return F_cont(last[1], lt, bt)
-
-    q = MomentQuery(k=k, x0=x0, F=F, R=R_disc, psi="harmonic")
-    return moment_m2f(model, q, kernel=kernel) / float(n) ** (2 * k)
+    psi_x = float(kernel.psi[model.index[x0]])
+    total = shape_sum(kernel, shape_batches(k, R_disc), F_cont, x0, scale=1.0 / n)
+    return psi_x * total / float(n) ** (2 * k)
 
 
 def ultrametric_moment(model, k, F_cont, n, x0, kernel=None):
@@ -384,13 +376,6 @@ def ultrametric_moment(model, k, F_cont, n, x0, kernel=None):
     if kernel is None:
         kernel = build_kernel(model, "harmonic")
     psi_x = float(kernel.psi[model.index[x0]])
-    total = 0.0
-    for b in itertools.product(range(n), repeat=k - 1):
-        shape = TreeShape((n,) * k, b)
-        scaled = shape.scale(1.0 / n)
-
-        def F(_shape, lt, bt, _scaled=scaled):
-            return F_cont(_scaled, lt, bt)
-
-        total += q_expectation(kernel, shape, F, x0)
+    batches = ((np.full((len(B), k), n), B) for B in product_batches(0, n, k - 1))
+    total = shape_sum(kernel, batches, F_cont, x0, scale=1.0 / n)
     return psi_x * total / float(n) ** k

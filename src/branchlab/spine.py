@@ -20,12 +20,14 @@ import math
 import numpy as np
 
 from .process import eigenpair
+from .trees import TreeShape
 
 __all__ = [
     "SpineKernel",
     "build_kernel",
     "elementary_symmetric",
     "delta_k",
+    "shape_sum",
     "q_expectation",
 ]
 
@@ -42,7 +44,7 @@ def elementary_symmetric(values, d):
 
 
 class SpineKernel:
-    """All spine quantities of (model, psi), plus power and table caches.
+    """All spine quantities of (model, psi), plus a matrix power cache.
 
     Attributes
     ----------
@@ -102,8 +104,6 @@ class SpineKernel:
         # biased one-step matrix: diag(lam) times the transition
         self.step = self.lam[:, None] * P
         self._pow = {True: [np.eye(nt)], False: [np.eye(nt)]}
-        self._blocks = {}
-        self._branch_points = {}
 
     def _chi_row(self, x, d):
         model = self.model
@@ -149,64 +149,6 @@ class SpineKernel:
         while len(powers) <= n:
             powers.append(powers[-1] @ base)
         return powers[n]
-
-    def block_table(self, l, b, biased=True):
-        """Assignment table of a block shape over all start types, cached.
-
-        A tuple of (leaf type labels, branch type labels, weights), the
-        weights a tuple of floats over start types.  Shapes summed by
-        q_expectation read the tables of the blocks above their lowest
-        meet, which have fewer leaves, so only those are kept.
-        """
-        key = (l, b, bool(biased))
-        table = self._blocks.get(key)
-        if table is None:
-            if len(l) == 1:
-                table = []
-                Mn = self.matrix_power(l[0], biased)
-                for y, x in enumerate(self.model.types):
-                    vec = Mn[:, y]
-                    if biased:
-                        vec = vec / self.psi[y]
-                    if np.any(vec):
-                        table.append(((x,), (), tuple(vec.tolist())))
-            else:
-                table = [
-                    (lt, bt, tuple(vec.tolist()))
-                    for (lt, bt), vec in _combine(self, l, b, biased).items()
-                ]
-            table = self._blocks[key] = tuple(table)
-        return table
-
-    def _branch_point(self, s, d, biased):
-        """Per branch type y, what a degree-d branch at height s adds, cached.
-
-        None where the branch is impossible, else (chi row items with
-        float weights, stem column into y over start types as an array
-        and as a list of floats).  The column carries, when biased, the
-        correction factor m_d / (d! psi) of the branch point.
-        """
-        key = (s, d, bool(biased))
-        cols = self._branch_points.get(key)
-        if cols is None:
-            Ms = self.matrix_power(s, biased)
-            chi_d = self.chi.get(d, [{}] * len(self.model.types))
-            cols = []
-            for y, row in enumerate(chi_d):
-                col = None
-                if row:
-                    coef = 1.0
-                    if biased:
-                        coef = self.m[d, y] / (math.factorial(d) * self.psi[y])
-                    if coef != 0.0:
-                        col = Ms[:, y] * coef
-                if col is None or not np.any(col):
-                    cols.append(None)
-                else:
-                    items = [(z, float(q)) for z, q in row.items()]
-                    cols.append((items, col, col.tolist()))
-            self._branch_points[key] = cols
-        return cols
 
     def to_json(self):
         """Dump every table for inspection; chi keys become type-label strings."""
@@ -279,66 +221,172 @@ def delta_k(kernel, marked_tree):
     return val
 
 
-def _blocks_at_minimum(b):
+def _pattern(b):
+    """Nested lowest-meet tie pattern of meet heights b: () for one leaf,
+    else the tuple of the patterns of the blocks above the lowest meet,
+    which are split at every meet equal to it.  It depends only on the
+    weak order of b."""
+    if not b:
+        return ()
     s = min(b)
-    blocks = []
-    start = 0
-    for j, bj in enumerate(b):
-        if bj == s:
-            blocks.append((start, j))
-            start = j + 1
-    blocks.append((start, len(b)))
-    return s, blocks
+    cuts = [j for j, bj in enumerate(b) if bj == s]
+    return tuple(
+        _pattern(b[a + 1 : c]) for a, c in zip([-1] + cuts, cuts + [len(b)])
+    )
 
 
-def _combine(kernel, l, b, biased, i0=None):
-    """Table of a shape with two or more leaves, split at its lowest meet.
+def _leaf_count(pattern):
+    return sum(map(_leaf_count, pattern)) if pattern else 1
 
-    Maps (leaf type labels, branch type labels) to the spine-tree
-    probability of seeing those types on the shape, multiplied (when
-    biased) by the full correction factor of the typed skeleton.  The
-    blocks above the lowest meet come from the kernel's block tables and
-    are combined at the branch point, mirroring the first-branch
-    decomposition of trees.  Values are vectors over start types, or the
-    floats at start type index i0 when it is given.
+
+def _pattern_groups(B):
+    """(pattern, row indices) for each distinct pattern of the rows of B.
+    Rows whose meets compare alike pair by pair share a pattern, so each
+    round takes the first row left and every row ordered like it."""
+    order = np.sign(B[:, :, None] - B[:, None, :])
+    groups = {}
+    left = np.ones(len(B), dtype=bool)
+    while left.any():
+        row = int(left.argmax())
+        alike = (order == order[row]).all(axis=(1, 2))
+        left &= ~alike
+        pattern = _pattern(tuple(B[row].tolist()))
+        groups[pattern] = groups.get(pattern, False) | alike
+    return [(pattern, np.flatnonzero(rows)) for pattern, rows in groups.items()]
+
+
+def _table(kernel, pattern, L, B, biased, powers, start):
+    """Typed keys and weights of N shapes sharing one tie pattern.
+
+    Returns (keys, W): keys lists every (leaf type indices, branch type
+    indices) the pattern admits, in the order q_expectation sums them,
+    and W[j] holds the spine-tree probability of keys[j] on each row,
+    times (when biased) the correction factor of the typed skeleton, as
+    an (N, X) array over the start types (X = n_types) or at start index
+    `start` (X = 1).  A multi-leaf shape is split at its lowest meet s:
+    the blocks above it are tables over start types, combined per branch
+    type y as q * w_1[z_1] * w_2[z_2] ... summed over the chi row in its
+    order, times the stem column Ms[:, y] m_d / (d! psi): the float
+    operations of a per-key scalar loop, vectorised over keys and rows.
+    Keys a row cannot have get weight zero.
     """
-    s, blocks = _blocks_at_minimum(b)
-    subtables = [
-        kernel.block_table(
-            tuple(x - s - 1 for x in l[a : c + 1]),
-            tuple(x - s - 1 for x in b[a:c]),
-            biased,
-        )
-        for a, c in blocks
-    ]
-    types = kernel.model.types
-    out = {}
-    for y, point in enumerate(kernel._branch_point(s, len(blocks), biased)):
-        if point is None:
+    nt = len(kernel.model.types)
+    at = slice(None) if start is None else slice(start, start + 1)
+    N = len(L)
+    if not pattern:
+        M = powers[L[:, 0]][:, at, :]
+        if biased:
+            M = M / kernel.psi
+        return [((y,), ()) for y in range(nt)], M.transpose(2, 0, 1)
+    sizes = [_leaf_count(p) for p in pattern]
+    s = B[:, sizes[0] - 1]
+    subs = []
+    a = 0
+    for p, size in zip(pattern, sizes):
+        c = a + size - 1
+        sub_l = L[:, a : c + 1] - s[:, None] - 1
+        sub_b = B[:, a:c] - s[:, None] - 1
+        subs.append(_table(kernel, p, sub_l, sub_b, biased, powers, None))
+        a = c + 1
+    d = len(pattern)
+    Ms = powers[s][:, at, :]
+    keys, W = [], []
+    for y, row in enumerate(kernel.chi.get(d, [{}] * nt)):
+        coef = 1.0
+        if biased and row:
+            coef = kernel.m[d, y] / (math.factorial(d) * kernel.psi[y])
+        if not row or coef == 0.0:
             continue
-        row, col, col_list = point
-        if i0 is not None:
-            col = col_list[i0]
-        at_y = (types[y],)
-        for combo in itertools.product(*subtables):
-            inner = 0.0
-            for z, q in row:
-                term = q
-                for (_, _, w), zi in zip(combo, z):
-                    term *= w[zi]
-                    if term == 0.0:
-                        break
-                inner += term
-            if inner == 0.0:
-                continue
-            lt, bt, _ = combo[0]
-            for lt_i, bt_i, _ in combo[1:]:
-                lt += lt_i
-                bt += at_y + bt_i
-            key = (lt, bt)
-            prev = out.get(key)
-            out[key] = col * inner if prev is None else prev + col * inner
+        inner = 0.0
+        for z, q in row.items():
+            term = float(q)
+            for j, ((_, Wj), zj) in enumerate(zip(subs, z)):
+                axes = [1] * d + [N]
+                axes[j] = len(Wj)
+                term = term * Wj[:, :, zj].reshape(axes)
+            inner = inner + term
+        W.append(inner.reshape(-1, N, 1) * (Ms[:, :, y] * coef))
+        for combo in itertools.product(*(ks for ks, _ in subs)):
+            lt, bt = combo[0]
+            for lt_j, bt_j in combo[1:]:
+                lt += lt_j
+                bt += (y,) + bt_j
+            keys.append((lt, bt))
+    if not keys:
+        return [], np.zeros((0, N, nt if start is None else 1))
+    return keys, np.concatenate(W)
+
+
+def _row_values(kernel, L, B, F, i0, biased, scale):
+    """q_expectation of every row's shape: per row, the sum over typed
+    keys in key order of w * F, skipping keys of weight zero.
+
+    F sees heights times `scale` (unscaled when None).  F.batched, when
+    present, is called once per leaf-type tuple on all rows of a pattern;
+    otherwise each row's TreeShape is built once and F called per key.
+    """
+    types = kernel.model.types
+    out = np.zeros(len(L))
+    # the heights F sees
+    Lf = L if scale is None else scale * L
+    Bf = B if scale is None else scale * B
+    powers = np.stack(
+        [kernel.matrix_power(h, biased) for h in range(int(L.max(initial=0)) + 1)]
+    )
+    batched = getattr(F, "batched", None)
+    for pattern, rows in _pattern_groups(B):
+        keys, W = _table(kernel, pattern, L[rows], B[rows], biased, powers, i0)
+        if not keys:
+            continue
+        W = W[:, :, 0]
+        live = W != 0.0
+        used = np.flatnonzero(live.any(axis=1)).tolist()
+        vals = np.zeros(W.shape)
+        if batched is not None:
+            by_lt = {}
+            for j in used:
+                by_lt.setdefault(keys[j][0], []).append(j)
+            for lt, js in by_lt.items():
+                vals[js] = batched(Lf[rows], Bf[rows], tuple(types[t] for t in lt))
+        else:
+            shapes = [
+                TreeShape(tuple(l), tuple(b))
+                for l, b in zip(Lf[rows].tolist(), Bf[rows].tolist())
+            ]
+            labels = {}
+            for j, r in zip(*(ix.tolist() for ix in np.nonzero(live))):
+                if j not in labels:
+                    labels[j] = [tuple(types[t] for t in part) for part in keys[j]]
+                vals[j, r] = F(shapes[r], *labels[j])
+        with np.errstate(invalid="ignore", over="ignore"):
+            terms = np.where(live, W * vals, 0.0)
+        # each row's terms added in key order; the + 0.0 makes the sum one
+        # started from 0.0, which no term turns into -0.0, so the zeros of
+        # skipped keys change no bit
+        out[rows] = terms.cumsum(axis=0)[-1] + 0.0
     return out
+
+
+def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None):
+    """Sum of q_expectation(kernel, shape, F, x0, with_bias) over shapes
+    given as batches of (N, k) integer leaf heights and (N, k-1) meet
+    heights, added from 0.0 in row order.
+
+    Every row of one tie pattern is evaluated in one numpy pass, with the
+    float operations and summation order of the per-shape scalar loop,
+    so the total has its bits.  F is called as F(shape, lt, bt) with
+    heights multiplied by `scale` when one is given.  If F has an
+    attribute batched(L, B, lt), it is called instead once per leaf-type
+    tuple on all rows of a tie pattern; it must ignore branch types and
+    return the N values F gives row by row, with the same bits.
+    """
+    i0 = kernel.model.index[x0]
+    total = 0.0
+    for L, B in batches:
+        if len(L):
+            for v in _row_values(kernel, L, B, F, i0, with_bias, scale).tolist():
+                total += v
+    return total
 
 
 def q_expectation(kernel, shape, F, x0, with_bias=True):
@@ -349,20 +397,10 @@ def q_expectation(kernel, shape, F, x0, with_bias=True):
     i+1.  With with_bias=True each term also carries the correction factor
     of the typed skeleton, so that psi(x0) times the result summed over
     shapes gives the k-point moment.  Shapes whose branch degrees the
-    model cannot produce contribute zero.
+    model cannot produce contribute zero.  The one-row case of shape_sum.
     """
     if not shape.is_discrete:
         raise ValueError("spine expectations need an integer shape")
-    i0 = kernel.model.index[x0]
-    l, b = shape.leaf_heights, shape.branch_heights
-    if len(l) == 1:
-        table = {
-            (lt, bt): w[i0] for lt, bt, w in kernel.block_table(l, b, with_bias)
-        }
-    else:
-        table = _combine(kernel, l, b, with_bias, i0)
-    total = 0.0
-    for (lt, bt), w in table.items():
-        if w != 0.0:
-            total += w * F(shape, lt, bt)
-    return total
+    L = np.array([shape.leaf_heights], dtype=int)
+    B = np.array([shape.branch_heights], dtype=int).reshape(1, -1)
+    return shape_sum(kernel, [(L, B)], F, x0, with_bias)

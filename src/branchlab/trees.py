@@ -31,6 +31,8 @@ __all__ = [
     "subtree_spanned",
     "meet_distances",
     "distance_matrix",
+    "product_batches",
+    "shape_batches",
     "enumerate_shapes",
     "count_shapes",
     "count_deficient_tuples",
@@ -315,25 +317,62 @@ def distance_matrix(shape):
     return meet_distances((0,) + shape.leaf_heights, (0,) + shape.branch_heights)
 
 
-def enumerate_shapes(k, R):
-    """All integer k-leaf shapes with every leaf height <= R, in order.
+# rows per batch of shape_batches: bounds the memory of the batched shape
+# sum, whose largest table holds n_types^(2k-1) floats per row
+SHAPE_BATCH_ROWS = 2048
 
-    For k = 1 the heights 0..R each give one shape.  For k >= 2 every leaf
-    height ranges over 1..R and each meet height over 0..min-1, so the
-    total count is sum over l of prod_i min(l[i], l[i+1]).
+
+def product_batches(lo, hi, width, rows=SHAPE_BATCH_ROWS):
+    """itertools.product(range(lo, hi), repeat=width) as int arrays of
+    shape (N, width), in order, in batches of at most `rows` rows."""
+    base = hi - lo
+    total = base**width if base > 0 else int(width == 0)
+    powers = base ** np.arange(width - 1, -1, -1)
+    for start in range(0, total, rows):
+        t = np.arange(start, min(start + rows, total))
+        yield lo + (t[:, None] // powers) % base
+
+
+def shape_batches(k, R):
+    """The shapes of enumerate_shapes(k, R), in its order, as int arrays of
+    leaf heights (N, k) and meet heights (N, k-1), in batches of at most
+    max(SHAPE_BATCH_ROWS, R^(k-1)) rows.
+
+    Each batch takes whole leaf-height rows, expanding meet position i
+    over range(min(l[i], l[i+1])) for i = 0, 1, ..., which keeps the
+    product order of the meets within each leaf-height row.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if R < 0:
         raise ValueError("R must be nonnegative")
+    rows = SHAPE_BATCH_ROWS
     if k == 1:
-        for l0 in range(R + 1):
-            yield TreeShape((l0,), ())
+        for L in product_batches(0, R + 1, 1, rows):
+            yield L, np.zeros((len(L), 0), dtype=int)
         return
-    for l in itertools.product(range(1, R + 1), repeat=k):
-        ranges = [range(min(l[i], l[i + 1])) for i in range(k - 1)]
-        for b in itertools.product(*ranges):
-            yield TreeShape(l, b)
+    # one leaf-height row has at most R^(k-1) meet rows
+    for L in product_batches(1, R + 1, k, max(1, rows // max(1, R ** (k - 1)))):
+        B = np.zeros((len(L), 0), dtype=int)
+        for i in range(k - 1):
+            m = np.minimum(L[:, i], L[:, i + 1])
+            at = np.repeat(np.arange(len(L)), m)
+            b = np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m)
+            L, B = L[at], np.column_stack([B[at], b])
+        yield L, B
+
+
+def enumerate_shapes(k, R):
+    """All integer k-leaf shapes with every leaf height <= R, in order.
+
+    For k = 1 the heights 0..R each give one shape.  For k >= 2 every leaf
+    height ranges over 1..R and each meet height over 0..min-1, so the
+    total count is sum over l of prod_i min(l[i], l[i+1]).  The rows of
+    shape_batches(k, R).
+    """
+    for L, B in shape_batches(k, R):
+        for l, b in zip(L.tolist(), B.tolist()):
+            yield TreeShape(tuple(l), tuple(b))
 
 
 def count_shapes(k, R):

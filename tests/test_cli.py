@@ -341,6 +341,18 @@ class TestVerify:
         _, rows = read_csv_rows_from_text(out)
         assert all(r["status"] == "FAIL" for r in rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["binary", "two_type"])
+    def test_golden_bytes(self, capsys, name, fmt):
+        # recorded before the shape sums went through one numpy pass per
+        # tie pattern
+        rc, out, _ = run(
+            capsys, "verify-m2f", "--config", f"{CONFIG_DIR}/verify_{name}.json", "--format", fmt
+        )
+        assert rc == 0
+        want = (GOLDEN_DIR / f"verify_{name}.{fmt}").read_text()
+        assert mask_git(out) == mask_git(want)
+
 
 class TestMoments:
     def test_routes_agree_and_repeat_runs_match(self, capsys, tmp_path):
@@ -465,6 +477,28 @@ class TestConvergence:
         assert rc == 1 and out == ""
         # one line: rejected before eigenpair, so no criticality warning
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "raw, prefix, message",
+        [
+            ("true", "config error:", "config key 'R' must be a number"),
+            ("null", "config error:", "config key 'R' must be a number"),
+            ('"abc"', "config error:", "config key 'R' must be a number"),
+            ("Infinity", "error:", "R must be a finite nonnegative number, got inf"),
+            ("NaN", "error:", "R must be a finite nonnegative number, got nan"),
+            ("-0.5", "error:", "R must be a finite nonnegative number, got -0.5"),
+        ],
+    )
+    def test_bad_R_exits_1(self, capsys, tmp_path, raw, prefix, message):
+        # the subcritical model would warn at eigenpair: R is checked before
+        cfg = json.loads((Path(CONFIG_DIR) / "convergence_subcritical.json").read_text())
+        cfg["model"] = str(Path(CONFIG_DIR, cfg["model"]).resolve())
+        text = json.dumps({**cfg, "R": "<R>"}).replace('"<R>"', raw)
+        path = tmp_path / "conv.json"
+        path.write_text(text)
+        rc, out, err = run(capsys, "convergence", "--config", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith(f"{prefix} {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", ["binary_k2", "subcritical", "sym_ultra"])

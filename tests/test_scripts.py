@@ -54,6 +54,10 @@ def test_convergence_study(tmp_path, capsys, model, argv):
         (["--k", "0"], "k must be at least 1"),
         (["--n0", "0"], "n must be at least 1"),
         (["--weights", "a=x"], "could not convert string to float"),
+        (["--R", "inf"], "R must be a finite nonnegative number, got inf"),
+        (["--R", "-1"], "R must be a finite nonnegative number, got -1.0"),
+        (["--levels", "0"], "levels must be at least 1, got 0"),
+        (["--levels", "-3"], "levels must be at least 1, got -3"),
     ],
 )
 def test_convergence_study_bad_input(capsys, argv, message):

@@ -1,13 +1,16 @@
 """Weighted spine chain: moments m_d, branch-type laws, skeleton weights."""
 
+import functools
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from branchlab import moments
+from branchlab.cli import build_functional
 from branchlab.process import Model, eigenpair, sigma_squared, MarkedTree
 from branchlab.spine import (
     SpineKernel,
@@ -16,7 +19,7 @@ from branchlab.spine import (
     elementary_symmetric,
     q_expectation,
 )
-from branchlab.trees import PlanarTree, TreeShape, enumerate_shapes
+from branchlab.trees import PlanarTree, TreeShape
 
 from conftest import (
     make_asymmetric,
@@ -206,9 +209,23 @@ class TestSpineExpectation:
             )
 
 
-# The uncached shape tables as first written: every block table is rebuilt
-# for every shape, as vectors over start types.  Kept as the reference the
-# cached tables must reproduce in key order and float bits.
+# The shape tables and per-shape loops as first written: every block table
+# is built from its sub-blocks as a dict of vectors over start types, and
+# each moment sums q_expectation shape by shape in the order of the nested
+# itertools enumeration.  Kept as the reference the batched shape sum must
+# reproduce in key order, row order and float bits.  Tables are memoized
+# per (kernel, shape, bias flag) only to keep the suite fast.
+
+
+def reference_shapes(k, R):
+    if k == 1:
+        for l0 in range(R + 1):
+            yield TreeShape((l0,), ())
+        return
+    for l in itertools.product(range(1, R + 1), repeat=k):
+        ranges = [range(min(l[i], l[i + 1])) for i in range(k - 1)]
+        for b in itertools.product(*ranges):
+            yield TreeShape(l, b)
 
 
 def _reference_blocks_at_minimum(b):
@@ -223,6 +240,7 @@ def _reference_blocks_at_minimum(b):
     return s, blocks
 
 
+@functools.lru_cache(maxsize=None)
 def reference_assignment_table(kernel, l, b, biased):
     nt = len(kernel.model.types)
     if len(l) == 1:
@@ -301,15 +319,18 @@ def reference_q_expectation(kernel, shape, F, x0, with_bias=True):
     return total
 
 
+def reference_m2f(kernel, k, F, R, x0):
+    total = 0.0
+    for shape in reference_shapes(k, R):
+        total += reference_q_expectation(kernel, shape, F, x0)
+    return float(kernel.psi[kernel.model.index[x0]]) * total
+
+
 def reference_rescaled(kernel, k, F_cont, n, x0):
     def F(shape, lt, bt):
         return F_cont(shape.scale(1.0 / n), lt, bt)
 
-    total = 0.0
-    for shape in enumerate_shapes(k, n):
-        total += reference_q_expectation(kernel, shape, F, x0)
-    psi_x = float(kernel.psi[kernel.model.index[x0]])
-    return psi_x * total / float(n) ** (2 * k)
+    return reference_m2f(kernel, k, F, n, x0) / float(n) ** (2 * k)
 
 
 def reference_ultrametric(kernel, k, F_cont, n, x0):
@@ -336,18 +357,19 @@ def rough_functional(shape, lt, bt):
     return v
 
 
-class TestCachedTablesMatchReference:
+class TestBatchedTablesMatchReference:
     @pytest.mark.parametrize(
         "make", [make_binary, make_symmetric, make_asymmetric, make_subcritical]
     )
     def test_every_small_shape_bit_for_bit(self, make):
         model = make()
         # one kernel for every shape, bias flag and start type, so that a
-        # cache keyed too coarsely would hand one of them another's table
+        # power cache keyed too coarsely would hand one of them another's
+        # matrices
         ker = build_kernel(model, (0.75, 1.5)[: len(model.types)])
         compared = 0
         for k in range(1, 5):
-            for shape in enumerate_shapes(k, 4):
+            for shape in reference_shapes(k, 4):
                 for with_bias in (True, False):
                     for x0 in model.types:
                         got = q_expectation(
@@ -377,3 +399,118 @@ class TestCachedTablesMatchReference:
                     )
                     want = reference_ultrametric(ker, k, rough_functional, n, x0)
                     assert got.hex() == want.hex(), ("ultrametric", x0, k, n)
+
+
+def quiet_kernel(model, psi):
+    # the subcritical model warns at every harmonic kernel build
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_kernel(model, psi)
+
+
+def named_functionals(model):
+    """Every named functional of the CLI with weights off, on, and with a
+    negative weight: (label, F, smallest k)."""
+    weights = [None, {x: 0.75 + 0.5 * i for i, x in enumerate(model.types)}]
+    weights.append({x: -1.25 + 2.0 * i for i, x in enumerate(model.types)})
+    out = []
+    for w in weights:
+        for spec, k_min in (
+            ({"name": "count"}, 1),
+            ({"name": "height_indicator", "r": 0.75}, 1),
+            ({"name": "pair_indicator", "r": 0.6}, 2),
+        ):
+            spec = dict(spec, **({} if w is None else {"weights": w}))
+            F = build_functional(spec, model)
+            assert callable(F.batched)
+            out.append((f"{spec}", F, k_min))
+    return out
+
+
+def nan_where_weightless(shape, lt, bt):
+    """NaN on asymmetric-model keys of weight zero: two leaves of type B
+    one step above their meet, which no branch point produces; elsewhere
+    a value depending on heights and leaf types."""
+    (l0, l1), (b0,) = shape.leaf_heights, shape.branch_heights
+    if lt == ("B", "B") and l0 == l1 == b0 + 1:
+        return math.nan
+    return 1.0 + 0.1 * l0 - 0.2 * l1 + 0.05 * b0 + (lt[0] == "A")
+
+
+def _nan_where_weightless_batched(L, B, lt):
+    out = 1.0 + 0.1 * L[:, 0] - 0.2 * L[:, 1] + 0.05 * B[:, 0] + (lt[0] == "A")
+    if lt == ("B", "B"):
+        tip = (L[:, 0] == L[:, 1]) & (L[:, 0] == B[:, 0] + 1)
+        out = np.where(tip, math.nan, out)
+    return out
+
+
+class TestShapeSumMatchesPerShapeLoops:
+    """moment_m2f, rescaled_moment and ultrametric_moment against the
+    per-shape loops they replaced, in float hex: named functionals through
+    their batched form, plain callables through the per-key adapter."""
+
+    MODELS = [make_binary, make_symmetric, make_asymmetric, make_subcritical]
+
+    @staticmethod
+    def compare(model, F, ks):
+        ker = quiet_kernel(model, "harmonic")
+        kernels = {psi: quiet_kernel(model, psi) for psi in ("unit", "harmonic")}
+        for x0 in model.types:
+            for k in ks:
+                for n in {1: (1, 6), 2: (1, 5), 3: (1, 3)}[k]:
+                    got = moments.rescaled_moment(model, k, F, n, x0, kernel=ker)
+                    want = reference_rescaled(ker, k, F, n, x0)
+                    assert got.hex() == want.hex(), ("rescaled", x0, k, n)
+                for n in {1: (1, 5), 2: (1, 7), 3: (1, 4)}[k]:
+                    got = moments.ultrametric_moment(model, k, F, n, x0, kernel=ker)
+                    want = reference_ultrametric(ker, k, F, n, x0)
+                    assert got.hex() == want.hex(), ("ultrametric", x0, k, n)
+                for psi, kern in kernels.items():
+                    q = moments.MomentQuery(k=k, x0=x0, F=F, R=3, psi=psi)
+                    got = moments.moment_m2f(model, q, kernel=kern)
+                    want = reference_m2f(kern, k, F, 3, x0)
+                    assert got.hex() == want.hex(), ("m2f", psi, x0, k)
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_named_functionals(self, make):
+        model = make()
+        for label, F, k_min in named_functionals(model):
+            try:
+                self.compare(model, F, range(k_min, 4))
+            except AssertionError as e:
+                raise AssertionError(f"{label}: {e}") from None
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_plain_callable_reading_branch_types(self, make):
+        assert not hasattr(rough_functional, "batched")
+        self.compare(make(), rough_functional, (1, 2, 3))
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_branch_functional(self, make):
+        model = make()
+        top = model.types[0]
+        leaf = moments.PathFunctional(lambda h, x: 1.5 - 0.25 * h + (x == top))
+        stem = lambda s, y: 0.5 + 0.125 * s * (1 + (y == top))
+        pair = moments.BranchFunctional(stem, (leaf, leaf))
+        for func in (pair, moments.BranchFunctional(stem, (leaf, pair))):
+            F = moments.as_functional(func)
+            kern = quiet_kernel(model, "unit")
+            for x0 in model.types:
+                q = moments.MomentQuery(k=func.k, x0=x0, F=F, R=4)
+                got = moments.moment_m2f(model, q, kernel=kern)
+                assert got.hex() == reference_m2f(kern, func.k, F, 4, x0).hex()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_weightless_keys_are_skipped(self, asymmetric, batched):
+        F = lambda shape, lt, bt: nan_where_weightless(shape, lt, bt)
+        if batched:
+            F.batched = _nan_where_weightless_batched
+        for psi in ("unit", "harmonic"):
+            kern = build_kernel(asymmetric, psi)
+            for x0 in asymmetric.types:
+                q = moments.MomentQuery(k=2, x0=x0, F=F, R=4, psi=psi)
+                got = moments.moment_m2f(asymmetric, q, kernel=kern)
+                want = reference_m2f(kern, 2, F, 4, x0)
+                assert not math.isnan(want)
+                assert got.hex() == want.hex(), (psi, x0)

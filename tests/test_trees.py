@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from branchlab import trees
 from branchlab.trees import (
     PlanarTree,
     TreeShape,
@@ -23,6 +24,8 @@ from branchlab.trees import (
     is_ancestor,
     meet,
     meet_distances,
+    product_batches,
+    shape_batches,
     subtree_spanned,
     tree_from_string,
     tree_to_string,
@@ -134,6 +137,40 @@ class TestHeightEncoding:
         for k in (1, 2, 3):
             for R in (0, 1, 2, 3, 4):
                 assert sum(1 for _ in enumerate_shapes(k, R)) == count_shapes(k, R)
+
+    @pytest.mark.parametrize("rows", [1, 7, 2048])
+    def test_batches_follow_the_nested_product_order(self, monkeypatch, rows):
+        # leaf heights in product order, then each leaf row's meets in
+        # product order, whatever the batch size
+        monkeypatch.setattr(trees, "SHAPE_BATCH_ROWS", rows)
+        for k in (1, 2, 3, 4):
+            for R in (0, 1, 2, 3, 5):
+                if k == 1:
+                    want = [((l0,), ()) for l0 in range(R + 1)]
+                else:
+                    want = [
+                        (l, b)
+                        for l in itertools.product(range(1, R + 1), repeat=k)
+                        for b in itertools.product(
+                            *[range(min(l[i], l[i + 1])) for i in range(k - 1)]
+                        )
+                    ]
+                batches = list(shape_batches(k, R))
+                assert all(len(L) <= max(rows, R ** (k - 1)) for L, _ in batches)
+                got = [
+                    (tuple(l), tuple(b))
+                    for L, B in batches
+                    for l, b in zip(L.tolist(), B.tolist())
+                ]
+                assert got == want, (k, R)
+                shapes = [(s.leaf_heights, s.branch_heights) for s in enumerate_shapes(k, R)]
+                assert shapes == want
+
+    def test_product_batches(self):
+        for width in (0, 1, 2, 3):
+            for n in (0, 1, 3):
+                got = [tuple(r) for A in product_batches(2, 2 + n, width, 4) for r in A.tolist()]
+                assert got == list(itertools.product(range(2, 2 + n), repeat=width))
 
     def test_enumeration_has_no_duplicates(self):
         seen = set(enumerate_shapes(3, 3))
