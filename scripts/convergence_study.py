@@ -3,8 +3,9 @@
 Runs the finite-size moment at n0, 2 n0, 4 n0, ... and prints the
 relative error at each level together with the observed convergence
 order between consecutive levels.  Both columns are deterministic: the
-finite-size value is an exact recursion and the limit is a midpoint-rule
-shape integral, so rerunning the study reproduces every digit.
+finite-size value is an exact spine shape sum and the limit is a
+midpoint-rule shape integral, so rerunning the study reproduces every
+digit.
 
 Example:
     python scripts/convergence_study.py --model configs/binary_gw.json \

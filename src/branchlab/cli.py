@@ -14,6 +14,7 @@ failures (an identity or statistical check did not hold).
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -95,13 +96,26 @@ def _is_number(v):
 
 
 def _cfg_float(cfg, key, default=None):
-    """cfg[key] as a float, or default when the key is absent; anything but
-    a number (a string, true, null) is a ConfigError naming the key."""
-    if key not in cfg:
-        return default
-    if not _is_number(cfg[key]):
-        raise ConfigError(f"config key {key!r} must be a number, got {cfg[key]!r}")
-    return float(cfg[key])
+    """cfg[key] (or default) as a float; a missing key without default, or
+    anything but a number (a string, true, null), is a ConfigError naming
+    the key."""
+    if key not in cfg and default is None:
+        raise ConfigError(f"missing config key {key!r}")
+    value = cfg.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _cfg_x0(cfg, model, default=None):
+    """cfg["x0"] (or default), a ConfigError naming x0 unless it is one of
+    the model's types."""
+    x0 = cfg.get("x0", default)
+    if x0 not in model.types:
+        raise ConfigError(
+            f"config key 'x0' must be one of the model types {list(model.types)}, got {x0!r}"
+        )
+    return x0
 
 
 def _cfg_marks(cfg):
@@ -139,6 +153,7 @@ def _load_model(cfg, config_path):
     return process.Model.from_file(model_path)
 
 
+@functools.cache
 def _git_describe():
     try:
         out = subprocess.run(
@@ -241,6 +256,10 @@ def _leaf_weights(spec, model):
     weights = spec.get("weights")
     if weights is None:
         return None
+    if not isinstance(weights, dict) or not all(map(_is_number, weights.values())):
+        raise ConfigError(
+            f"functional key 'weights' must map types to numbers, got {weights!r}"
+        )
     unknown = set(weights) - set(model.types)
     if unknown:
         raise ConfigError(f"functional weights for unknown types: {sorted(unknown)}")
@@ -283,12 +302,12 @@ def build_functional(spec, model, k=None):
         F.batched = lambda L, B, lt: np.full(len(L), wprod(lt))
         return F
     if name == "height_indicator":
-        r = float(spec["r"])
+        r = _cfg_float(spec, "r")
         F = lambda shape, lt, bt: wprod(lt) if shape.height <= r else 0.0
         F.batched = lambda L, B, lt: np.where(L.max(axis=1) <= r, wprod(lt), 0.0)
         return F
     if name == "pair_indicator":
-        r = float(spec["r"])
+        r = _cfg_float(spec, "r")
 
         def F(shape, lt, bt):
             if shape.k < 2:
@@ -327,7 +346,7 @@ def build_phi(spec, k):
     if name == "pair_indicator":
         if k < 2:
             raise ConfigError("pair_indicator needs k >= 2")
-        r = float(spec["r"])
+        r = _cfg_float(spec, "r")
         return lambda D, marks: 1.0 if D[1, 2] <= r else 0.0
     raise ConfigError(f"unknown phi {name!r}")
 
@@ -336,7 +355,7 @@ def cmd_model_check(args):
     cfg, sha = _load_config(args.config, required=("model",), optional=("tol",))
     model = _load_model(cfg, args.config)
     meta = _meta(args.seed, sha)
-    tol = float(cfg.get("tol", 1e-9))
+    tol = _cfg_float(cfg, "tol", 1e-9)
     try:
         with _warnings_to_stderr():
             eig = process.eigenpair(model)
@@ -387,11 +406,11 @@ def cmd_verify_m2f(args):
         optional=("x0", "ks", "Rs", "psis", "functional", "cap", "tol"),
     )
     model = _load_model(cfg, args.config)
-    x0 = cfg.get("x0", model.types[0])
+    x0 = _cfg_x0(cfg, model, model.types[0])
     ks = _cfg_int(cfg, "ks", [1, 2, 3], many=True)
     Rs = _cfg_int(cfg, "Rs", [1, 2, 3], many=True)
     psis = cfg.get("psis", ["unit", "harmonic"])
-    tol = float(cfg.get("tol", 1e-9))
+    tol = _cfg_float(cfg, "tol", 1e-9)
     cap = _cfg_int(cfg, "cap", 200_000)
     F = build_functional(
         cfg.get("functional", {"name": "count"}), model, k=min(ks, default=None)
@@ -440,7 +459,7 @@ def cmd_moments(args):
         optional=("psi", "functional", "route", "cap"),
     )
     model = _load_model(cfg, args.config)
-    x0 = cfg["x0"]
+    x0 = _cfg_x0(cfg, model)
     k = _cfg_int(cfg, "k")
     R = _cfg_int(cfg, "R")
     cap = _cfg_int(cfg, "cap", 200_000)
@@ -488,6 +507,7 @@ def cmd_convergence(args):
         optional=("mode", "R", "functional", "kolmogorov_ns", "grid_step"),
     )
     model = _load_model(cfg, args.config)
+    x0 = _cfg_x0(cfg, model)
     k = _cfg_int(cfg, "k")
     n_values = _cfg_int(cfg, "n_values", many=True)
     kolmogorov_ns = tuple(_cfg_int(cfg, "kolmogorov_ns", (), many=True))
@@ -500,10 +520,10 @@ def cmd_convergence(args):
             k,
             F,
             n_values,
-            cfg["x0"],
+            x0,
             R=_cfg_float(cfg, "R", 1.0),
             mode=cfg.get("mode", "rescaled"),
-            grid_step=_cfg_float(cfg, "grid_step"),
+            grid_step=_cfg_float(cfg, "grid_step") if "grid_step" in cfg else None,
             kolmogorov_ns=kolmogorov_ns,
         )
     meta = _meta(args.seed, sha)
@@ -533,10 +553,11 @@ def cmd_survival(args):
         args.config, required=("model", "n_values"), optional=("x0",)
     )
     model = _load_model(cfg, args.config)
+    x0 = _cfg_x0(cfg, model) if cfg.get("x0") is not None else None
     n_values = _cfg_int(cfg, "n_values", many=True)
     with _warnings_to_stderr():
         critical = process.is_critical(process.eigenpair(model))
-        rows = limits.kolmogorov_rows(model, n_values, cfg.get("x0"), critical)
+        rows = limits.kolmogorov_rows(model, n_values, x0, critical)
     meta = _meta(args.seed, sha)
     if args.format == "json":
         _write_out(args, _json_text(meta, {"critical": critical, "rows": rows}))
@@ -552,16 +573,16 @@ def cmd_cpp(args):
         optional=("sigma_sq", "phi", "n_samples", "eps", "n_inner", "marks", "grid_step", "z_max"),
     )
     k = _cfg_count(cfg, "k", 1)
-    sigma_sq = float(cfg.get("sigma_sq", 1.0))
+    sigma_sq = _cfg_float(cfg, "sigma_sq", 1.0)
     phi = build_phi(cfg.get("phi", {"name": "ones"}), k)
     query = limits.LimitQuery(
         k=k, phi=phi, sigma_sq=sigma_sq, mark_probs=_cfg_marks(cfg)
     )
     # the stderr needs two samples
     n_samples = _cfg_count(cfg, "n_samples", 2, 100_000)
-    eps = float(cfg.get("eps", 1e-3))
+    eps = _cfg_float(cfg, "eps", 1e-3)
     n_inner = _cfg_count(cfg, "n_inner", 1, 8)
-    z_max = float(cfg.get("z_max", 3.0))
+    z_max = _cfg_float(cfg, "z_max", 3.0)
     formula = limits.cpp_moment(query, grid_step=_cfg_float(cfg, "grid_step", 1e-3))
     # samples are drawn in fixed blocks, each from its own spawned seed
     seeds = np.random.SeedSequence(args.seed).spawn(_MC_BLOCKS)

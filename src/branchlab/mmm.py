@@ -9,8 +9,6 @@ never contribute, so a space can be restricted by zeroing masses while
 its points and distances stay as they are.
 """
 
-import json
-
 import numpy as np
 
 from .trees import meet, meet_distances
@@ -95,25 +93,6 @@ class FiniteMmmSpace:
     def support(self):
         """Indices of points with positive mass."""
         return np.flatnonzero(self.mass > 0)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "points": self.points,
-                "root": self.root,
-                "dist": [float(v) for v in self.dist.reshape(-1)],
-                "mass": [float(v) for v in self.mass],
-                "mark": self.mark,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        n = len(data["points"])
-        dist = np.array(data["dist"], dtype=float).reshape(n, n)
-        return cls(data["points"], data["root"], dist, data["mass"], data["mark"])
 
 
 def _word_distances(words):

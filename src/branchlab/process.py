@@ -29,8 +29,6 @@ __all__ = [
     "eigenpair",
     "is_critical",
     "sigma_squared",
-    "extinction_by",
-    "survival_probability",
     "kolmogorov_profile",
 ]
 
@@ -354,16 +352,6 @@ def _extinction_curve(model, n_values):
         if n in want:
             out[n] = dict(s)
     return out
-
-
-def extinction_by(model, x0, n):
-    """P(population starting from one x0 is gone by generation n)."""
-    return _extinction_curve(model, [n])[n][x0]
-
-
-def survival_probability(model, x0, n):
-    """P(generation n is nonempty starting from one x0)."""
-    return 1.0 - extinction_by(model, x0, n)
 
 
 def kolmogorov_profile(model, n_values, x0=None):

@@ -14,7 +14,6 @@ expectations into genuine k-point moments of the population.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "SpineKernel",
     "build_kernel",
     "elementary_symmetric",
-    "delta_k",
     "shape_sum",
     "q_expectation",
 ]
@@ -54,9 +52,9 @@ class SpineKernel:
     lam : array; the one-step spine weight m[1] / psi.
     transition : stochastic matrix of the spine chain (rows with m[1] = 0
         are zero).
-    chi : dict d -> list over types of {type index tuple: probability};
-        the joint subtree-root-type law at a degree-d branch point.  Rows
-        with m[d] = 0 are empty.
+    chi : dict d >= 2 -> list over types of {type index tuple:
+        probability}; the joint subtree-root-type law at a degree-d branch
+        point.  Rows with m[d] = 0 are empty.
     """
 
     def __init__(self, model, psi_values):
@@ -96,11 +94,6 @@ class SpineKernel:
             d: [self._chi_row(x, d) for x in model.types]
             for d in range(2, dmax + 1)
         }
-        if dmax >= 1:
-            self.chi[1] = [
-                {(j,): P[i, j] for j in range(nt) if P[i, j] > 0}
-                for i in range(nt)
-            ]
         # biased one-step matrix: diag(lam) times the transition
         self.step = self.lam[:, None] * P
         self._pow = {True: [np.eye(nt)], False: [np.eye(nt)]}
@@ -150,28 +143,6 @@ class SpineKernel:
             powers.append(powers[-1] @ base)
         return powers[n]
 
-    def to_json(self):
-        """Dump every table for inspection; chi keys become type-label strings."""
-        types = self.model.types
-        data = {
-            "types": list(types),
-            "psi": self.psi.tolist(),
-            "m": self.m.tolist(),
-            "lam": self.lam.tolist(),
-            "transition": self.transition.tolist(),
-            "chi": {
-                str(d): {
-                    x: {
-                        ",".join(types[t] for t in z): w
-                        for z, w in rows[i].items()
-                    }
-                    for i, x in enumerate(types)
-                }
-                for d, rows in sorted(self.chi.items())
-            },
-        }
-        return json.dumps(data, indent=2)
-
 
 def build_kernel(model, psi="unit"):
     """SpineKernel for a named or explicit weight.
@@ -192,33 +163,6 @@ def build_kernel(model, psi="unit"):
     else:
         vals = np.asarray(psi, dtype=float)
     return SpineKernel(model, vals)
-
-
-def delta_k(kernel, marked_tree):
-    """Correction factor attached to a typed skeleton tree.
-
-    Product over all vertices of lambda, times m_d / (d! psi lambda) at
-    each branch point and 1 / (psi lambda) at each leaf.  Defined only
-    when lambda is positive on every vertex type present.
-    """
-    model = kernel.model
-    tree = marked_tree.tree
-    marks = marked_tree.marks
-    val = 1.0
-    for v in tree.vertices:
-        i = model.index[marks[v]]
-        lam = kernel.lam[i]
-        if lam <= 0:
-            raise ValueError(
-                f"type {marks[v]!r} has zero spine weight; the factor is undefined"
-            )
-        val *= lam
-        d = tree.degrees[v]
-        if d >= 2:
-            val *= kernel.m[d, i] / (math.factorial(d) * kernel.psi[i] * lam)
-        elif d == 0:
-            val *= 1.0 / (kernel.psi[i] * lam)
-    return val
 
 
 def _pattern(b):

@@ -14,7 +14,6 @@ and the correspondence is a bijection.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,6 @@ __all__ = [
     "is_ancestor",
     "decode_heights",
     "encode_heights",
-    "decompose_first_branch",
-    "compose_first_branch",
-    "subtree_spanned",
     "meet_distances",
     "distance_matrix",
     "product_batches",
@@ -38,7 +34,6 @@ __all__ = [
     "count_deficient_tuples",
     "generate_trees",
     "tree_to_string",
-    "tree_from_string",
 ]
 
 
@@ -60,7 +55,7 @@ def is_ancestor(v, w):
 class PlanarTree:
     """A rooted planar tree given by a prefix-closed map vertex -> out-degree."""
 
-    __slots__ = ("degrees", "vertices", "leaves", "branch_points")
+    __slots__ = ("degrees", "vertices", "leaves")
 
     def __init__(self, degrees):
         if not degrees:
@@ -84,7 +79,6 @@ class PlanarTree:
         self.degrees = degrees
         self.vertices = sorted(degrees)
         self.leaves = [v for v in self.vertices if degrees[v] == 0]
-        self.branch_points = [v for v in self.vertices if degrees[v] >= 2]
 
     @property
     def size(self):
@@ -93,9 +87,6 @@ class PlanarTree:
     @property
     def height(self):
         return max(len(v) for v in self.degrees)
-
-    def __contains__(self, v):
-        return tuple(v) in self.degrees
 
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and self.degrees == other.degrees
@@ -161,16 +152,6 @@ class TreeShape:
             tuple(a * x for x in self.branch_heights),
         )
 
-    def to_json(self):
-        return json.dumps(
-            {"l": list(self.leaf_heights), "b": list(self.branch_heights)}
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(tuple(data["l"]), tuple(data["b"]))
-
 
 def encode_heights(tree):
     """TreeShape of a planar tree: leaf heights and consecutive meets."""
@@ -206,90 +187,6 @@ def decode_heights(shape):
         degrees[cur] = 0
         leaf = cur
     return PlanarTree(degrees)
-
-
-def decompose_first_branch(tree):
-    """Split a multi-leaf tree at the meet of all its leaves.
-
-    Returns (stem_length, blocks, subtrees): the height of the meet w, the
-    partition of leaf positions (0-based, consecutive) by the child of w
-    they sit under, and the list of subtrees hanging off w, re-rooted at
-    its children.  The meet has out-degree >= 2, so there are >= 2 blocks.
-    """
-    leaves = tree.leaves
-    if len(leaves) < 2:
-        raise ValueError("decomposition needs at least two leaves")
-    w = leaves[0]
-    for v in leaves[1:]:
-        w = meet(w, v)
-    d = tree.degrees[w]
-    if d < 2:
-        raise ValueError(f"the meet of all leaves has out-degree {d}, not >= 2")
-    subtrees = []
-    for i in range(1, d + 1):
-        prefix = w + (i,)
-        sub = {
-            v[len(prefix):]: deg
-            for v, deg in tree.degrees.items()
-            if v[: len(prefix)] == prefix
-        }
-        subtrees.append(PlanarTree(sub))
-    blocks = []
-    at = 0
-    for sub in subtrees:
-        size = len(sub.leaves)
-        blocks.append(list(range(at, at + size)))
-        at += size
-    return len(w), blocks, subtrees
-
-
-def compose_first_branch(stem_length, subtrees):
-    """Inverse of decompose_first_branch.
-
-    Grafts the given subtrees (>= 2 of them) onto the top of a path with
-    `stem_length` edges.
-    """
-    if len(subtrees) < 2:
-        raise ValueError("need at least two subtrees")
-    degrees = {}
-    for j in range(stem_length):
-        degrees[(1,) * j] = 1
-    w = (1,) * stem_length
-    degrees[w] = len(subtrees)
-    for i, sub in enumerate(subtrees, start=1):
-        for v, deg in sub.degrees.items():
-            degrees[w + (i,) + v] = deg
-    return PlanarTree(degrees)
-
-
-def subtree_spanned(tree, vertices):
-    """Subtree spanned by the root and a tuple of vertices, relabelled.
-
-    Keeps every ancestor of every chosen vertex and renumbers child
-    indices to be contiguous again.  Returns (spanned, origin, full) where
-    origin maps new vertices to old ones and full is False when the
-    spanned tree has fewer leaves than len(vertices), i.e. when the tuple
-    contains repeats or an ancestor pair.
-    """
-    span = set()
-    for v in vertices:
-        v = tuple(v)
-        if v not in tree.degrees:
-            raise ValueError(f"vertex {v!r} is not in the tree")
-        for j in range(len(v) + 1):
-            span.add(v[:j])
-    new_degrees = {}
-    origin = {}
-    stack = [((), ())]
-    while stack:
-        old, new = stack.pop()
-        kids = [i for i in range(1, tree.degrees[old] + 1) if old + (i,) in span]
-        new_degrees[new] = len(kids)
-        origin[new] = old
-        for rank, i in enumerate(kids, start=1):
-            stack.append((old + (i,), new + (rank,)))
-    spanned = PlanarTree(new_degrees)
-    return spanned, origin, len(spanned.leaves) == len(vertices)
 
 
 def meet_distances(l, b):
@@ -459,33 +356,3 @@ def tree_to_string(tree):
         else:
             out.append(")")
     return "".join(out)
-
-
-def tree_from_string(s):
-    """Parse the canonical parenthesis string back into a PlanarTree."""
-    degrees = {}
-    stack = []
-    parsed_root = False
-    for ch in s:
-        if ch == "(":
-            if not stack:
-                if parsed_root:
-                    raise ValueError("trailing characters after the root")
-                v = ()
-            else:
-                parent, cnt = stack[-1]
-                stack[-1] = (parent, cnt + 1)
-                v = parent + (cnt + 1,)
-            stack.append((v, 0))
-        elif ch == ")":
-            if not stack:
-                raise ValueError("unbalanced parentheses")
-            v, cnt = stack.pop()
-            degrees[v] = cnt
-            if not stack:
-                parsed_root = True
-        else:
-            raise ValueError(f"unexpected character {ch!r}")
-    if stack or not parsed_root:
-        raise ValueError("unbalanced parentheses")
-    return PlanarTree(degrees)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from branchlab.cli import main, read_csv_rows
-from branchlab.trees import tree_from_string
+from branchlab.trees import PlanarTree, tree_to_string
 
 CONFIG_DIR = "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -225,6 +225,83 @@ class TestConfigIntegers:
         assert "pair_indicator needs k >= 2" in err
 
 
+def only_config_error(rc, out, err, *needles):
+    """Exit 1, nothing on stdout, one "config error:" line holding every needle."""
+    assert rc == 1 and out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert all(needle in err for needle in needles)
+
+
+class TestConfigFloats:
+    @pytest.mark.parametrize("bad", [None, True, "x"])
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            (
+                "moments",
+                lambda v: {"x0": "a", "k": 1, "R": 2, "functional": {"name": "height_indicator", "r": v}},
+                "r",
+            ),
+            (
+                "convergence",
+                lambda v: {"x0": "a", "k": 2, "n_values": [4], "functional": {"name": "pair_indicator", "r": v}},
+                "r",
+            ),
+            ("verify-m2f", lambda v: {"functional": {"name": "count", "weights": {"a": v}}}, "weights"),
+            ("model-check", lambda v: {"tol": v}, "tol"),
+            ("verify-m2f", lambda v: {"tol": v}, "tol"),
+            ("cpp", lambda v: {"k": 2, "phi": {"name": "pair_indicator", "r": v}}, "r"),
+            ("cpp", lambda v: {"k": 1, "sigma_sq": v}, "sigma_sq"),
+            ("cpp", lambda v: {"k": 1, "eps": v}, "eps"),
+            ("cpp", lambda v: {"k": 1, "z_max": v}, "z_max"),
+        ],
+        ids=["functional-r", "pair-r", "weights", "model-check-tol", "verify-tol",
+             "phi-r", "sigma_sq", "eps", "z_max"],
+    )
+    def test_non_number_rejected_by_name(self, capsys, tmp_path, command, payload, key, bad):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        body = payload(bad) if command == "cpp" else {"model": "m.json", **payload(bad)}
+        cfg = write_config(tmp_path, "c.json", body)
+        only_config_error(*run(capsys, command, "--config", str(cfg)), repr(key))
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("moments", {"model": "m.json", "x0": "a", "k": 1, "R": 2, "functional": {"name": "height_indicator"}}),
+            ("convergence", {"model": "m.json", "x0": "a", "k": 2, "n_values": [4], "functional": {"name": "pair_indicator"}}),
+            ("cpp", {"k": 2, "phi": {"name": "pair_indicator"}}),
+        ],
+    )
+    def test_missing_r_rejected_by_name(self, capsys, tmp_path, command, payload):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(tmp_path, "c.json", payload)
+        only_config_error(*run(capsys, command, "--config", str(cfg)), "missing", "'r'")
+
+    @pytest.mark.parametrize("weights", [3, "a", ["a"]])
+    def test_weights_must_map_types_to_numbers(self, capsys, tmp_path, weights):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(
+            tmp_path, "c.json", {"model": "m.json", "functional": {"name": "count", "weights": weights}}
+        )
+        only_config_error(*run(capsys, "verify-m2f", "--config", str(cfg)), "'weights'")
+
+
+class TestConfigStartType:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("convergence", {"k": 1, "n_values": [4]}),
+            ("moments", {"k": 1, "R": 2}),
+            ("verify-m2f", {}),
+            ("survival", {"n_values": [10]}),
+        ],
+    )
+    def test_unknown_x0_rejected_by_name(self, capsys, tmp_path, command, payload):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(tmp_path, "c.json", {"model": "m.json", "x0": "zz", **payload})
+        only_config_error(*run(capsys, command, "--config", str(cfg)), "'x0'", "['a']", "'zz'")
+
+
 class TestSimulate:
     def test_deterministic_and_parseable(self, capsys):
         rc1, out1, _ = run(
@@ -248,13 +325,21 @@ class TestSimulate:
         tree_line = next(
             l for l in out1.splitlines() if l.startswith("# tree=")
         )
-        tree = tree_from_string(tree_line[len("# tree=") :])
         rows = [
             l for l in out1.splitlines() if l and not l.startswith("#")
         ][1:]
-        assert len(rows) == tree.size
         # root row has an empty vertex cell
         assert rows[0].split(",")[0] == ""
+        words = [
+            tuple(int(i) for i in row.split(",")[0].split(".") if i)
+            for row in rows
+        ]
+        degrees = dict.fromkeys(words, 0)
+        for v in words[1:]:
+            degrees[v[:-1]] += 1
+        tree = PlanarTree(degrees)
+        assert tree.size == len(rows)
+        assert tree_line == "# tree=" + tree_to_string(tree)
 
     def test_seed_changes_output(self, capsys):
         _, out1, _ = run(

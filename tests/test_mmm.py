@@ -53,15 +53,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FiniteMmmSpace(["a"], 2, [[0]], [1])
 
-    def test_json_roundtrip(self):
-        space = tree_to_mmm(cherry_marked())
-        back = FiniteMmmSpace.from_json(space.to_json())
-        assert back.points == space.points
-        assert back.root == space.root
-        assert np.array_equal(back.dist, space.dist)
-        assert np.array_equal(back.mass, space.mass)
-        assert back.mark == space.mark
-
 
 class TestConstructors:
     def test_cherry_space(self):

@@ -5,19 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from branchlab.cli import build_functional
+from branchlab.moments import ultrametric_moment
 from branchlab.process import (
+    _extinction_curve,
     MarkedTree,
     Model,
     eigenpair,
     enumerate_population,
     Eigenpair,
-    extinction_by,
     is_critical,
     kolmogorov_profile,
     mean_matrix,
     sigma_squared,
     simulate,
-    survival_probability,
 )
 from branchlab.trees import PlanarTree
 
@@ -232,6 +233,22 @@ class TestSimulation:
             sd = (n * p * (1 - p)) ** 0.5
             assert abs(counts[z] - n * p) <= 4 * sd
 
+    @pytest.mark.parametrize("make, x0", [(make_binary, "a"), (make_asymmetric, "A")])
+    def test_generation_six_moments_match_the_shape_sum(self, make, x0):
+        # E[Z_6] and E[C(Z_6, 2)] are the count moments of generation 6,
+        # 6^k times the ultrametric moment, within 4 standard errors
+        model = make()
+        F = build_functional({"name": "count"}, model)
+        rng = np.random.default_rng(0)
+        z = np.array([
+            sum(len(v) == 6 for v in simulate(model, x0, 6, rng=rng).tree.leaves)
+            for _ in range(20_000)
+        ], dtype=float)
+        for k, sample in [(1, z), (2, z * (z - 1) / 2)]:
+            want = 6**k * ultrametric_moment(model, k, F, 6, x0)
+            stderr = sample.std(ddof=1) / np.sqrt(len(sample))
+            assert abs(sample.mean() - want) <= 4 * stderr
+
 
 class TestSimulationCap:
     def test_supercritical_model_fails_fast(self):
@@ -352,22 +369,25 @@ class TestSeedOracle:
 
 class TestSurvival:
     def test_binary_exact_values(self, binary):
-        assert extinction_by(binary, "a", 1) == 0.5
-        assert extinction_by(binary, "a", 2) == 0.625
-        assert survival_probability(binary, "a", 2) == 0.375
+        curve = _extinction_curve(binary, [1, 2])
+        assert curve[1]["a"] == 0.5
+        assert curve[2]["a"] == 0.625
+        assert 1.0 - curve[2]["a"] == 0.375
 
     def test_subcritical_geometric(self, subcritical):
+        curve = _extinction_curve(subcritical, [1, 5, 10, 20])
         for n in (1, 5, 10, 20):
-            assert survival_probability(subcritical, "a", n) == 0.5**n
+            assert 1.0 - curve[n]["a"] == 0.5**n
 
     def test_survival_decreasing(self, asymmetric):
-        vals = [survival_probability(asymmetric, "A", n) for n in range(8)]
+        curve = _extinction_curve(asymmetric, range(8))
+        vals = [1.0 - curve[n]["A"] for n in range(8)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[0] == 1.0
 
     def test_negative_generation_rejected(self, binary):
         with pytest.raises(ValueError):
-            extinction_by(binary, "a", -1)
+            _extinction_curve(binary, [-1])
 
     def test_scaled_survival_approaches_limit(self, binary, asymmetric):
         rows = kolmogorov_profile(binary, [10_000])

@@ -1,8 +1,7 @@
-"""Weighted spine chain: moments m_d, branch-type laws, skeleton weights."""
+"""Weighted spine chain: moments m_d, branch-type laws, shape expectations."""
 
 import functools
 import itertools
-import json
 import math
 import warnings
 
@@ -11,15 +10,14 @@ import pytest
 
 from branchlab import moments
 from branchlab.cli import build_functional
-from branchlab.process import Model, eigenpair, sigma_squared, MarkedTree
+from branchlab.process import Model, eigenpair, sigma_squared
 from branchlab.spine import (
     SpineKernel,
     build_kernel,
-    delta_k,
     elementary_symmetric,
     q_expectation,
 )
-from branchlab.trees import PlanarTree, TreeShape
+from branchlab.trees import TreeShape
 
 from conftest import (
     make_asymmetric,
@@ -125,36 +123,16 @@ class TestKernelTables:
         assert np.allclose(ker.matrix_power(4, biased=False), wantP, atol=1e-12)
         assert ker.matrix_power(5) is ker.matrix_power(5)
 
-    def test_json_dump(self, binary, asymmetric):
-        data = json.loads(build_kernel(binary, "unit").to_json())
-        assert data["types"] == ["a"]
-        assert data["lam"] == [1.0]
-        assert data["transition"] == [[1.0]]
-        assert data["chi"]["2"]["a"] == {"a,a": 1.0}
-        data = json.loads(build_kernel(asymmetric, "harmonic").to_json())
-        assert set(data["chi"]) == {"1", "2", "3"}
-        for row in data["chi"]["2"].values():
+    def test_kernel_tables(self, binary, asymmetric):
+        ker = build_kernel(binary, "unit")
+        assert ker.lam.tolist() == [1.0]
+        assert ker.transition.tolist() == [[1.0]]
+        assert ker.chi[2] == [{(0, 0): 1.0}]
+        ker = build_kernel(asymmetric, "harmonic")
+        assert set(ker.chi) == {2, 3}
+        for row in ker.chi[2]:
             if row:
                 assert abs(sum(row.values()) - 1.0) <= 1e-9
-
-
-class TestSkeletonWeights:
-    def test_cherry_factor(self, binary):
-        ker = build_kernel(binary, "unit")
-        tree = PlanarTree({(): 2, (1,): 0, (2,): 0})
-        mt = MarkedTree(tree, {v: "a" for v in tree.vertices})
-        assert abs(delta_k(ker, mt) - 0.5) <= 1e-14
-
-    def test_single_vertex_is_inverse_weight(self, asymmetric):
-        ker = build_kernel(asymmetric, "harmonic")
-        mt = MarkedTree(PlanarTree({(): 0}), {(): "B"})
-        assert abs(delta_k(ker, mt) - 1 / 1.5) <= 1e-9
-
-    def test_sterile_type_rejected(self):
-        ker = build_kernel(make_triple(), "unit")
-        mt = MarkedTree(PlanarTree({(): 0}), {(): "b"})
-        with pytest.raises(ValueError, match="zero spine weight"):
-            delta_k(ker, mt)
 
 
 class TestSpineExpectation:

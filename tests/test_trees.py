@@ -12,11 +12,9 @@ from branchlab import trees
 from branchlab.trees import (
     PlanarTree,
     TreeShape,
-    compose_first_branch,
     count_deficient_tuples,
     count_shapes,
     decode_heights,
-    decompose_first_branch,
     distance_matrix,
     encode_heights,
     enumerate_shapes,
@@ -26,8 +24,6 @@ from branchlab.trees import (
     meet_distances,
     product_batches,
     shape_batches,
-    subtree_spanned,
-    tree_from_string,
     tree_to_string,
 )
 
@@ -123,10 +119,6 @@ class TestBasics:
         assert t.scale(2.0).leaf_heights == (2.0, 3.0)
         with pytest.raises(ValueError):
             s.scale(0)
-
-    def test_shape_json_roundtrip(self):
-        for s in [TreeShape((3,), ()), TreeShape((2.5, 1.0), (0.25,))]:
-            assert TreeShape.from_json(s.to_json()) == s
 
 
 class TestHeightEncoding:
@@ -290,69 +282,11 @@ class TestMeetDistances:
         with pytest.raises(ValueError):
             meet_distances([1.0, 2.0, 3.0], [0.5])
 
-class TestDecomposition:
-    def test_star(self):
-        star = tree_from_string("(()()())")
-        stem, blocks, subs = decompose_first_branch(star)
-        assert stem == 0
-        assert blocks == [[0], [1], [2]]
-        assert all(sub.size == 1 for sub in subs)
-        assert compose_first_branch(stem, subs) == star
-
-    def test_roundtrip_on_family(self):
-        for tree in FAMILY:
-            if len(tree.leaves) < 2:
-                continue
-            stem, blocks, subs = decompose_first_branch(tree)
-            assert len(subs) >= 2
-            assert [i for block in blocks for i in block] == list(
-                range(len(tree.leaves))
-            )
-            assert compose_first_branch(stem, subs) == tree
-
-    def test_single_leaf_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_first_branch(tree_from_string("(())"))
-
-    def test_compose_needs_two(self):
-        with pytest.raises(ValueError):
-            compose_first_branch(1, [tree_from_string("()")])
-
-
-class TestSpannedSubtree:
-    def test_two_of_three_leaves(self):
-        tree = decode_heights(TreeShape((2, 3, 1), (1, 0)))
-        l1, l2, l3 = tree.leaves
-        spanned, origin, full = subtree_spanned(tree, (l1, l2))
-        assert full
-        assert encode_heights(spanned) == TreeShape((2, 3), (1,))
-        assert origin[()] == ()
-        assert set(origin.values()) <= set(tree.vertices)
-
-    def test_all_leaves_gives_whole_tree_when_no_unaries_missing(self):
-        for tree in FAMILY:
-            spanned, origin, full = subtree_spanned(tree, tuple(tree.leaves))
-            assert full
-            assert spanned == tree
-            assert origin == {v: v for v in tree.vertices}
-
-    def test_repeat_and_ancestor_pairs_are_not_full(self):
-        tree = decode_heights(TreeShape((2, 2), (1,)))
-        leaf = tree.leaves[0]
-        _, _, full = subtree_spanned(tree, (leaf, leaf))
-        assert not full
-        _, _, full = subtree_spanned(tree, (leaf[:-1], leaf))
-        assert not full
-
-    def test_unknown_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            subtree_spanned(tree_from_string("()"), ((1,),))
-
 
 class TestDeficientTuples:
     def test_small_examples(self):
-        cherry = tree_from_string("(()())")
-        path = tree_from_string("((()))")
+        cherry = PlanarTree({(): 2, (1,): 0, (2,): 0})
+        path = PlanarTree({(): 1, (1,): 1, (1, 1): 0})
         assert count_deficient_tuples(cherry, 2) == 7
         assert count_deficient_tuples(path, 2) == 9
         # cherry: only the two orderings of the two leaves are non-deficient
@@ -375,18 +309,14 @@ class TestDeficientTuples:
 
 class TestStringCodec:
     def test_known_strings(self):
-        assert tree_to_string(tree_from_string("()")) == "()"
-        assert tree_to_string(tree_from_string("(()())")) == "(()())"
+        assert tree_to_string(PlanarTree({(): 0})) == "()"
+        assert tree_to_string(PlanarTree({(): 2, (1,): 0, (2,): 0})) == "(()())"
+        assert tree_to_string(PlanarTree({(): 1, (1,): 1, (1, 1): 0})) == "((()))"
+        left_path = PlanarTree({(): 2, (1,): 1, (1, 1): 0, (2,): 0})
+        assert tree_to_string(left_path) == "((())())"
 
-    def test_roundtrip_on_family(self):
-        seen = set()
-        for tree in FAMILY:
-            s = tree_to_string(tree)
-            assert tree_from_string(s) == tree
-            seen.add(s)
-        assert len(seen) == len(FAMILY)
-
-    def test_invalid_strings_rejected(self):
-        for bad in ["", "(", ")", "(()", "())", "()()", "(a)"]:
-            with pytest.raises(ValueError):
-                tree_from_string(bad)
+    def test_distinct_on_family(self):
+        strings = [tree_to_string(tree) for tree in FAMILY]
+        assert len(set(strings)) == len(FAMILY)
+        for tree, s in zip(FAMILY, strings):
+            assert s.count("(") == s.count(")") == tree.size
