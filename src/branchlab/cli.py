@@ -6,6 +6,8 @@ against a fixed key set with unknown keys rejected, and writes to stdout
 or --out.  Outputs start with comment headers recording the seed, the git
 state and the config hash; the same (config, seed) pair always produces
 byte-identical output, except for the runtime_ms field of moment records.
+Warnings raised while a command runs go to stderr as "warning: <message>"
+lines, each distinct message once.
 
 Exit codes: 0 success, 1 runtime or usage errors, 2 model-property
 failures (e.g. a non-critical model in model-check), 3 verification
@@ -39,9 +41,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path, required, optional=()):
+def _load_config(args, required, optional=()):
+    """The JSON object at --config, checked against its key set, and the
+    header meta of the output: (cfg, meta)."""
     try:
-        with open(path, "rb") as fh:
+        with open(args.config, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
@@ -59,7 +63,7 @@ def _load_config(path, required, optional=()):
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     sha = hashlib.sha256(raw).hexdigest()
-    return cfg, sha
+    return cfg, {"seed": args.seed, "git": _git_describe(), "config_sha256": sha}
 
 
 def _cfg_int(cfg, key, default=None, many=False):
@@ -146,10 +150,10 @@ def _warnings_to_stderr():
                 print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_model(cfg, config_path):
+def _load_model(cfg, args):
     model_path = cfg["model"]
     if not os.path.isabs(model_path):
-        model_path = os.path.join(os.path.dirname(os.path.abspath(config_path)), model_path)
+        model_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), model_path)
     return process.Model.from_file(model_path)
 
 
@@ -167,14 +171,6 @@ def _git_describe():
     except OSError:
         pass
     return "unknown"
-
-
-def _meta(seed, sha):
-    return {"seed": seed, "git": _git_describe(), "config_sha256": sha}
-
-
-def _header_lines(meta):
-    return [f"# {k}={v}" for k, v in meta.items()]
 
 
 def _write_out(args, text):
@@ -197,7 +193,7 @@ def csv_text(meta, header, rows):
     """CSV with one "# key=value" comment line per meta entry, in order,
     then the header and one line per row dict; read back by read_csv_rows.
     """
-    lines = _header_lines(meta)
+    lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in header))
@@ -206,6 +202,22 @@ def csv_text(meta, header, rows):
 
 def _json_text(meta, payload):
     return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(args, meta, payload, table=None, csv_meta=None):
+    """Write a command's output: as JSON, meta and payload; as CSV, the
+    meta and csv_meta comment lines, then table = (header, rows), or with
+    no table one key/value row per sorted payload entry (lists as JSON)."""
+    if args.format == "json":
+        _write_out(args, _json_text(meta, payload))
+        return
+    if table is None:
+        rows = [
+            {"key": k, "value": json.dumps(v) if isinstance(v, list) else v}
+            for k, v in sorted(payload.items())
+        ]
+        table = (["key", "value"], rows)
+    _write_out(args, csv_text({**meta, **(csv_meta or {})}, *table))
 
 
 def read_csv_rows(path_or_fh):
@@ -352,17 +364,14 @@ def build_phi(spec, k):
 
 
 def cmd_model_check(args):
-    cfg, sha = _load_config(args.config, required=("model",), optional=("tol",))
-    model = _load_model(cfg, args.config)
-    meta = _meta(args.seed, sha)
+    cfg, meta = _load_config(args, required=("model",), optional=("tol",))
+    model = _load_model(cfg, args)
     tol = _cfg_float(cfg, "tol", 1e-9)
     try:
-        with _warnings_to_stderr():
-            eig = process.eigenpair(model)
+        eig = process.eigenpair(model)
     except ValueError as e:
         _write_out(args, _json_text(meta, {"error": str(e), "critical": False}))
         return EXIT_MODEL
-    sig2 = process.sigma_squared(model, eig)
     critical = process.is_critical(eig, tol)
     payload = {
         "types": list(model.types),
@@ -370,42 +379,33 @@ def cmd_model_check(args):
         "critical": critical,
         "h": [float(v) for v in eig.h],
         "pi": [float(v) for v in eig.pi],
-        "sigma_sq": sig2,
+        "sigma_sq": process.sigma_squared(model, eig),
     }
-    if args.format == "csv":
-        rows = [{"key": k, "value": _fmt(payload[k]) if not isinstance(payload[k], list) else json.dumps(payload[k])} for k in sorted(payload)]
-        _write_out(args, csv_text(meta, ["key", "value"], rows))
-    else:
-        _write_out(args, _json_text(meta, payload))
+    _emit(args, meta, payload)
     return EXIT_OK if critical else EXIT_MODEL
 
 
 def cmd_simulate(args):
-    cfg, sha = _load_config(
-        args.config, required=("model", "x0", "n_gen"), optional=()
-    )
-    model = _load_model(cfg, args.config)
+    cfg, meta = _load_config(args, required=("model", "x0", "n_gen"))
+    model = _load_model(cfg, args)
     mt = process.simulate(model, cfg["x0"], _cfg_int(cfg, "n_gen"), rng=args.seed)
-    meta = _meta(args.seed, sha)
     tree = trees.tree_to_string(mt.tree)
     rows = [
         {"vertex": ".".join(map(str, v)), "type": mt.marks[v]}
         for v in mt.tree.vertices
     ]
-    if args.format == "json":
-        _write_out(args, _json_text(meta, {"tree": tree, "rows": rows}))
-    else:
-        _write_out(args, csv_text({**meta, "tree": tree}, ["vertex", "type"], rows))
+    payload = {"tree": tree, "rows": rows}
+    _emit(args, meta, payload, table=(["vertex", "type"], rows), csv_meta={"tree": tree})
     return EXIT_OK
 
 
 def cmd_verify_m2f(args):
-    cfg, sha = _load_config(
-        args.config,
+    cfg, meta = _load_config(
+        args,
         required=("model",),
         optional=("x0", "ks", "Rs", "psis", "functional", "cap", "tol"),
     )
-    model = _load_model(cfg, args.config)
+    model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model, model.types[0])
     ks = _cfg_int(cfg, "ks", [1, 2, 3], many=True)
     Rs = _cfg_int(cfg, "Rs", [1, 2, 3], many=True)
@@ -415,7 +415,6 @@ def cmd_verify_m2f(args):
     F = build_functional(
         cfg.get("functional", {"name": "count"}), model, k=min(ks, default=None)
     )
-    meta = _meta(args.seed, sha)
     rows = []
     failed = False
     try:
@@ -445,20 +444,17 @@ def cmd_verify_m2f(args):
                     }
                 )
     header = ["k", "R", "psi", "bruteforce", "shape_sum", "abs_diff", "status"]
-    if args.format == "json":
-        _write_out(args, _json_text(meta, {"rows": rows, "tol": tol}))
-    else:
-        _write_out(args, csv_text(meta, header, rows))
+    _emit(args, meta, {"rows": rows, "tol": tol}, table=(header, rows))
     return EXIT_VERIFY if failed else EXIT_OK
 
 
 def cmd_moments(args):
-    cfg, sha = _load_config(
-        args.config,
+    cfg, meta = _load_config(
+        args,
         required=("model", "x0", "k", "R"),
         optional=("psi", "functional", "route", "cap"),
     )
-    model = _load_model(cfg, args.config)
+    model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model)
     k = _cfg_int(cfg, "k")
     R = _cfg_int(cfg, "R")
@@ -491,22 +487,18 @@ def cmd_moments(args):
                 "runtime_ms": ms,
             }
         )
-    meta = _meta(args.seed, sha)
-    if args.format == "csv":
-        header = ["k", "n", "psi", "value", "path", "runtime_ms"]
-        _write_out(args, csv_text(meta, header, records))
-    else:
-        _write_out(args, _json_text(meta, {"records": records}))
+    header = ["k", "n", "psi", "value", "path", "runtime_ms"]
+    _emit(args, meta, {"records": records}, table=(header, records))
     return EXIT_OK
 
 
 def cmd_convergence(args):
-    cfg, sha = _load_config(
-        args.config,
+    cfg, meta = _load_config(
+        args,
         required=("model", "x0", "k", "n_values"),
         optional=("mode", "R", "functional", "kolmogorov_ns", "grid_step"),
     )
-    model = _load_model(cfg, args.config)
+    model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model)
     k = _cfg_int(cfg, "k")
     n_values = _cfg_int(cfg, "n_values", many=True)
@@ -514,61 +506,47 @@ def cmd_convergence(args):
     F = build_functional(
         cfg.get("functional", {"name": "height_indicator", "r": 1.0}), model, k=k
     )
-    with _warnings_to_stderr():
-        report = limits.convergence_report(
-            model,
-            k,
-            F,
-            n_values,
-            x0,
-            R=_cfg_float(cfg, "R", 1.0),
-            mode=cfg.get("mode", "rescaled"),
-            grid_step=_cfg_float(cfg, "grid_step") if "grid_step" in cfg else None,
-            kolmogorov_ns=kolmogorov_ns,
-        )
-    meta = _meta(args.seed, sha)
-    if args.format == "json":
-        _write_out(
-            args,
-            _json_text(
-                meta,
-                {
-                    "critical": report.critical,
-                    "perron": report.perron,
-                    "sigma_sq": report.sigma_sq,
-                    "rows": report.rows,
-                },
-            ),
-        )
-    else:
-        meta["critical"] = str(report.critical).lower()
-        meta["perron"] = _fmt(report.perron)
-        meta["sigma_sq"] = _fmt(report.sigma_sq)
-        _write_out(args, csv_text(meta, limits.REPORT_COLUMNS, report.rows))
+    report = limits.convergence_report(
+        model,
+        k,
+        F,
+        n_values,
+        x0,
+        R=_cfg_float(cfg, "R", 1.0),
+        mode=cfg.get("mode", "rescaled"),
+        grid_step=_cfg_float(cfg, "grid_step") if "grid_step" in cfg else None,
+        kolmogorov_ns=kolmogorov_ns,
+    )
+    payload = {
+        "critical": report.critical,
+        "perron": report.perron,
+        "sigma_sq": report.sigma_sq,
+        "rows": report.rows,
+    }
+    csv_meta = {
+        "critical": str(report.critical).lower(),
+        "perron": _fmt(report.perron),
+        "sigma_sq": _fmt(report.sigma_sq),
+    }
+    _emit(args, meta, payload, table=(limits.REPORT_COLUMNS, report.rows), csv_meta=csv_meta)
     return EXIT_OK
 
 
 def cmd_survival(args):
-    cfg, sha = _load_config(
-        args.config, required=("model", "n_values"), optional=("x0",)
-    )
-    model = _load_model(cfg, args.config)
+    cfg, meta = _load_config(args, required=("model", "n_values"), optional=("x0",))
+    model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model) if cfg.get("x0") is not None else None
     n_values = _cfg_int(cfg, "n_values", many=True)
-    with _warnings_to_stderr():
-        critical = process.is_critical(process.eigenpair(model))
-        rows = limits.kolmogorov_rows(model, n_values, x0, critical)
-    meta = _meta(args.seed, sha)
-    if args.format == "json":
-        _write_out(args, _json_text(meta, {"critical": critical, "rows": rows}))
-    else:
-        _write_out(args, csv_text(meta, limits.REPORT_COLUMNS, rows))
+    critical = process.is_critical(process.eigenpair(model))
+    rows = limits.kolmogorov_rows(model, n_values, x0, critical)
+    payload = {"critical": critical, "rows": rows}
+    _emit(args, meta, payload, table=(limits.REPORT_COLUMNS, rows))
     return EXIT_OK
 
 
 def cmd_cpp(args):
-    cfg, sha = _load_config(
-        args.config,
+    cfg, meta = _load_config(
+        args,
         required=("k",),
         optional=("sigma_sq", "phi", "n_samples", "eps", "n_inner", "marks", "grid_step", "z_max"),
     )
@@ -607,13 +585,7 @@ def cmd_cpp(args):
         "formula": formula,
         "z": z,
     }
-    meta = _meta(args.seed, sha)
-    if args.format == "csv":
-        keys = sorted(payload)
-        rows = [{"key": key, "value": _fmt(payload[key])} for key in keys]
-        _write_out(args, csv_text(meta, ["key", "value"], rows))
-    else:
-        _write_out(args, _json_text(meta, payload))
+    _emit(args, meta, payload)
     return EXIT_OK if abs(z) <= z_max else EXIT_VERIFY
 
 
@@ -651,7 +623,8 @@ def main(argv=None):
             "cpp": "json",
         }.get(args.command, "csv")
     try:
-        return args.fn(args)
+        with _warnings_to_stderr():
+            return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
