@@ -292,6 +292,8 @@ def build_functional(spec, model, k=None):
     and one leaf-type tuple give the N values F would return row by row,
     with the same float bits.
     """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key 'functional' must be an object, got {spec!r}")
     allowed = {"name", "r", "weights"}
     unknown = set(spec) - allowed
     if unknown:
@@ -348,6 +350,8 @@ def build_phi(spec, k):
     Names: "ones", "pair_indicator" with "r" (one when the first two
     sampled points sit within distance r; needs k >= 2).
     """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key 'phi' must be an object, got {spec!r}")
     allowed = {"name", "r"}
     unknown = set(spec) - allowed
     if unknown:
@@ -410,11 +414,14 @@ def cmd_verify_m2f(args):
     ks = _cfg_int(cfg, "ks", [1, 2, 3], many=True)
     Rs = _cfg_int(cfg, "Rs", [1, 2, 3], many=True)
     psis = cfg.get("psis", ["unit", "harmonic"])
+    if not isinstance(psis, list) or not all(isinstance(p, str) for p in psis):
+        raise ConfigError(f"config key 'psis' must be a list of weight names, got {psis!r}")
+    for key, values in (("ks", ks), ("Rs", Rs), ("psis", psis)):
+        if not values:
+            raise ConfigError(f"config key {key!r} must not be empty: nothing would be checked")
     tol = _cfg_float(cfg, "tol", 1e-9)
     cap = _cfg_int(cfg, "cap", 200_000)
-    F = build_functional(
-        cfg.get("functional", {"name": "count"}), model, k=min(ks, default=None)
-    )
+    F = build_functional(cfg.get("functional", {"name": "count"}), model, k=min(ks))
     rows = []
     failed = False
     try:
@@ -465,6 +472,10 @@ def cmd_moments(args):
         routes = ["m2f", "bruteforce"]
     elif isinstance(routes, str):
         routes = [routes]
+    if not isinstance(routes, list) or not routes:
+        raise ConfigError(
+            f"config key 'route' must be a route name or a non-empty list of them, got {routes!r}"
+        )
     F = build_functional(cfg.get("functional", {"name": "count"}), model, k=k)
     q = moments.MomentQuery(k=k, x0=x0, F=F, R=R, psi=psi)
     records = []

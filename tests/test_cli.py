@@ -17,6 +17,11 @@ def mask_git(text):
     return re.sub(r'^(# git=|\s*"git": ).*$', r"\1<masked>", text, flags=re.M)
 
 
+def mask_runtime(text):
+    """The runtime_ms values of moment records, in JSON or CSV, masked."""
+    return re.sub(r'("runtime_ms": |,(?:m2f|bruteforce),)\d+', r"\1<masked>", text)
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
@@ -302,6 +307,29 @@ class TestConfigStartType:
         only_config_error(*run(capsys, command, "--config", str(cfg)), "'x0'", "['a']", "'zz'")
 
 
+class TestConfigValueTypes:
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("moments", {"x0": "a", "k": 2, "R": 2, "functional": 3}, "functional"),
+            ("verify-m2f", {"functional": 3}, "functional"),
+            ("convergence", {"x0": "a", "k": 2, "n_values": [4], "functional": 3}, "functional"),
+            ("cpp", {"k": 2, "phi": 3}, "phi"),
+            ("verify-m2f", {"psis": 3}, "psis"),
+            ("verify-m2f", {"psis": [{"a": 1.0}]}, "psis"),
+            ("moments", {"x0": "a", "k": 2, "R": 2, "route": 3}, "route"),
+            ("moments", {"x0": "a", "k": 2, "R": 2, "route": []}, "route"),
+        ],
+        ids=["moments-functional", "verify-functional", "convergence-functional", "phi",
+             "psis", "psis-dict", "route", "route-empty"],
+    )
+    def test_wrong_type_rejected_by_name(self, capsys, tmp_path, command, payload, key):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        body = payload if command == "cpp" else {"model": "m.json", **payload}
+        cfg = write_config(tmp_path, "c.json", body)
+        only_config_error(*run(capsys, command, "--config", str(cfg)), repr(key))
+
+
 class TestSimulate:
     def test_deterministic_and_parseable(self, capsys):
         rc1, out1, _ = run(
@@ -425,6 +453,15 @@ class TestVerify:
         assert rc == 3
         _, rows = read_csv_rows_from_text(out)
         assert all(r["status"] == "FAIL" for r in rows)
+
+    @pytest.mark.parametrize("key", ["ks", "Rs", "psis"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_list_rejected_by_name(self, capsys, tmp_path, key, fmt):
+        # an empty grid would check nothing and still exit 0
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(tmp_path, "c.json", {"model": "m.json", key: []})
+        rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", fmt)
+        only_config_error(rc, out, err, repr(key), "empty")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", ["binary", "two_type"])
@@ -735,3 +772,43 @@ class TestComb:
         )
         rc, out, _ = run(capsys, "cpp", "--config", str(cfg), "--seed", "0")
         assert rc == 3
+
+
+class TestGoldenBytes:
+    # recorded before the commands shared one run path and one writer
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command, name, extra",
+        [
+            ("model-check", "check_binary", ()),
+            ("simulate", "simulate_binary", ("--seed", "7")),
+            ("moments", "moments_binary", ()),
+            ("survival", "survival_binary", ()),
+        ],
+    )
+    def test_golden_bytes(self, capsys, command, name, extra, fmt):
+        rc, out, err = run(
+            capsys, command, "--config", f"{CONFIG_DIR}/{name}.json", "--format", fmt, *extra
+        )
+        assert rc == 0 and err == ""
+        want = (GOLDEN_DIR / f"{name}.{fmt}").read_text()
+        assert mask_runtime(mask_git(out)) == mask_git(want)
+
+
+class TestWarningsOnStderr:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("verify-m2f", {}),
+            ("moments", {"x0": "a", "k": 2, "R": 2, "psi": "harmonic"}),
+        ],
+    )
+    def test_every_run_prints_the_warning_line(self, capsys, tmp_path, command, payload):
+        model = Path(CONFIG_DIR, "subcritical.json").resolve()
+        cfg = write_config(tmp_path, "c.json", {"model": str(model), **payload})
+        # twice in one process: a warning filter that shows a message
+        # once per process would leave the second run silent
+        for fmt in ("csv", "json"):
+            rc, out, err = run(capsys, command, "--config", str(cfg), "--format", fmt)
+            assert rc == 0 and out
+            assert err.splitlines() == ["warning: model is not critical: perron root 0.5"]
