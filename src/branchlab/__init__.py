@@ -11,7 +11,7 @@ from .trees import (
     enumerate_shapes,
 )
 from .process import Model, MarkedTree, Eigenpair, eigenpair, sigma_squared
-from .spine import SpineKernel, build_kernel, q_expectation
+from .spine import SpineKernel, build_kernel
 from .moments import (
     MomentQuery,
     moment_bruteforce,
@@ -45,7 +45,6 @@ __all__ = [
     "sigma_squared",
     "SpineKernel",
     "build_kernel",
-    "q_expectation",
     "MomentQuery",
     "moment_bruteforce",
     "moment_m2f",

@@ -26,7 +26,6 @@ __all__ = [
     "build_kernel",
     "elementary_symmetric",
     "shape_sum",
-    "q_expectation",
 ]
 
 
@@ -203,7 +202,7 @@ def _table(kernel, pattern, L, B, biased, powers, start):
     """Typed keys and weights of N shapes sharing one tie pattern.
 
     Returns (keys, W): keys lists every (leaf type indices, branch type
-    indices) the pattern admits, in the order q_expectation sums them,
+    indices) the pattern admits, in the order _row_values sums them,
     and W[j] holds the spine-tree probability of keys[j] on each row,
     times (when biased) the correction factor of the typed skeleton, as
     an (N, X) array over the start types (X = n_types) or at start index
@@ -262,8 +261,9 @@ def _table(kernel, pattern, L, B, biased, powers, start):
 
 
 def _row_values(kernel, L, B, F, i0, biased, scale):
-    """q_expectation of every row's shape: per row, the sum over typed
-    keys in key order of w * F, skipping keys of weight zero.
+    """Expectation of F over the typed skeletons of every row's shape: per
+    row, the sum over typed keys in key order of w * F, skipping keys of
+    weight zero.
 
     F sees heights times `scale` (unscaled when None).  F.batched, when
     present, is called once per leaf-type tuple on all rows of a pattern;
@@ -312,9 +312,16 @@ def _row_values(kernel, L, B, F, i0, biased, scale):
 
 
 def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None):
-    """Sum of q_expectation(kernel, shape, F, x0, with_bias) over shapes
-    given as batches of (N, k) integer leaf heights and (N, k-1) meet
-    heights, added from 0.0 in row order.
+    """Sum over shapes of the expectation of F over their typed skeletons,
+    for shapes given as batches of (N, k) integer leaf heights and (N, k-1)
+    meet heights, added from 0.0 in row order.
+
+    F is called as F(shape, leaf_types, branch_types) with type labels in
+    planar order; branch_types[i] is the type at the meet of leaves i and
+    i+1.  With with_bias=True each term also carries the correction factor
+    of the typed skeleton, so that psi(x0) times the sum over all shapes
+    is the k-point moment.  Shapes whose branch degrees the model cannot
+    produce contribute zero.
 
     Every row of one tie pattern is evaluated in one numpy pass, with the
     float operations and summation order of the per-shape scalar loop,
@@ -332,19 +339,3 @@ def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None):
                 total += v
     return total
 
-
-def q_expectation(kernel, shape, F, x0, with_bias=True):
-    """Expectation of F over typed skeletons of a fixed shape.
-
-    F is called as F(shape, leaf_types, branch_types) with type labels in
-    planar order; branch_types[i] is the type at the meet of leaves i and
-    i+1.  With with_bias=True each term also carries the correction factor
-    of the typed skeleton, so that psi(x0) times the result summed over
-    shapes gives the k-point moment.  Shapes whose branch degrees the
-    model cannot produce contribute zero.  The one-row case of shape_sum.
-    """
-    if not shape.is_discrete:
-        raise ValueError("spine expectations need an integer shape")
-    L = np.array([shape.leaf_heights], dtype=int)
-    B = np.array([shape.branch_heights], dtype=int).reshape(1, -1)
-    return shape_sum(kernel, [(L, B)], F, x0, with_bias)

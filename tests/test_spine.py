@@ -8,15 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from branchlab import moments
+from branchlab import moments, spine
 from branchlab.cli import build_functional
 from branchlab.process import Model, eigenpair, sigma_squared
-from branchlab.spine import (
-    SpineKernel,
-    build_kernel,
-    elementary_symmetric,
-    q_expectation,
-)
+from branchlab.spine import SpineKernel, build_kernel, elementary_symmetric, shape_sum
 from branchlab.trees import TreeShape
 
 from conftest import (
@@ -135,36 +130,39 @@ class TestKernelTables:
                 assert abs(sum(row.values()) - 1.0) <= 1e-9
 
 
+def one_shape(ker, l, b, F, x0, with_bias=True):
+    """shape_sum over the single shape with leaf heights l and meets b."""
+    L = np.array([l])
+    B = np.array([b], dtype=int).reshape(1, -1)
+    return shape_sum(ker, [(L, B)], F, x0, with_bias)
+
+
 class TestSpineExpectation:
     def test_single_leaf_at_height_zero(self, asymmetric):
         ker = build_kernel(asymmetric, "harmonic")
         F = lambda shape, lt, bt: 1.0
-        got = q_expectation(ker, TreeShape((0,), ()), F, "B")
+        got = one_shape(ker, (0,), (), F, "B")
         assert abs(got - 1 / 1.5) <= 1e-9
 
     def test_binary_cherry(self, binary):
         ker = build_kernel(binary, "unit")
         F = lambda shape, lt, bt: 1.0
-        got = q_expectation(ker, TreeShape((1, 1), (0,)), F, "a")
+        got = one_shape(ker, (1, 1), (0,), F, "a")
         assert abs(got - 0.5) <= 1e-14
 
     def test_unreachable_degree_is_zero(self, binary):
         ker = build_kernel(binary, "unit")
         F = lambda shape, lt, bt: 1.0
-        got = q_expectation(ker, TreeShape((1, 1, 1), (0, 0)), F, "a")
+        got = one_shape(ker, (1, 1, 1), (0, 0), F, "a")
         assert got == 0.0
 
     def test_unbiased_tables_are_probabilities(self, asymmetric):
         ker = build_kernel(asymmetric, "unit")
         F = lambda shape, lt, bt: 1.0
         for x0 in asymmetric.types:
-            got = q_expectation(
-                ker, TreeShape((3,), ()), F, x0, with_bias=False
-            )
+            got = one_shape(ker, (3,), (), F, x0, with_bias=False)
             assert abs(got - 1.0) <= 1e-12
-            got = q_expectation(
-                ker, TreeShape((2, 1), (0,)), F, x0, with_bias=False
-            )
+            got = one_shape(ker, (2, 1), (0,), F, x0, with_bias=False)
             assert abs(got - 1.0) <= 1e-12
 
     def test_type_marginals_match_transition(self, asymmetric):
@@ -174,23 +172,14 @@ class TestSpineExpectation:
         P4 = ker.matrix_power(n, biased=False)
         for y, label in enumerate(asymmetric.types):
             F = lambda shape, lt, bt, lab=label: float(lt[0] == lab)
-            got = q_expectation(
-                ker, TreeShape((n,), ()), F, "A", with_bias=False
-            )
+            got = one_shape(ker, (n,), (), F, "A", with_bias=False)
             assert abs(got - P4[0, y]) <= 1e-12
-
-    def test_float_shape_rejected(self, binary):
-        ker = build_kernel(binary, "unit")
-        with pytest.raises(ValueError):
-            q_expectation(
-                ker, TreeShape((1.5,), ()), lambda s, lt, bt: 1.0, "a"
-            )
 
 
 # The shape tables and per-shape loops as first written: every block table
 # is built from its sub-blocks as a dict of vectors over start types, and
-# each moment sums q_expectation shape by shape in the order of the nested
-# itertools enumeration.  Kept as the reference the batched shape sum must
+# each moment sums the per-shape expectation shape by shape in the order of
+# the nested itertools enumeration.  Kept as the reference the batched shape sum must
 # reproduce in key order, row order and float bits.  Tables are memoized
 # per (kernel, shape, bias flag) only to keep the suite fast.
 
@@ -347,17 +336,19 @@ class TestBatchedTablesMatchReference:
         ker = build_kernel(model, (0.75, 1.5)[: len(model.types)])
         compared = 0
         for k in range(1, 5):
-            for shape in reference_shapes(k, 4):
-                for with_bias in (True, False):
-                    for x0 in model.types:
-                        got = q_expectation(
-                            ker, shape, rough_functional, x0, with_bias
-                        )
+            shapes = list(reference_shapes(k, 4))
+            L = np.array([s.leaf_heights for s in shapes])
+            B = np.array([s.branch_heights for s in shapes], dtype=int).reshape(len(shapes), -1)
+            for with_bias in (True, False):
+                for i0, x0 in enumerate(model.types):
+                    # one batched pass over every shape with k leaves
+                    got = spine._row_values(ker, L, B, rough_functional, i0, with_bias, None)
+                    for shape, value in zip(shapes, got.tolist()):
                         want = reference_q_expectation(
                             ker, shape, rough_functional, x0, with_bias
                         )
-                        assert got.hex() == want.hex(), (shape, with_bias, x0)
-                        compared += got != 0.0
+                        assert value.hex() == want.hex(), (shape, with_bias, x0)
+                        compared += value != 0.0
         assert compared > 0
 
     @pytest.mark.parametrize("make", [make_binary, make_symmetric, make_asymmetric])
