@@ -152,6 +152,8 @@ def _warnings_to_stderr():
 
 def _load_model(cfg, args):
     model_path = cfg["model"]
+    if not isinstance(model_path, str) or not model_path:
+        raise ConfigError(f"config key 'model' must be a model file path, got {model_path!r}")
     if not os.path.isabs(model_path):
         model_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), model_path)
     return process.Model.from_file(model_path)
@@ -476,6 +478,10 @@ def cmd_moments(args):
         raise ConfigError(
             f"config key 'route' must be a route name or a non-empty list of them, got {routes!r}"
         )
+    # every name is checked before any route runs
+    for route in routes:
+        if route not in ("m2f", "bruteforce"):
+            raise ConfigError(f"unknown route {route!r}")
     F = build_functional(cfg.get("functional", {"name": "count"}), model, k=k)
     q = moments.MomentQuery(k=k, x0=x0, F=F, R=R, psi=psi)
     records = []
@@ -483,10 +489,8 @@ def cmd_moments(args):
         t0 = time.perf_counter()
         if route == "m2f":
             value = moments.moment_m2f(model, q)
-        elif route == "bruteforce":
-            value = moments.moment_bruteforce(model, q, cap=cap)
         else:
-            raise ConfigError(f"unknown route {route!r}")
+            value = moments.moment_bruteforce(model, q, cap=cap)
         ms = int(round(1000 * (time.perf_counter() - t0)))
         records.append(
             {

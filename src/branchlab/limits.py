@@ -283,6 +283,28 @@ class CppSample:
     depths: np.ndarray
 
 
+def _check_eps(eps):
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+
+
+def _draw_comb(rng, a):
+    """One comb's draws, in this order: Z, the atom count, the positions,
+    one uniform per atom for its depth.  Returns Z, the sorted positions
+    and the depth uniforms in position order."""
+    Z = float(rng.exponential())
+    count = rng.poisson(Z * (a - 1.0))
+    pos = rng.uniform(0.0, Z, size=count)
+    u = rng.random(count)
+    order = pos.argsort()
+    return Z, pos[order], u[order]
+
+
+def _depths(u, a):
+    # inverse of the depth law's distribution function on (1/a, 1]
+    return 1.0 / (a - u * (a - 1.0))
+
+
 def cpp_sample(sigma_sq, eps, rng=None):
     """Sample the Poisson comb on [0, Z] with depth intensity ds / s^2 on
     (eps, 1], Z exponential of rate one.
@@ -290,30 +312,34 @@ def cpp_sample(sigma_sq, eps, rng=None):
     eps truncates shallow atoms only: any statistic insensitive to
     distances below 2 eps is unaffected by the cutoff.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    rng = _as_rng(rng)
-    Z = float(rng.exponential())
+    _check_eps(eps)
     a = 1.0 / eps
-    count = rng.poisson(Z * (a - 1.0))
-    pos = rng.uniform(0.0, Z, size=count)
-    u = rng.random(count)
-    depths = 1.0 / (a - u * (a - 1.0))
-    order = np.argsort(pos)
-    return CppSample(float(sigma_sq), float(eps), Z, pos[order], depths[order])
+    Z, pos, u = _draw_comb(_as_rng(rng), a)
+    return CppSample(float(sigma_sq), float(eps), Z, pos, _depths(u, a))
+
+
+def _range_distances(depths, lo, hi):
+    """Twice the largest of depths[lo[q]:hi[q]] for each q, zero where the
+    range is empty.  One reduceat over the interleaved bounds; depths gets
+    a trailing zero so that every bound indexes into it."""
+    bounds = np.empty(2 * len(lo), dtype=np.intp)
+    bounds[0::2] = lo
+    bounds[1::2] = hi
+    top = np.maximum.reduceat(np.append(depths, 0.0), bounds)[0::2]
+    return np.where(hi > lo, 2.0 * top, 0.0)
 
 
 def _pair_distances(sample, us, vs):
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
-    n = len(sample.positions)
-    if n == 0:
-        return np.zeros(len(lo))
-    inside = (sample.positions[None, :] > lo[:, None]) & (
-        sample.positions[None, :] <= hi[:, None]
-    )
-    vals = np.where(inside, sample.depths[None, :], 0.0)
-    return 2.0 * vals.max(axis=1)
+    # the atoms with positions in (min(u, v), max(u, v)]
+    i = np.searchsorted(sample.positions, us, side="right")
+    j = np.searchsorted(sample.positions, vs, side="right")
+    return _range_distances(sample.depths, np.minimum(i, j), np.maximum(i, j))
+
+
+# inner points and atoms per chunk of the batched comb: a chunk closes
+# once either count reaches this, so its arrays hold O(_COMB_CHUNK) floats
+# plus one comb's atoms and one sample's inner points
+_COMB_CHUNK = 2**14
 
 
 def cpp_monomial_samples(
@@ -329,42 +355,78 @@ def cpp_monomial_samples(
     the estimate per sample is ((sigma^2/2) Z)^k times the mean of
     phi(D, marks).  Marks are drawn independently per point.  Choose eps
     below half of any distance threshold phi probes (the comb's law below
-    depth eps is cut off).  D may be a view into the sample's batch of
-    matrices, so phi must not keep it.
+    depth eps is cut off).  D may be a view into a batch of matrices, so
+    phi must not keep it.
+
+    The draws are one sample after another, each in cpp_sample's order
+    (exponential Z, Poisson atom count, atom positions, depth uniforms),
+    then its (n_inner, k) inner positions, then its marks.  phi is called
+    once per inner tuple in sample order, and each sample's inner values
+    are summed in order, so the bits do not depend on the chunking below.
+    Distances and matrices are built for a chunk of samples at a time; a
+    chunk closes once it holds _COMB_CHUNK inner points or atoms, so
+    memory is O(_COMB_CHUNK) plus one sample's atoms and inner points,
+    whatever n_samples and eps are.
     """
     k = query.k
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
     if n_inner < 1:
         raise ValueError(f"n_inner must be at least 1, got {n_inner!r}")
+    _check_eps(eps)
     rng = _as_rng(rng)
-    if query.mark_probs is None:
-        labels = None
-    else:
+    ests = np.empty(n_samples)
+    done = 0
+    while done < n_samples:
+        chunk = _comb_chunk(query, rng, 1.0 / eps, n_inner, n_samples - done)
+        ests[done : done + len(chunk)] = chunk
+        done += len(chunk)
+    return ests
+
+
+def _comb_chunk(query, rng, a, n_inner, most):
+    """The estimates of up to `most` samples, drawn until the chunk holds
+    _COMB_CHUNK inner points or atoms."""
+    k = query.k
+    half = query.sigma_sq / 2.0
+    if query.mark_probs is not None:
         labels = sorted(query.mark_probs)
         probs = np.array([query.mark_probs[c] for c in labels])
-    half = query.sigma_sq / 2.0
+    scales, uniforms, idx, marks = [], [], [], []
+    atoms = 0
+    while len(scales) < most and atoms < _COMB_CHUNK and len(scales) * n_inner < _COMB_CHUNK:
+        Z, pos, u = _draw_comb(rng, a)
+        points = rng.uniform(0.0, Z, size=(n_inner, k))
+        if query.mark_probs is not None:
+            marks.append(rng.choice(len(labels), size=(n_inner, k), p=probs))
+        scales.append((half * Z) ** k)
+        # atoms lo < position <= hi lie in [index(lo), index(hi))
+        idx.append(pos.searchsorted(points, side="right"))
+        uniforms.append(u)
+        atoms += len(u)
+    m = len(scales)
+    if query.mark_probs is None:
+        mks = [(None,) * k] * (m * n_inner)
+    else:
+        mks = [tuple(map(labels.__getitem__, row)) for row in np.concatenate(marks).tolist()]
+    # each sample's indices shifted to its atoms' place in the concatenation
+    starts = np.cumsum([0] + [len(u) for u in uniforms[:-1]])
+    idx = np.stack(idx) + starts[:, None, None]
     # leaf pairs i < j; D holds leaf i in row i + 1, the root in row 0
     I, J = np.triu_indices(k, 1)
-    blank = np.zeros((n_inner, k + 1, k + 1))
-    blank[:, 0, 1:] = blank[:, 1:, 0] = 1.0
-    mks = [(None,) * k] * n_inner
-    ests = np.empty(n_samples)
-    for s in range(n_samples):
-        sample = cpp_sample(query.sigma_sq, eps, rng)
-        us = rng.uniform(0.0, sample.Z, size=(n_inner, k))
-        if labels is not None:
-            marks = rng.choice(len(labels), size=(n_inner, k), p=probs)
-            mks = [tuple(labels[m] for m in row) for row in marks.tolist()]
-        # one call for every pair of every inner tuple, pair-major
-        d = _pair_distances(sample, us.T[I].reshape(-1), us.T[J].reshape(-1))
-        D = blank.copy()
-        D[:, I + 1, J + 1] = D[:, J + 1, I + 1] = d.reshape(len(I), n_inner).T
-        acc = 0.0
-        for Dt, mk in zip(D, mks):
-            acc += query.phi(Dt, mk)
-        ests[s] = (half * sample.Z) ** k * (acc / n_inner)
-    return ests
+    left, right = idx[..., I].reshape(-1), idx[..., J].reshape(-1)
+    depths = _depths(np.concatenate(uniforms), a)
+    d = _range_distances(depths, np.minimum(left, right), np.maximum(left, right))
+    D = np.zeros((m * n_inner, k + 1, k + 1))
+    D[:, 0, 1:] = D[:, 1:, 0] = 1.0
+    D[:, I + 1, J + 1] = D[:, J + 1, I + 1] = d.reshape(m * n_inner, len(I))
+    vals = np.fromiter(map(query.phi, D, mks), dtype=float, count=m * n_inner)
+    vals = vals.reshape(m, n_inner)
+    # inner values summed one index at a time, as a scalar acc += would
+    acc = np.zeros(m)
+    for t in range(n_inner):
+        acc += vals[:, t]
+    return np.array(scales) * (acc / n_inner)
 
 
 def cpp_monomial_mc(query, n_samples=100_000, eps=1e-3, n_inner=8, rng=None):

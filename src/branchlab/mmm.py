@@ -86,6 +86,21 @@ class FiniteMmmSpace:
         self.mass = mass
         self.mark = list(mark) if mark is not None else [None] * n
 
+    @classmethod
+    def _built(cls, points, root, dist, mass, mark):
+        """A space whose parts are right by construction: str labels, a
+        meet_distances metric (float, symmetric, zero diagonal, a
+        triangle-respecting tree metric), a nonnegative float mass vector
+        and a mark list, all of one length.  Takes ownership; checks none
+        of that."""
+        space = cls.__new__(cls)
+        space.points = points
+        space.root = root
+        space.dist = dist
+        space.mass = mass
+        space.mark = mark
+        return space
+
     @property
     def size(self):
         return len(self.points)
@@ -101,14 +116,21 @@ def _word_distances(words):
     return meet_distances([len(v) for v in words], meets)
 
 
+def _check_scale(name, value):
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+
+
 def tree_to_mmm(marked_tree, edge_scale=1.0, mass_scale=1.0):
     """The whole vertex set as a space: graph distance times edge_scale, one
     mass_scale of mass per vertex, marks carried over."""
+    _check_scale("edge_scale", edge_scale)
+    _check_scale("mass_scale", mass_scale)
     vs = marked_tree.tree.vertices
     labels = [".".join(map(str, v)) for v in vs]
     mass = np.full(len(vs), float(mass_scale))
     marks = [marked_tree.marks[v] for v in vs]
-    return FiniteMmmSpace(labels, 0, edge_scale * _word_distances(vs), mass, marks)
+    return FiniteMmmSpace._built(labels, 0, edge_scale * _word_distances(vs), mass, marks)
 
 
 def generation_slice(marked_tree, n, mass_scale=1.0):
@@ -119,11 +141,12 @@ def generation_slice(marked_tree, n, mass_scale=1.0):
     """
     if n < 1:
         raise ValueError("the generation must be at least 1")
+    _check_scale("mass_scale", mass_scale)
     gen = [v for v in marked_tree.tree.vertices if len(v) == n]
     labels = ["root"] + [".".join(map(str, v)) for v in gen]
     mass = np.concatenate([[0.0], np.full(len(gen), float(mass_scale))])
     marks = [marked_tree.marks[()]] + [marked_tree.marks[v] for v in gen]
-    return FiniteMmmSpace(labels, 0, _word_distances([()] + gen) / n, mass, marks)
+    return FiniteMmmSpace._built(labels, 0, _word_distances([()] + gen) / n, mass, marks)
 
 
 # k-tuples per batched distance build in monomial: bounds its memory

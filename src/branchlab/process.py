@@ -166,9 +166,10 @@ def simulate(model, x0, n_gen, rng=None):
         rng = np.random.default_rng(rng)
     tables = {}
     for x in model.types:
-        probs = np.array([float(p) for p, _ in model.offspring[x]])
+        # left-to-right float sums, the bits of np.cumsum
+        cum = list(itertools.accumulate(float(p) for p, _ in model.offspring[x]))
         kids = [cs for _, cs in model.offspring[x]]
-        tables[x] = (np.cumsum(probs).tolist(), kids, len(kids) - 1)
+        tables[x] = (cum, kids, len(kids) - 1)
     degrees = {}
     marks = {(): x0}
     frontier = [((), x0)]
@@ -194,7 +195,7 @@ def simulate(model, x0, n_gen, rng=None):
             )
     for v, _ in frontier:
         degrees[v] = 0
-    return MarkedTree(PlanarTree(degrees), marks)
+    return MarkedTree(PlanarTree._built(degrees), marks)
 
 
 def enumerate_population(model, x0, n_gen, cap=200_000):
@@ -238,11 +239,11 @@ def enumerate_population(model, x0, n_gen, cap=200_000):
                 new.append((p2, d2, m2, f2))
         outcomes = new
     result = []
+    # each outcome owns its dicts: the loop above copies them per combination
     for prob, degs, marks, frontier in outcomes:
-        degs = dict(degs)
         for v in frontier:
             degs[v] = 0
-        result.append((prob, MarkedTree(PlanarTree(degs), marks)))
+        result.append((prob, MarkedTree(PlanarTree._built(degs), marks)))
     return result
 
 

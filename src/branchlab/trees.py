@@ -76,6 +76,18 @@ class PlanarTree:
         # so no child is missing exactly when the slots are all filled
         if len(degrees) - 1 != sum(degrees.values()):
             raise ValueError("some vertex has fewer children than its out-degree")
+        self._own(degrees)
+
+    @classmethod
+    def _built(cls, degrees):
+        """The tree of a degree dict built complete by construction: tuple
+        keys, int values, prefix-closed, every child slot filled.  Takes
+        ownership of the dict and checks none of that."""
+        tree = cls.__new__(cls)
+        tree._own(degrees)
+        return tree
+
+    def _own(self, degrees):
         self.degrees = degrees
         self.vertices = sorted(degrees)
         self.leaves = [v for v in self.vertices if degrees[v] == 0]
@@ -202,7 +214,7 @@ def meet_distances(l, b):
     if b.shape != l.shape[:-1] + (max(n - 1, 0),):
         raise ValueError("need one meet height between each pair of neighbours")
     D = np.zeros(l.shape + (n,))
-    for i in range(n):
+    for i in range(n - 1):
         low = np.minimum.accumulate(b[..., i:], axis=-1)
         D[..., i, i + 1:] = l[..., i, None] + l[..., i + 1:] - 2.0 * low
         D[..., i + 1:, i] = D[..., i, i + 1:]

@@ -319,9 +319,13 @@ class TestConfigValueTypes:
             ("verify-m2f", {"psis": [{"a": 1.0}]}, "psis"),
             ("moments", {"x0": "a", "k": 2, "R": 2, "route": 3}, "route"),
             ("moments", {"x0": "a", "k": 2, "R": 2, "route": []}, "route"),
+            ("model-check", {"model": 3}, "model"),
+            ("simulate", {"model": ["m.json"], "x0": "a", "n_gen": 2}, "model"),
+            ("survival", {"model": "", "n_values": [10]}, "model"),
         ],
         ids=["moments-functional", "verify-functional", "convergence-functional", "phi",
-             "psis", "psis-dict", "route", "route-empty"],
+             "psis", "psis-dict", "route", "route-empty", "model-int", "model-list",
+             "model-empty"],
     )
     def test_wrong_type_rejected_by_name(self, capsys, tmp_path, command, payload, key):
         write_model(tmp_path, "m.json", ["a"], BINARY)
@@ -507,6 +511,20 @@ class TestMoments:
         for rec in a["records"] + b["records"]:
             rec["runtime_ms"] = -1
         assert a == b
+
+    def test_unknown_route_rejected_before_any_route_runs(self, capsys, tmp_path, monkeypatch):
+        from branchlab import moments
+
+        def never(*args, **kwargs):
+            raise AssertionError("a route ran before the route names were checked")
+
+        monkeypatch.setattr(moments, "moment_bruteforce", never)
+        monkeypatch.setattr(moments, "moment_m2f", never)
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(
+            tmp_path, "c.json", {"model": "m.json", "x0": "a", "k": 3, "R": 4, "route": ["bruteforce", "bogus"]}
+        )
+        only_config_error(*run(capsys, "moments", "--config", str(cfg)), "unknown route 'bogus'")
 
     def test_out_file_silences_stdout(self, capsys, tmp_path):
         path = tmp_path / "o.json"

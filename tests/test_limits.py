@@ -334,6 +334,35 @@ class TestCombOracle:
         assert _hex_matrix(got) == _hex_matrix(want)
         assert 0 < np.count_nonzero(got) < len(got)
 
+    @pytest.mark.parametrize(
+        "eps, n_samples, chunk",
+        [(1e-3, 12, None), (0.5, 300, None), (0.1, 300, 64), (1e-3, 6, 64)],
+        ids=["eps-1e-3", "eps-0.5", "small-chunks-eps-0.1", "small-chunks-eps-1e-3"],
+    )
+    def test_eps_range_and_chunks(self, monkeypatch, eps, n_samples, chunk):
+        # eps 1e-3 gives about a thousand atoms per comb, eps 0.5 none in
+        # half of them; a chunk of 64 closes after at most eight samples of
+        # eight inner points, and after nearly every comb at eps 1e-3
+        if chunk is not None:
+            monkeypatch.setattr(limits, "_COMB_CHUNK", chunk)
+        chunks = []
+        chunk_estimates = limits._comb_chunk
+
+        def counted(*args):
+            chunks.append(chunk_estimates(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(limits, "_comb_chunk", counted)
+        q = LimitQuery(k=3, phi=_every_comb_entry, sigma_sq=1.3, mark_probs={"A": 0.3, "B": 0.7})
+        rng = np.random.default_rng(50)
+        ref = np.random.default_rng(50)
+        got = limits.cpp_monomial_samples(q, n_samples=n_samples, eps=eps, n_inner=8, rng=rng)
+        want = seed_cpp_monomial_samples(q, n_samples, eps, 8, ref)
+        assert _hex_matrix(got) == _hex_matrix(want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert sum(map(len, chunks)) == n_samples
+        assert (len(chunks) > 1) == (chunk is not None)
+
     def test_bad_sizes_rejected(self):
         q = LimitQuery(k=2, phi=lambda D, m: 1.0)
         with pytest.raises(ValueError, match="n_inner"):

@@ -12,8 +12,10 @@ from branchlab.mmm import (
     monomial,
     tree_to_mmm,
 )
-from branchlab.process import MarkedTree, simulate
+from branchlab.process import MarkedTree, enumerate_population, simulate
 from branchlab.trees import PlanarTree, count_deficient_tuples, meet_distances
+
+from conftest import make_asymmetric, make_binary, make_subcritical, make_symmetric
 
 
 def cherry_marked():
@@ -81,6 +83,16 @@ class TestConstructors:
     def test_generation_zero_rejected(self):
         with pytest.raises(ValueError):
             generation_slice(cherry_marked(), 0)
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_scales_must_be_finite_and_nonnegative(self, bad):
+        mt = cherry_marked()
+        with pytest.raises(ValueError, match="edge_scale"):
+            tree_to_mmm(mt, edge_scale=bad)
+        with pytest.raises(ValueError, match="mass_scale"):
+            tree_to_mmm(mt, mass_scale=bad)
+        with pytest.raises(ValueError, match="mass_scale"):
+            generation_slice(mt, 1, mass_scale=bad)
 
     def test_empty_generation_keeps_root(self):
         mt = MarkedTree(PlanarTree({(): 0}), {(): "a"})
@@ -229,6 +241,30 @@ class TestSeedOracle:
                 assert list(sl.mass) == [0.0] + [0.7] * len(gen)
                 empty += not gen
         assert empty > 0
+
+
+class TestBuiltSpaces:
+    """tree_to_mmm and generation_slice build their spaces past the
+    public checks; each must be one FiniteMmmSpace accepts as it stands."""
+
+    @pytest.mark.parametrize(
+        "make, x0",
+        [(make_binary, "a"), (make_symmetric, "A"), (make_asymmetric, "B"), (make_subcritical, "a")],
+    )
+    def test_public_constructor_accepts_them(self, make, x0):
+        model = make()
+        rng = np.random.default_rng(9)
+        trees = [simulate(model, x0, 6, rng=rng) for _ in range(30)]
+        trees += [mt for _, mt in enumerate_population(model, x0, 2)]
+        for mt in trees:
+            spaces = [tree_to_mmm(mt), tree_to_mmm(mt, edge_scale=0.3, mass_scale=1.5)]
+            spaces += [generation_slice(mt, n, mass_scale=0.7) for n in (1, 2, 6)]
+            for sp in spaces:
+                public = FiniteMmmSpace(sp.points, sp.root, sp.dist, sp.mass, sp.mark)
+                assert public.points == sp.points and public.root == sp.root
+                assert hex_matrix(public.dist) == hex_matrix(sp.dist)
+                assert hex_matrix(public.mass) == hex_matrix(sp.mass)
+                assert public.mark == sp.mark
 
 
 def seed_space_error(dist):

@@ -367,6 +367,32 @@ class TestSeedOracle:
             simulate(binary, ["a"], 3, rng=0)
 
 
+class TestBuiltTrees:
+    """simulate and enumerate_population build their trees past the
+    public checks; each must be a tree PlanarTree accepts, with the same
+    vertex and leaf order."""
+
+    @staticmethod
+    def assert_public(tree):
+        public = PlanarTree(dict(tree.degrees))
+        assert tree == public
+        assert tree.vertices == public.vertices
+        assert tree.leaves == public.leaves
+
+    @pytest.mark.parametrize(
+        "make, x0",
+        [(make_binary, "a"), (make_symmetric, "A"), (make_asymmetric, "B"), (make_subcritical, "a")],
+    )
+    def test_simulated_and_enumerated_trees(self, make, x0):
+        model = make()
+        rng = np.random.default_rng(4)
+        for G in [0, 1, 2, 4, 7] * 8:
+            self.assert_public(simulate(model, x0, G, rng=rng).tree)
+        for G in range(4):
+            for _, mt in enumerate_population(model, x0, G):
+                self.assert_public(mt.tree)
+
+
 class TestSurvival:
     def test_binary_exact_values(self, binary):
         curve = _extinction_curve(binary, [1, 2])
