@@ -19,6 +19,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -289,10 +290,10 @@ def build_functional(spec, model, k=None):
     here when the smallest k is given).  All accept "weights", a
     per-leaf-type factor.
 
-    The result is the scalar F(shape, lt, bt) with a batched leaf-type
-    form F.batched(L, B, lt): (N, k) leaf heights, (N, k-1) meet heights
-    and one leaf-type tuple give the N values F would return row by row,
-    with the same float bits.
+    Each is written once, as a batched leaf-type form F.batched(L, B, lt):
+    (N, k) leaf heights, (N, k-1) meet heights and one leaf-type tuple
+    give N values.  The result is the scalar F(shape, lt, bt) that calls
+    it on one row, so the two forms give the same bits by construction.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"config key 'functional' must be an object, got {spec!r}")
@@ -303,37 +304,16 @@ def build_functional(spec, model, k=None):
     name = spec.get("name", "count")
     if name == "pair_indicator" and k is not None and k < 2:
         raise ConfigError("pair_indicator needs k >= 2")
-    weights = _leaf_weights(spec, model)
-
-    def wprod(lt):
-        if weights is None:
-            return 1.0
-        w = 1.0
-        for x in lt:
-            w *= weights[x]
-        return w
-
+    weights = _leaf_weights(spec, model) or dict.fromkeys(model.types, 1.0)
+    # the leaf weights multiplied left to right
+    wprod = lambda lt: math.prod(weights[x] for x in lt)
     if name == "count":
-        F = lambda shape, lt, bt: wprod(lt)
-        F.batched = lambda L, B, lt: np.full(len(L), wprod(lt))
-        return F
-    if name == "height_indicator":
+        batched = lambda L, B, lt: np.full(len(L), wprod(lt))
+    elif name == "height_indicator":
         r = _cfg_float(spec, "r")
-        F = lambda shape, lt, bt: wprod(lt) if shape.height <= r else 0.0
-        F.batched = lambda L, B, lt: np.where(L.max(axis=1) <= r, wprod(lt), 0.0)
-        return F
-    if name == "pair_indicator":
+        batched = lambda L, B, lt: np.where(L.max(axis=1) <= r, wprod(lt), 0.0)
+    elif name == "pair_indicator":
         r = _cfg_float(spec, "r")
-
-        def F(shape, lt, bt):
-            if shape.k < 2:
-                raise ConfigError("pair_indicator needs k >= 2")
-            d = (
-                shape.leaf_heights[0]
-                + shape.leaf_heights[1]
-                - 2 * shape.branch_heights[0]
-            )
-            return wprod(lt) if d <= r else 0.0
 
         def batched(L, B, lt):
             if L.shape[1] < 2:
@@ -341,9 +321,14 @@ def build_functional(spec, model, k=None):
             d = L[:, 0] + L[:, 1] - 2 * B[:, 0]
             return np.where(d <= r, wprod(lt), 0.0)
 
-        F.batched = batched
-        return F
-    raise ConfigError(f"unknown functional {name!r}")
+    else:
+        raise ConfigError(f"unknown functional {name!r}")
+
+    def F(shape, lt, bt):
+        return float(batched(np.array([shape.leaf_heights]), np.array([shape.branch_heights]), lt)[0])
+
+    F.batched = batched
+    return F
 
 
 def build_phi(spec, k):

@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mmm import FiniteMmmSpace
 from .process import eigenpair, is_critical, kolmogorov_profile, sigma_squared
-from .trees import TreeShape, meet_distances
+from .trees import meet_distances, shape_values
 
 __all__ = [
     "lambda_k_integral",
     "lambda_tilde_k_integral",
-    "rowwise",
     "LimitQuery",
     "crt_moment",
     "cpp_moment",
@@ -33,7 +31,6 @@ __all__ = [
     "cpp_sample",
     "cpp_monomial_samples",
     "cpp_monomial_mc",
-    "contour_tree",
     "sample_excursions",
     "donsker_crt_check",
     "ConvergenceReport",
@@ -72,23 +69,12 @@ def _as_rng(rng):
     return np.random.default_rng(rng)
 
 
-def rowwise(f):
-    """Batched integrand from a per-point one: f(l, b) is called on each
-    row of the (N, k) leaf heights and (N, k-1) meet heights."""
-
-    def batched(L, B):
-        return np.fromiter((f(l, b) for l, b in zip(L, B)), dtype=float, count=len(L))
-
-    return batched
-
-
 def _evaluate(f, L, B):
     vals = np.asarray(f(L, B), dtype=float)
     if vals.shape != (len(L),):
         raise ValueError(
             f"a batched integrand must return {len(L)} values, one per row, "
-            f"not an array of shape {vals.shape}; wrap a per-point f(l, b) "
-            f"with rowwise(f)"
+            f"not an array of shape {vals.shape}"
         )
     return vals
 
@@ -99,8 +85,8 @@ def _midpoint_grid(mids, dim):
 
 
 def _grid_total(f, L, B):
-    # builtin sum over Python floats in index order, so a batched f and its
-    # rowwise form give the same bits
+    # builtin sum over Python floats in index order, as a per-point loop
+    # would add them
     return sum(map(float, _evaluate(f, L, B))) if len(L) else 0.0
 
 
@@ -116,7 +102,7 @@ def lambda_k_integral(
     """Integral of f over k-leaf shapes with every leaf height in [0, R].
 
     f(L, B) is batched: it takes (N, k) leaf heights and (N, k-1) meet
-    heights and returns N values; rowwise(f) adapts a per-point f(l, b).
+    heights and returns N values.
     method "mc" returns (estimate, stderr) from uniform sampling of the
     bounding box; "grid" returns (midpoint-rule value, 0.0).
     """
@@ -440,52 +426,6 @@ def cpp_monomial_mc(query, n_samples=100_000, eps=1e-3, n_inner=8, rng=None):
     return float(ests.mean()), float(ests.std(ddof=1)) / math.sqrt(len(ests))
 
 
-_CONTOUR_SIZE_LIMIT = 4000
-
-
-def contour_tree(path, mass_scale=1.0, merge_tol=1e-12):
-    """Finite space read off a nonnegative path with zero endpoints.
-
-    Distance between two time points is f(s) + f(t) - 2 min over [s, t];
-    the first time point is the root, so root distances are the heights
-    themselves.  Points at distance <= merge_tol are merged into one
-    (their masses add up), each surviving class carrying mass_scale per
-    original time point.
-    """
-    f = np.asarray(path, dtype=float)
-    if f.ndim != 1 or len(f) < 1:
-        raise ValueError("path must be a nonempty 1-d array")
-    if abs(f[0]) > merge_tol or abs(f[-1]) > merge_tol:
-        raise ValueError("path must start and end at zero")
-    if np.any(f < -merge_tol):
-        raise ValueError("path must be nonnegative")
-    n = len(f)
-    if n > _CONTOUR_SIZE_LIMIT:
-        raise ValueError(
-            f"path too long for a dense distance matrix ({n} points); "
-            f"subsample it first"
-        )
-    D = meet_distances(f, np.minimum(f[:-1], f[1:]))
-    # each point joins the first representative within merge_tol, if any
-    reps = np.empty(n, dtype=np.intp)
-    rep_mass = []
-    for i in range(n):
-        m = len(rep_mass)
-        hits = np.flatnonzero(D[i, reps[:m]] <= merge_tol)
-        if len(hits):
-            rep_mass[hits[0]] += mass_scale
-        else:
-            reps[m] = i
-            rep_mass.append(float(mass_scale))
-    ids = reps[: len(rep_mass)]
-    return FiniteMmmSpace(
-        [f"t{r}" for r in ids.tolist()],
-        0,
-        D[np.ix_(ids, ids)],
-        np.array(rep_mass),
-    )
-
-
 def sample_excursions(n_excursions, n_steps, rng=None):
     """Uniform nonnegative simple-walk excursions, as height rows.
 
@@ -593,37 +533,25 @@ def kolmogorov_rows(model, n_values, x0, critical):
     return rows
 
 
-def _mark_average(F_cont, types):
-    """Batched integrand: F_cont summed over leaf-type tuples with their
-    probabilities, through F_cont.batched(L, B, lt) when it has one and
-    per point through rowwise otherwise; both add p * F from 0.0 in the
-    order of types, so they give the same bits."""
-    batched = getattr(F_cont, "batched", None)
-    if batched is not None:
+def _mark_average(F, types):
+    """Batched integrand: F summed over leaf-type tuples with their
+    probabilities, adding p * F from 0.0 in the order of types.  Each
+    tuple is evaluated on its own by trees.shape_values, so memory holds
+    a few arrays over the grid points at a time, not one per tuple."""
 
-        def mark_avg(L, B):
-            total = 0.0
-            for lt, p in types:
-                total += p * batched(L, B, lt)
-            return total
-
-        return mark_avg
-
-    @rowwise
-    def mark_avg(l, b):
-        shape = TreeShape(tuple(l), tuple(b))
+    def mark_avg(L, B):
         total = 0.0
         for lt, p in types:
-            total += p * F_cont(shape, lt, None)
+            total += p * shape_values(F, L, B, [(lt, None)])[0]
         return total
 
     return mark_avg
 
 
-def _limit_integral(k, F_cont, types, R, mode, grid_step):
-    """Grid shape integral of the mark average of F_cont: over shapes of
+def _limit_integral(k, F, types, R, mode, grid_step):
+    """Grid shape integral of the mark average of F: over shapes of
     height at most R ("rescaled") or over unit-cube meets ("ultrametric")."""
-    mark_avg = _mark_average(F_cont, types)
+    mark_avg = _mark_average(F, types)
     if mode == "rescaled":
         step = grid_step if grid_step is not None else (0.02 if k > 1 else 1e-4)
         return lambda_k_integral(k, mark_avg, R=R, method="grid", grid_step=step)[0]
@@ -634,7 +562,7 @@ def _limit_integral(k, F_cont, types, R, mode, grid_step):
 def convergence_report(
     model,
     k,
-    F_cont,
+    F,
     n_values,
     x0,
     R=1.0,
@@ -645,18 +573,18 @@ def convergence_report(
     """Finite-n rescaled moments against the continuum limit, as report rows.
 
     mode "rescaled" compares n times the height-truncated rescaled moment
-    with h(x0) (sigma^2/2)^(k-1) times the shape integral of F_cont,
-    averaged over independent leaf marks; mode "ultrametric" does the same
-    over generation-n tuples against the unit-cube meet integral.  F_cont
-    receives (shape, leaf_types, branch_types) and must ignore branch
-    types (the limit passes None); for "rescaled" it must vanish on shapes
-    higher than R.  If F_cont has an attribute batched(L, B, lt), as the
-    functionals of cli.build_functional do, the limit calls it once per
-    leaf-type tuple on every grid point at once; it must return the N
-    values F_cont gives row by row.  Kolmogorov survival rows are appended
-    for the given generations.  Off criticality the limit columns are left
-    empty.  An unknown mode, k < 1 or an R that is negative or not finite
-    is a ValueError.
+    with h(x0) (sigma^2/2)^(k-1) times the shape integral of F, averaged
+    over independent leaf marks; mode "ultrametric" does the same over
+    generation-n tuples against the unit-cube meet integral.  F is a shape
+    functional F(shape, leaf_types, branch_types), evaluated on the finite
+    side and on the limit grid by trees.shape_values; it must ignore
+    branch types (the limit passes None), and for "rescaled" it must
+    vanish on shapes higher than R.  Through a batched(L, B, lt) form, as
+    the functionals of cli.build_functional carry, the limit makes one
+    call per leaf-type tuple on every grid point at once.  Kolmogorov
+    survival rows are appended for the given generations.  Off
+    criticality the limit columns are left empty.  An unknown mode, k < 1
+    or an R that is negative or not finite is a ValueError.
     """
     from .moments import rescaled_moment, ultrametric_moment
     from .spine import build_kernel
@@ -677,15 +605,15 @@ def convergence_report(
     if critical:
         pi = {x: float(eig.pi[i]) for i, x in enumerate(model.types)}
         types = _type_tuples(model.types, pi, k)
-        integral = _limit_integral(k, F_cont, types, R, mode, grid_step)
+        integral = _limit_integral(k, F, types, R, mode, grid_step)
         limit = hx * (sig2 / 2.0) ** (k - 1) * integral
 
     rows = []
     for n in n_values:
         if mode == "rescaled":
-            obs = n * rescaled_moment(model, k, F_cont, n, x0, R=R, kernel=kernel)
+            obs = n * rescaled_moment(model, k, F, n, x0, R=R, kernel=kernel)
         else:
-            obs = n * ultrametric_moment(model, k, F_cont, n, x0, kernel=kernel)
+            obs = n * ultrametric_moment(model, k, F, n, x0, kernel=kernel)
         rel = None if limit in (None, 0.0) else abs(obs - limit) / abs(limit)
         rows.append(
             {

@@ -345,13 +345,13 @@ def moment_recursive(model, query, kernel=None):
     return float(vec[model.index[query.x0]])
 
 
-def rescaled_moment(model, k, F_cont, n, x0, R=1.0, kernel=None):
-    """n^{-2k} times the k-point moment of F_cont(shape / n) up to height R * n.
+def rescaled_moment(model, k, F, n, x0, R=1.0, kernel=None):
+    """n^{-2k} times the k-point moment of F(shape / n) up to height R * n.
 
-    F_cont takes a continuum shape (heights already divided by n) plus the
-    type tuples.  Uses the harmonic weight internally; n times the result
-    approaches h(x0) (sigma^2 / 2)^{k-1} times the continuum shape
-    integral of F_cont averaged over leaf types.
+    F is a shape functional that sees heights already divided by n.  Uses
+    the harmonic weight internally; n times the result approaches
+    h(x0) (sigma^2 / 2)^{k-1} times the continuum shape integral of F
+    averaged over leaf types.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -359,16 +359,16 @@ def rescaled_moment(model, k, F_cont, n, x0, R=1.0, kernel=None):
         kernel = build_kernel(model, "harmonic")
     R_disc = int(math.floor(R * n + 1e-9))
     psi_x = float(kernel.psi[model.index[x0]])
-    total = shape_sum(kernel, shape_batches(k, R_disc), F_cont, x0, scale=1.0 / n)
+    total = shape_sum(kernel, shape_batches(k, R_disc), F, x0, scale=1.0 / n)
     return psi_x * total / float(n) ** (2 * k)
 
 
-def ultrametric_moment(model, k, F_cont, n, x0, kernel=None):
+def ultrametric_moment(model, k, F, n, x0, kernel=None):
     """n^{-k} times the k-point moment over generation-n vertices only.
 
-    All leaf heights sit at n; heights are divided by n before F_cont sees
+    All leaf heights sit at n; heights are divided by n before F sees
     them, so leaves sit at 1 and meets in [0, 1).  n times the result
-    approaches h(x0) (sigma^2 / 2)^{k-1} times the integral of F_cont over
+    approaches h(x0) (sigma^2 / 2)^{k-1} times the integral of F over
     uniform meet heights in [0, 1]^{k-1}.
     """
     if n < 1:
@@ -377,5 +377,5 @@ def ultrametric_moment(model, k, F_cont, n, x0, kernel=None):
         kernel = build_kernel(model, "harmonic")
     psi_x = float(kernel.psi[model.index[x0]])
     batches = ((np.full((len(B), k), n), B) for B in product_batches(0, n, k - 1))
-    total = shape_sum(kernel, batches, F_cont, x0, scale=1.0 / n)
+    total = shape_sum(kernel, batches, F, x0, scale=1.0 / n)
     return psi_x * total / float(n) ** k

@@ -204,9 +204,10 @@ def enumerate_population(model, x0, n_gen, cap=200_000):
     Returns a list of (probability, MarkedTree) covering every outcome of
     the first n_gen generations; generation-n_gen vertices carry degree 0.
     Probabilities are exact if the model holds Fractions.  Raises
-    ValueError with a size estimate as soon as the outcome count would
-    exceed `cap`.
+    ValueError before enumerating anything when some generation has more
+    than `cap` outcomes, naming the first such generation and its count.
     """
+    _check_outcome_count(model, x0, n_gen, cap)
     outcomes = [(1, {}, {(): x0}, [()])]
     for _ in range(n_gen):
         new = []
@@ -215,16 +216,6 @@ def enumerate_population(model, x0, n_gen, cap=200_000):
                 new.append((prob, degs, marks, frontier))
                 continue
             atom_lists = [model.offspring[marks[v]] for v in frontier]
-            n_comb = 1
-            for al in atom_lists:
-                n_comb *= len(al)
-            if len(new) + n_comb > cap:
-                est = len(outcomes) * n_comb
-                raise ValueError(
-                    f"enumeration would exceed cap={cap} "
-                    f"(roughly {est} outcomes at the next generation); "
-                    f"raise the cap or lower the horizon"
-                )
             for combo in itertools.product(*atom_lists):
                 p2 = prob
                 d2 = dict(degs)
@@ -245,6 +236,31 @@ def enumerate_population(model, x0, n_gen, cap=200_000):
             degs[v] = 0
         result.append((prob, MarkedTree(PlanarTree._built(degs), marks)))
     return result
+
+
+def _check_outcome_count(model, x0, n_gen, cap):
+    """ValueError unless every generation up to n_gen has at most `cap`
+    outcomes from x0.  Generation g has N_x0(g) of them, where N_x(0) = 1
+    and N_x(g) sums over the atoms of x the product of N_c(g - 1) over
+    their children c.  Counts never decrease (every type has an atom), so
+    the loop stops at the first generation past cap; it counts only the
+    types x0 can reach, so no type grows far beyond that."""
+    reach = {x0}
+    new = [x0]
+    while new:
+        new = [c for x in new for _, cs in model.offspring[x] for c in cs if c not in reach]
+        reach.update(new)
+    counts = dict.fromkeys(reach, 1)
+    for g in range(1, n_gen + 1):
+        counts = {
+            x: sum(math.prod(counts[c] for c in cs) for _, cs in model.offspring[x])
+            for x in reach
+        }
+        if counts[x0] > cap:
+            raise ValueError(
+                f"enumeration would exceed cap={cap}: generation {g} has "
+                f"{counts[x0]} outcomes; raise the cap or lower the horizon"
+            )
 
 
 def mean_matrix(model):

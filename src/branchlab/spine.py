@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .process import eigenpair
-from .trees import TreeShape
+from .trees import shape_values
 
 __all__ = [
     "SpineKernel",
@@ -201,9 +201,9 @@ def _pattern_groups(B):
 def _table(kernel, pattern, L, B, biased, powers, start):
     """Typed keys and weights of N shapes sharing one tie pattern.
 
-    Returns (keys, W): keys lists every (leaf type indices, branch type
-    indices) the pattern admits, in the order _row_values sums them,
-    and W[j] holds the spine-tree probability of keys[j] on each row,
+    Returns (keys, W): keys lists every (leaf types, branch types) pair
+    of type-label tuples the pattern admits, in the order _row_values sums
+    them, and W[j] holds the spine-tree probability of keys[j] on each row,
     times (when biased) the correction factor of the typed skeleton, as
     an (N, X) array over the start types (X = n_types) or at start index
     `start` (X = 1).  A multi-leaf shape is split at its lowest meet s:
@@ -213,14 +213,15 @@ def _table(kernel, pattern, L, B, biased, powers, start):
     operations of a per-key scalar loop, vectorised over keys and rows.
     Keys a row cannot have get weight zero.
     """
-    nt = len(kernel.model.types)
+    types = kernel.model.types
+    nt = len(types)
     at = slice(None) if start is None else slice(start, start + 1)
     N = len(L)
     if not pattern:
         M = powers[L[:, 0]][:, at, :]
         if biased:
             M = M / kernel.psi
-        return [((y,), ()) for y in range(nt)], M.transpose(2, 0, 1)
+        return [((x,), ()) for x in types], M.transpose(2, 0, 1)
     sizes = [_leaf_count(p) for p in pattern]
     s = B[:, sizes[0] - 1]
     subs = []
@@ -253,7 +254,7 @@ def _table(kernel, pattern, L, B, biased, powers, start):
             lt, bt = combo[0]
             for lt_j, bt_j in combo[1:]:
                 lt += lt_j
-                bt += (y,) + bt_j
+                bt += (types[y],) + bt_j
             keys.append((lt, bt))
     if not keys:
         return [], np.zeros((0, N, nt if start is None else 1))
@@ -265,11 +266,10 @@ def _row_values(kernel, L, B, F, i0, biased, scale):
     row, the sum over typed keys in key order of w * F, skipping keys of
     weight zero.
 
-    F sees heights times `scale` (unscaled when None).  F.batched, when
-    present, is called once per leaf-type tuple on all rows of a pattern;
-    otherwise each row's TreeShape is built once and F called per key.
+    F sees heights times `scale` (unscaled when None), through
+    trees.shape_values on all rows of one tie pattern at a time, with the
+    keys of nonzero weight live.
     """
-    types = kernel.model.types
     out = np.zeros(len(L))
     # the heights F sees
     Lf = L if scale is None else scale * L
@@ -277,31 +277,13 @@ def _row_values(kernel, L, B, F, i0, biased, scale):
     powers = np.stack(
         [kernel.matrix_power(h, biased) for h in range(int(L.max(initial=0)) + 1)]
     )
-    batched = getattr(F, "batched", None)
     for pattern, rows in _pattern_groups(B):
         keys, W = _table(kernel, pattern, L[rows], B[rows], biased, powers, i0)
         if not keys:
             continue
         W = W[:, :, 0]
         live = W != 0.0
-        used = np.flatnonzero(live.any(axis=1)).tolist()
-        vals = np.zeros(W.shape)
-        if batched is not None:
-            by_lt = {}
-            for j in used:
-                by_lt.setdefault(keys[j][0], []).append(j)
-            for lt, js in by_lt.items():
-                vals[js] = batched(Lf[rows], Bf[rows], tuple(types[t] for t in lt))
-        else:
-            shapes = [
-                TreeShape(tuple(l), tuple(b))
-                for l, b in zip(Lf[rows].tolist(), Bf[rows].tolist())
-            ]
-            labels = {}
-            for j, r in zip(*(ix.tolist() for ix in np.nonzero(live))):
-                if j not in labels:
-                    labels[j] = [tuple(types[t] for t in part) for part in keys[j]]
-                vals[j, r] = F(shapes[r], *labels[j])
+        vals = shape_values(F, Lf[rows], Bf[rows], keys, live)
         with np.errstate(invalid="ignore", over="ignore"):
             terms = np.where(live, W * vals, 0.0)
         # each row's terms added in key order; the + 0.0 makes the sum one
@@ -325,11 +307,10 @@ def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None):
 
     Every row of one tie pattern is evaluated in one numpy pass, with the
     float operations and summation order of the per-shape scalar loop,
-    so the total has its bits.  F is called as F(shape, lt, bt) with
-    heights multiplied by `scale` when one is given.  If F has an
-    attribute batched(L, B, lt), it is called instead once per leaf-type
-    tuple on all rows of a tie pattern; it must ignore branch types and
-    return the N values F gives row by row, with the same bits.
+    so the total has its bits.  F sees heights multiplied by `scale` when
+    one is given and is evaluated by trees.shape_values, so an F with a
+    batched(L, B, lt) form is called once per leaf-type tuple on all rows
+    of a tie pattern.
     """
     i0 = kernel.model.index[x0]
     total = 0.0

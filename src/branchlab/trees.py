@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "PlanarTree",
     "TreeShape",
+    "shape_values",
     "meet",
     "is_ancestor",
     "decode_heights",
@@ -163,6 +164,38 @@ class TreeShape:
             tuple(a * x for x in self.leaf_heights),
             tuple(a * x for x in self.branch_heights),
         )
+
+
+def shape_values(F, L, B, keys, live=None):
+    """Values of a shape functional F on N shapes: one (N,) float array
+    per typed key.
+
+    L and B hold (N, k) leaf heights and (N, k-1) meet heights, keys the
+    (leaf_types, branch_types) label tuples, and live, an optional
+    (len(keys), N) bool mask, the entries wanted (all when None).  A plain
+    F(shape, leaf_types, branch_types) is called once per wanted entry,
+    with one TreeShape per row; other entries are 0.0.  If F has an
+    attribute batched(L, B, leaf_types), that is called instead, once per
+    distinct leaf-type tuple of the keys with a wanted entry, on all rows,
+    and its array is handed through uncopied; it must ignore branch types
+    and give F's bits row by row.  Keys with no wanted entry get zeros.
+    """
+    batched = getattr(F, "batched", None)
+    if batched is not None:
+        wanted = [True] * len(keys) if live is None else live.any(axis=1).tolist()
+        by_lt, out = {}, []
+        for (lt, _), want in zip(keys, wanted):
+            if want and lt not in by_lt:
+                by_lt[lt] = batched(L, B, lt)
+            out.append(by_lt[lt] if want else np.zeros(len(L)))
+        return out
+    shapes = [TreeShape(tuple(l), tuple(b)) for l, b in zip(L.tolist(), B.tolist())]
+    vals = np.zeros((len(keys), len(L)))
+    if live is None:
+        live = np.ones(vals.shape, dtype=bool)
+    for j, r in zip(*(ix.tolist() for ix in np.nonzero(live))):
+        vals[j, r] = F(shapes[r], *keys[j])
+    return list(vals)
 
 
 def encode_heights(tree):

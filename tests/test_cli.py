@@ -526,6 +526,21 @@ class TestMoments:
         )
         only_config_error(*run(capsys, "moments", "--config", str(cfg)), "unknown route 'bogus'")
 
+    def test_bruteforce_past_the_cap_refused_before_enumerating(self, capsys, tmp_path):
+        # the exact count of generation 5 shows it was counted, not enumerated
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"model": str(Path(CONFIG_DIR, "binary_gw.json").resolve()), "x0": "a", "k": 3, "R": 5,
+             "route": "bruteforce"},
+        )
+        rc, out, err = run(capsys, "moments", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err == (
+            "error: enumeration would exceed cap=200000: generation 5 has 458330 "
+            "outcomes; raise the cap or lower the horizon\n"
+        )
+
     def test_out_file_silences_stdout(self, capsys, tmp_path):
         path = tmp_path / "o.json"
         main(

@@ -1,4 +1,4 @@
-"""Continuum limits: shape integrals, the Poisson comb, excursion contours."""
+"""Continuum limits: shape integrals, the Poisson comb, walk excursions."""
 
 import contextlib
 import io
@@ -14,7 +14,6 @@ from branchlab.limits import (
     REPORT_COLUMNS,
     CppSample,
     LimitQuery,
-    contour_tree,
     convergence_report,
     cpp_moment,
     cpp_monomial_mc,
@@ -23,12 +22,10 @@ from branchlab.limits import (
     donsker_crt_check,
     lambda_k_integral,
     lambda_tilde_k_integral,
-    rowwise,
     sample_excursions,
 )
 from branchlab.limits import _pair_distances
 from branchlab import limits
-from branchlab.mmm import FiniteMmmSpace, monomial
 from branchlab.process import eigenpair, sigma_squared
 from branchlab.trees import TreeShape
 
@@ -74,33 +71,19 @@ class TestShapeIntegrals:
         val2, _ = lambda_k_integral(1, ones_f, R=2.5, method="grid", grid_step=1e-3)
         assert abs(val2 - 2.5) <= 1e-9
 
-    def test_rowwise_matches_batched(self):
-        f = lambda l, b: l[0] + 0.25 * b[0]
-        fv = lambda L, B: L[:, 0] + 0.25 * B[:, 0]
-        for method, kw in (
-            ("grid", {"grid_step": 0.05}),
-            ("mc", {"n_samples": 5000, "rng": 1}),
-        ):
-            a = lambda_k_integral(2, rowwise(f), method=method, **kw)
-            b = lambda_k_integral(2, fv, method=method, **kw)
-            assert a == b
-            a = lambda_tilde_k_integral(3, rowwise(f), method=method, **kw)
-            b = lambda_tilde_k_integral(3, fv, method=method, **kw)
-            assert a == b
-
     def test_wrong_shaped_return_raises(self):
         # a per-point lambda handed a batch returns one row, not N values
         per_point = lambda l, b: l[0] + 0.25 * b[0]
         for bad in (per_point, lambda L, B: 1.0, lambda L, B: L):
             for method in ("grid", "mc"):
-                with pytest.raises(ValueError, match="rowwise"):
+                with pytest.raises(ValueError, match="values, one per row"):
                     lambda_k_integral(2, bad, method=method, grid_step=0.1, n_samples=50)
-                with pytest.raises(ValueError, match="rowwise"):
+                with pytest.raises(ValueError, match="values, one per row"):
                     lambda_tilde_k_integral(2, bad, method=method, grid_step=0.1, n_samples=50)
-        with pytest.raises(ValueError, match="rowwise"):
+        with pytest.raises(ValueError, match="values, one per row"):
             lambda_tilde_k_integral(1, lambda L, B: 7.25)
-        with pytest.raises(ValueError):
-            lambda_k_integral(2, rowwise(lambda l, b: l), method="grid", grid_step=0.1)
+        with pytest.raises(ValueError, match="values, one per row"):
+            lambda_k_integral(2, lambda L, B: L[:, :1], method="grid", grid_step=0.1)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -120,7 +103,7 @@ class TestUnitCubeIntegrals:
         assert abs(val - 0.5) <= 1e-12
 
     def test_indicator_with_aligned_threshold(self):
-        f = rowwise(lambda l, b: float(b[0] >= 0.5))
+        f = lambda L, B: (B[:, 0] >= 0.5).astype(float)
         val, _ = lambda_tilde_k_integral(2, f, method="grid", grid_step=1e-3)
         assert abs(val - 0.5) <= 1e-12
 
@@ -403,89 +386,6 @@ class TestExcursions:
 
 def _hex_matrix(D):
     return [float(v).hex() for v in np.asarray(D).reshape(-1)]
-
-
-def _seed_contour_tree(path, mass_scale=1.0, merge_tol=1e-12):
-    """The seed's row-by-row contour distances and merge, kept as the
-    reference."""
-    f = np.asarray(path, dtype=float)
-    n = len(f)
-    D = np.zeros((n, n))
-    for i in range(n):
-        running = np.minimum.accumulate(f[i:])
-        D[i, i:] = f[i] + f[i:] - 2.0 * running
-        D[i:, i] = D[i, i:]
-    reps, rep_mass = [], []
-    for i in range(n):
-        for r, ri in enumerate(reps):
-            if D[i, ri] <= merge_tol:
-                rep_mass[r] += mass_scale
-                break
-        else:
-            reps.append(i)
-            rep_mass.append(float(mass_scale))
-    ids = np.array(reps)
-    return FiniteMmmSpace([f"t{r}" for r in reps], 0, D[np.ix_(ids, ids)], np.array(rep_mass))
-
-
-class TestContourTrees:
-    def test_tent(self):
-        space = contour_tree([0, 1, 0])
-        # the end point coincides with the start; their masses merge
-        assert space.points == ["t0", "t1"]
-        assert np.array_equal(space.mass, [2.0, 1.0])
-        assert space.dist[0, 1] == 1.0
-
-    def test_double_tent(self):
-        space = contour_tree([0, 1, 0, 1, 0])
-        assert space.points == ["t0", "t1", "t3"]
-        assert np.array_equal(space.mass, [3.0, 1.0, 1.0])
-        assert space.dist[1, 2] == 2.0
-
-    def test_flat_path_collapses(self):
-        space = contour_tree([0, 0, 0])
-        assert space.points == ["t0"]
-        assert space.mass[0] == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            contour_tree([0, 1])
-        with pytest.raises(ValueError):
-            contour_tree([0, -1, 0])
-        with pytest.raises(ValueError):
-            contour_tree([])
-        with pytest.raises(ValueError):
-            contour_tree(np.zeros(5000))
-
-    def test_matches_seed_loop(self):
-        paths = list(sample_excursions(30, 40, rng=5) * 0.37)
-        t = np.linspace(0.0, 1.0, 201)
-        paths.append(np.sin(np.pi * t) * (1.3 + np.cos(17 * t)))
-        paths.append(np.array([0.0]))
-        for path in paths:
-            space = contour_tree(path, mass_scale=0.5)
-            want = _seed_contour_tree(path, mass_scale=0.5)
-            assert space.points == want.points
-            assert _hex_matrix(space.mass) == _hex_matrix(want.mass)
-            assert _hex_matrix(space.dist) == _hex_matrix(want.dist)
-
-    def test_first_representative_wins(self):
-        # t2 is within merge_tol of both t0 and t1, which are not within it
-        # of each other; t2 joins t0, the first representative
-        path = [0.0, 1.6e-12, 0.8e-12, 0.0]
-        space = contour_tree(path)
-        want = _seed_contour_tree(path)
-        assert space.points == want.points == ["t0", "t1"]
-        assert space.mass.tolist() == want.mass.tolist() == [3.0, 1.0]
-
-    def test_occupation_count_via_monomial(self):
-        # k = 1 monomial of the contour space counts time points by height
-        S = sample_excursions(1, 40, rng=7)
-        heights = S[0]
-        space = contour_tree(heights)
-        for r in (0.0, 1.0, 3.0):
-            val, _ = monomial(space, 1, lambda D, m, r=r: float(D[0, 1] <= r))
-            assert val == float(np.sum(heights <= r))
 
 
 class TestWalkLimit:
@@ -823,9 +723,10 @@ class TestSeedOracle:
 
     def test_unit_cube_mc(self):
         f = lambda l, b: float(len(b) and b[0] <= 0.4) + l[-1] * (1.0 + b.sum())
+        fv = lambda L, B: (B[:, :1] <= 0.4).any(axis=1) + L[:, -1] * (1.0 + B.sum(axis=1))
         for k in (1, 2, 3):
             want = _reference_lambda_tilde(k, f, method="mc", n_samples=3000, rng=4)
-            got = lambda_tilde_k_integral(k, rowwise(f), method="mc", n_samples=3000, rng=4)
+            got = lambda_tilde_k_integral(k, fv, method="mc", n_samples=3000, rng=4)
             assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize(

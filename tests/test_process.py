@@ -182,6 +182,25 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cap"):
             enumerate_population(asymmetric, "A", 5)
 
+    def test_cap_refusal_names_generation_and_count(self, binary, asymmetric):
+        # generation 5 of binary_gw has 458330 outcomes: counted, not enumerated
+        with pytest.raises(ValueError, match=r"exceed cap=200000: generation 5 has 458330 outcomes"):
+            enumerate_population(binary, "a", 5)
+        with pytest.raises(ValueError, match=r"cap=676: generation 4 has 677 outcomes"):
+            enumerate_population(binary, "a", 7, cap=676)
+        # a cap equal to the count passes, one below refuses, extinct
+        # outcomes included
+        for n, count in ((1, 3), (2, 12), (3, 164)):
+            assert len(enumerate_population(asymmetric, "A", n, cap=count)) == count
+            with pytest.raises(ValueError, match=f"generation {n} has {count} outcomes"):
+                enumerate_population(asymmetric, "A", n, cap=count - 1)
+
+    def test_cap_counts_only_reachable_types(self):
+        # x0 dies at once; the unreachable type's count squares each
+        # generation, N_c(g) = 1 + N_c(g - 1)^2
+        model = Model(("x", "c"), {"x": [(1, ())], "c": [(HALF, ()), (HALF, ("c", "c"))]})
+        assert len(enumerate_population(model, "x", 10_000, cap=1)) == 1
+
     def test_semigroup_identity(self, asymmetric):
         # E[sum of f over generation n] must equal (M^n f)(x0)
         M = mean_matrix(asymmetric)

@@ -12,7 +12,7 @@ from branchlab import moments, spine
 from branchlab.cli import build_functional
 from branchlab.process import Model, eigenpair, sigma_squared
 from branchlab.spine import SpineKernel, build_kernel, elementary_symmetric, shape_sum
-from branchlab.trees import TreeShape
+from branchlab.trees import TreeShape, shape_batches, shape_values
 
 from conftest import (
     make_asymmetric,
@@ -483,3 +483,91 @@ class TestShapeSumMatchesPerShapeLoops:
                 want = reference_m2f(kern, 2, F, 4, x0)
                 assert not math.isnan(want)
                 assert got.hex() == want.hex(), (psi, x0)
+
+
+def asymmetric_tables(model):
+    """(L, B, keys, live) per tie pattern of the 3-leaf shapes of height
+    at most 3: the typed keys, live where the spine weight is nonzero,
+    with every key of leaf types (B, B, B) masked as well."""
+    ker = build_kernel(model, "unit")
+    (L, B), = shape_batches(3, 3)
+    powers = np.stack([ker.matrix_power(h) for h in range(4)])
+    out = []
+    for pattern, rows in spine._pattern_groups(B):
+        keys, W = spine._table(ker, pattern, L[rows], B[rows], True, powers, 0)
+        live = W[:, :, 0] != 0.0
+        live[[lt == ("B", "B", "B") for lt, _ in keys]] = False
+        out.append((L[rows], B[rows], keys, live))
+    return out
+
+
+class TestShapeValues:
+    """trees.shape_values on masked typed keys of the asymmetric model."""
+
+    def test_masks_have_holes(self, asymmetric):
+        dead_keys = 0
+        for _, _, keys, live in asymmetric_tables(asymmetric):
+            assert live.any() and not live.all()
+            dead_keys += int((~live.any(axis=1)).sum())
+        assert dead_keys > 0
+
+    def test_named_functional_equals_its_scalar_form(self, asymmetric):
+        for L, B, keys, live in asymmetric_tables(asymmetric):
+            # integer heights, as the shape sum sees them, and divided by n
+            for Lf, Bf in ((L, B), (L / 5, B / 5)):
+                for label, F, _ in named_functionals(asymmetric):
+                    vals = shape_values(F, Lf, Bf, keys, live)
+                    assert len(vals) == len(keys)
+                    for j, r in zip(*np.nonzero(live)):
+                        shape = TreeShape(tuple(Lf[r].tolist()), tuple(Bf[r].tolist()))
+                        want = F(shape, *keys[j])
+                        assert float(vals[j][r]).hex() == want.hex(), (label, keys[j], shape)
+                    for j in np.flatnonzero(~live.any(axis=1)):
+                        assert not vals[j].any()
+
+    def test_plain_functional_skips_masked_entries(self, asymmetric):
+        for L, B, keys, live in asymmetric_tables(asymmetric):
+            wanted = {
+                (tuple(L[r].tolist()), tuple(B[r].tolist())) + keys[j]
+                for j, r in zip(*np.nonzero(live))
+            }
+            seen = []
+
+            def F(shape, lt, bt):
+                entry = (shape.leaf_heights, shape.branch_heights, lt, bt)
+                if entry not in wanted:
+                    raise AssertionError(f"called on a masked entry {entry}")
+                seen.append(entry)
+                return rough_functional(shape, lt, bt)
+
+            vals = np.array(shape_values(F, L, B, keys, live))
+            assert len(seen) == len(set(seen)) == len(wanted)
+            assert not vals[~live].any()
+            for j, r in zip(*np.nonzero(live)):
+                shape = TreeShape(tuple(L[r].tolist()), tuple(B[r].tolist()))
+                assert vals[j, r] == rough_functional(shape, *keys[j])
+
+    def test_batched_called_once_per_leaf_type_tuple(self, asymmetric):
+        for L, B, keys, live in asymmetric_tables(asymmetric):
+            calls, results = [], {}
+
+            def F(shape, lt, bt):
+                raise AssertionError("the scalar form is not called")
+
+            def batched(L_, B_, lt):
+                assert L_ is L and B_ is B
+                calls.append(lt)
+                results[lt] = np.full(len(L_), float(len(calls)))
+                return results[lt]
+
+            F.batched = batched
+            vals = shape_values(F, L, B, keys, live)
+            live_lts = [lt for (lt, _), row in zip(keys, live) if row.any()]
+            assert calls == list(dict.fromkeys(live_lts))
+            assert ("B", "B", "B") not in calls and len(calls) == 7
+            # keys sharing a leaf-type tuple share its array, uncopied
+            for (lt, _), row, v in zip(keys, live, vals):
+                if row.any():
+                    assert v is results[lt]
+                else:
+                    assert not v.any()
