@@ -121,6 +121,17 @@ class TestMonomials:
         val, _ = monomial(space, 1, lambda D, m: float(m[0] == "A"))
         assert val == 2.0
 
+    def test_contour_space_counts_time_points_by_height(self):
+        # the k = 1 monomial of a walk's contour space, rooted at its start
+        # at height 0, counts the time points at height <= r
+        rng = np.random.default_rng(7)
+        f = np.concatenate([[0.0], np.abs(np.cumsum(rng.choice([-1.0, 1.0], 40)))])
+        d = meet_distances(f, np.minimum(f[:-1], f[1:]))
+        space = FiniteMmmSpace([f"t{i}" for i in range(len(f))], 0, d, np.ones(len(f)))
+        for r in (0.0, 1.0, 3.0):
+            val, _ = monomial(space, 1, lambda D, m, r=r: float(D[0, 1] <= r))
+            assert val == float(np.sum(f <= r))
+
     def test_nonancestor_pairs_match_tree_count(self, binary):
         # a pair is comparable iff the distance equals the depth difference
         def nonanc(D, marks):

@@ -278,6 +278,24 @@ class TestMeetDistances:
         for a, c in itertools.product(range(2), range(3)):
             assert hex_matrix(D[a, c]) == hex_matrix(meet_distances(L[a, c], B[a, c]))
 
+    def test_contour_distance_of_a_path(self):
+        # with b = minimum(f[:-1], f[1:]), D[i, j] = f_i + f_j - 2 min f[i..j],
+        # the seed's row-by-row contour distances, bit for bit
+        rng = np.random.default_rng(6)
+        paths = [np.cumsum(rng.choice([-1.0, 1.0], n)) * 0.37 for n in (2, 9, 40)]
+        t = np.linspace(0.0, 1.0, 201)
+        paths += [np.sin(np.pi * t) * (1.3 + np.cos(17 * t)), np.zeros(3), np.array([0.5])]
+        for f in paths:
+            want = np.zeros((len(f), len(f)))
+            for i in range(len(f)):
+                running = np.minimum.accumulate(f[i:])
+                want[i, i:] = f[i] + f[i:] - 2.0 * running
+                want[i:, i] = want[i, i:]
+            got = meet_distances(f, np.minimum(f[:-1], f[1:]))
+            assert hex_matrix(got) == hex_matrix(want)
+        tent = meet_distances([0.0, 1.0, 0.0, 1.0, 0.0], [0.0] * 4)
+        assert tent[0, 4] == 0.0 and tent[1, 3] == 2.0 and tent[0, 3] == 1.0
+
     def test_wrong_meet_count_rejected(self):
         with pytest.raises(ValueError):
             meet_distances([1.0, 2.0, 3.0], [0.5])
