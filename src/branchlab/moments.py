@@ -56,6 +56,16 @@ class MomentQuery:
     psi: object = "unit"
 
 
+# BruteForceMoments.table walks outcomes in groups of at most _VERTEX_CHUNK
+# vertices (or one larger outcome), and a group's vertex tuples in ranges
+# of first vertices with at most _TABLE_CHUNK tuples and tuple prefixes
+# (or one first vertex's), so its arrays hold O(chunk) integers besides a
+# group's pairs.  Chunks of 2**12 and 2**14 ran within a few percent of
+# these and raised the peak memory of perfbench's exact_verify by a tenth.
+_VERTEX_CHUNK = 2**10
+_TABLE_CHUNK = 2**13
+
+
 class BruteForceMoments:
     """Exact k-point moments by exhaustive enumeration of the population.
 
@@ -64,16 +74,19 @@ class BruteForceMoments:
     functional is then a plain weighted sum.  Feasible only while the
     outcome count stays under the cap.
 
-    The table walks each outcome's vertices by index in planar order.  A
-    vertex's subtree is the index interval [i, end[i]), so the k-tuples
-    with no ancestor pair are exactly the increasing index tuples with
-    i_{t+1} >= end[i_t]; ancestral tuples are never visited.  For
-    j >= end[i] the meet of i and j is the parent of the shallowest
-    vertex in (i, j], which a running minimum over j yields for every j
-    at once.  Tuples are visited in the lexicographic order of the
-    vertex k-subsets, each adding its outcome's probability to its key,
-    so the table's key order and every float are those of filtering all
-    k-subsets in that order.
+    The table flattens groups of consecutive outcomes into int arrays
+    over their planar-ordered vertices.  A vertex's subtree is the index
+    interval [i, end[i]), so the k-tuples with no ancestor pair are
+    exactly the increasing index tuples with i_{t+1} >= end[i_t] inside
+    one outcome; ancestral tuples are never visited.  The pairs
+    (i, j >= end[i]) are listed once, each with its meet: the ancestor
+    of j one level above the shallowest vertex of [end[i], j].  Longer
+    tuples chain the pair blocks of their last vertex.  Each tuple's key
+    is an integer code, mapped to its key tuple in first-seen order, and
+    its outcome's probability is added to its key one tuple at a time
+    (np.add.at) in lexicographic order, so the table's key order and
+    every float are those of filtering all vertex k-subsets in that
+    order.
     """
 
     def __init__(self, model, x0, horizon, cap=200_000):
@@ -89,32 +102,25 @@ class BruteForceMoments:
             return tab
         if k < 1:
             raise ValueError("k must be at least 1")
-        tab = {}
-        get = tab.get
-        for prob, mt in self.outcomes:
-            p = float(prob)
-            vs = mt.tree.vertices
-            # one-element tuples, concatenated into the key components
-            dt = [(len(v),) for v in vs]
-            mk = [(mt.marks[v],) for v in vs]
-            prefixes = [(i, dt[i], (), mk[i], ()) for i in range(len(vs))]
-            if k == 1:
-                for _, l, b, lt, bt in prefixes:
-                    key = (l, b, lt, bt)
-                    tab[key] = get(key, 0.0) + p
-                continue
-            steps = _planar_steps(dt, mk)
-            for _ in range(k - 2):
-                prefixes = [
-                    (j, l + dj, b + dw, lt + mj, bt + mw)
-                    for i, l, b, lt, bt in prefixes
-                    for j, dj, dw, mj, mw in steps[i]
+        labels = np.array(self.model.types, dtype=object)
+        slots = {}  # key -> its entry of acc, in first-seen order
+        acc = np.zeros(0)
+        for group in _outcome_groups(self.outcomes):
+            walk = _PlanarWalk(group, self.model.index, k)
+            for cols, code in walk.tuple_chunks():
+                _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+                order = np.argsort(first)
+                slot = np.empty(len(first), dtype=np.intp)
+                slot[order] = [
+                    slots.setdefault(key, len(slots))
+                    for key in walk.keys(cols, first[order], labels)
                 ]
-            for i, l, b, lt, bt in prefixes:
-                for _, dj, dw, mj, mw in steps[i]:
-                    key = (l + dj, b + dw, lt + mj, bt + mw)
-                    tab[key] = get(key, 0.0) + p
-        self._tables[k] = tab
+                if len(slots) > len(acc):
+                    acc = np.concatenate([acc, np.zeros(len(slots) - len(acc))])
+                # adds one at a time in index order: each key's float is
+                # 0.0 + p_1 + p_2 + ... over its tuples in lexicographic order
+                np.add.at(acc, slot[inv], walk.prob[cols[0]])
+        tab = self._tables[k] = dict(zip(slots, acc.tolist()))
         return tab
 
     def moment(self, k, F, R):
@@ -127,38 +133,123 @@ class BruteForceMoments:
         return total
 
 
-def _planar_steps(dt, mk):
-    """Per vertex i, the ways to append a later vertex j outside its subtree.
+def _outcome_groups(outcomes):
+    """Consecutive outcomes in lists of at most _VERTEX_CHUNK vertices, or
+    one larger outcome."""
+    group, size = [], 0
+    for item in outcomes:
+        n = item[1].tree.size
+        if group and size + n > _VERTEX_CHUNK:
+            yield group
+            group, size = [], 0
+        group.append(item)
+        size += n
+    if group:
+        yield group
 
-    dt and mk hold (depth,) and (mark,) per vertex in planar order.
-    steps[i] lists (j, (depth j,), (depth w,), (mark j,), (mark w,)) for
-    j >= end[i] in increasing order, w being the meet of i and j.
+
+class _PlanarWalk:
+    """The non-ancestral k-tuples of consecutive outcomes, over int arrays
+    of their planar-ordered vertices.
+
+    Per vertex: depth, mark index, outcome probability, subtree end `end`
+    (the next vertex at the same depth or shallower) and outcome end
+    `stop` (the next root).  For k >= 2, per pair (i, j) with
+    end[i] <= j < stop[i], listed by i, then j: the last vertex J and the
+    meet vertex `meet`.  Roots have depth 0, so no interval crosses into
+    the next outcome.
     """
-    n = len(dt)
-    parent = [0] * n
-    end = [n] * n
-    stack = []
-    for j in range(n):
-        d = dt[j][0]
-        while stack and dt[stack[-1]][0] >= d:
-            end[stack.pop()] = j
-        if stack:
-            parent[j] = stack[-1]
-        stack.append(j)
-    steps = []
-    for i in range(n):
-        row = []
-        low = n
-        for j in range(end[i], n):
-            # (i, end[i]) is i's subtree, deeper than end[i], so the
-            # minimum over (i, j] starts at end[i]; the shallowest vertex
-            # of (i, j] is a child of the meet
-            if dt[j][0] < low:
-                low = dt[j][0]
-                w = parent[j]
-            row.append((j, dt[j], dt[w], mk[j], mk[w]))
-        steps.append(row)
-    return steps
+
+    def __init__(self, outcomes, index, k):
+        depth, mark, prob = [], [], []
+        for p, mt in outcomes:
+            vs = mt.tree.vertices
+            depth += map(len, vs)
+            mark += map(index.__getitem__, map(mt.marks.__getitem__, vs))
+            prob += [float(p)] * len(vs)
+        self.k = k
+        self.depth = depth = np.array(depth, dtype=np.int64)
+        self.mark = mark = np.array(mark, dtype=np.int64)
+        self.prob = np.array(prob)
+        n, D, nt = len(depth), int(depth.max()) + 1, len(index)
+        pos = np.arange(n)
+        at = depth == np.arange(D)[:, None]
+        # after[t, i]: the first vertex after i at depth t or shallower
+        after = np.minimum.accumulate(np.where(at, pos, n)[:, ::-1], axis=1)[:, ::-1]
+        after = np.minimum.accumulate(after, axis=0)
+        after = np.concatenate([after[:, 1:], np.full((D, 1), n)], axis=1)
+        self.end = after[depth, pos]
+        self.stop = after[0]
+        # the digits (depth, mark) of a vertex as one code
+        self.vcode, self.vradix = depth * nt + mark, D * nt
+        if k == 1:
+            return
+        self.cnt = self.stop - self.end
+        self.off = np.cumsum(self.cnt) - self.cnt
+        I = np.repeat(pos, self.cnt)
+        self.J = J = self.end[I] + np.arange(len(I)) - self.off[I]
+        # the meet of i and j is one level above the shallowest vertex of
+        # [end[i], j], i.e. j's ancestor up[t, j] at that level t (the last
+        # vertex at depth t up to j); later i sit lower, so one running
+        # minimum restarts at every i
+        up = np.maximum.accumulate(np.where(at, pos, 0), axis=1)
+        base = (n - I) * D
+        low = np.minimum.accumulate(base + depth[J]) - base
+        self.meet = w = up[low - 1, J]
+        # the digits (depth j, depth w, mark j, mark w) of a pair
+        self.pcode = ((depth[J] * D + depth[w]) * nt + mark[J]) * nt + mark[w]
+        self.pradix = D * D * nt * nt
+
+    def tuple_chunks(self):
+        """(columns, codes) of the tuples in lexicographic order, split by
+        first vertex into ranges of at most _TABLE_CHUNK tuples and tuple
+        prefixes; columns are the first vertex, then the pair index of
+        each later vertex."""
+        n = len(self.depth)
+        tuples = np.ones(n, dtype=np.int64)
+        work = tuples.copy()
+        for _ in range(self.k - 1):
+            c = np.concatenate([[0], np.cumsum(tuples)])
+            tuples = c[self.stop] - c[self.end]
+            work += tuples
+        work = np.concatenate([[0], np.cumsum(work)])
+        full = np.concatenate([[0], np.cumsum(tuples)])
+        a = 0
+        while a < n:
+            b = int(np.searchsorted(work, work[a] + _TABLE_CHUNK, "right")) - 1
+            b = max(a + 1, b)
+            if full[b] > full[a]:
+                yield self._tuples(np.arange(a, b))
+            a = b
+
+    def _tuples(self, first):
+        cols, last = [first], first
+        code, radix = self.vcode[first], self.vradix
+        for _ in range(self.k - 1):
+            c = self.cnt[last]
+            rep = np.repeat(np.arange(len(last)), c)
+            p = np.arange(len(rep)) + np.repeat(self.off[last] - np.cumsum(c) + c, c)
+            if radix * self.pradix > 2**62:
+                # keep codes inside int64: renumber the distinct prefixes
+                uniq, code = np.unique(code, return_inverse=True)
+                radix = len(uniq)
+            code = code[rep] * self.pradix + self.pcode[p]
+            radix *= self.pradix
+            cols = [col[rep] for col in cols] + [p]
+            last = self.J[p]
+        return cols, code
+
+    def keys(self, cols, rows, labels):
+        """The table keys of the tuples at `rows`."""
+        pairs = [c[rows] for c in cols[1:]]
+        V = np.stack([cols[0][rows]] + [self.J[p] for p in pairs], axis=1)
+        W = np.stack([self.meet[p] for p in pairs], axis=1) if pairs else V[:, :0]
+        return zip(
+            map(tuple, self.depth[V].tolist()),
+            map(tuple, self.depth[W].tolist()),
+            map(tuple, labels[self.mark[V]].tolist()),
+            map(tuple, labels[self.mark[W]].tolist()),
+        )
 
 
 def moment_bruteforce(model, query, horizon=None, cap=200_000):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .process import eigenpair
-from .trees import shape_values
+from .trees import SHAPE_TABLE_FLOATS, shape_values
 
 __all__ = [
     "SpineKernel",
@@ -211,12 +211,21 @@ def _table(kernel, pattern, L, B, biased, powers, start):
     type y as q * w_1[z_1] * w_2[z_2] ... summed over the chi row in its
     order, times the stem column Ms[:, y] m_d / (d! psi): the float
     operations of a per-key scalar loop, vectorised over keys and rows.
-    Keys a row cannot have get weight zero.
+    Keys a row cannot have get weight zero.  Raises ValueError, before
+    allocating anything, when the table would hold more than
+    SHAPE_TABLE_FLOATS floats.
     """
     types = kernel.model.types
     nt = len(types)
     at = slice(None) if start is None else slice(start, start + 1)
     N = len(L)
+    floats = _key_count(kernel, pattern) * N * (nt if start is None else 1)
+    if floats > SHAPE_TABLE_FLOATS:
+        raise ValueError(
+            f"shape sum with n_types = {nt} at k = {L.shape[1]} needs a weight table of "
+            f"{floats:.3g} floats, above the budget of {SHAPE_TABLE_FLOATS:.3g}; "
+            f"use fewer types or a smaller k"
+        )
     if not pattern:
         M = powers[L[:, 0]][:, at, :]
         if biased:
@@ -259,6 +268,16 @@ def _table(kernel, pattern, L, B, biased, powers, start):
     if not keys:
         return [], np.zeros((0, N, nt if start is None else 1))
     return keys, np.concatenate(W)
+
+
+def _key_count(kernel, pattern):
+    """An upper bound on the typed keys _table lists for a tie pattern:
+    n_types for a leaf, else the branch types with a chi row times the
+    product over blocks."""
+    if not pattern:
+        return len(kernel.model.types)
+    rows = sum(map(bool, kernel.chi.get(len(pattern), ())))
+    return rows * math.prod(_key_count(kernel, p) for p in pattern)
 
 
 def _row_values(kernel, L, B, F, i0, biased, scale):
@@ -310,7 +329,10 @@ def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None):
     so the total has its bits.  F sees heights multiplied by `scale` when
     one is given and is evaluated by trees.shape_values, so an F with a
     batched(L, B, lt) form is called once per leaf-type tuple on all rows
-    of a tie pattern.
+    of a tie pattern.  A tie pattern whose weight table (typed keys x
+    rows x start types) would pass trees.SHAPE_TABLE_FLOATS floats is a
+    ValueError naming n_types, k and the size; many types at k >= 3 reach
+    it first, since a row has up to n_types^(2k-1) typed keys.
     """
     i0 = kernel.model.index[x0]
     total = 0.0

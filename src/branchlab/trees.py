@@ -262,6 +262,9 @@ def distance_matrix(shape):
 # rows per batch of shape_batches: bounds the memory of the batched shape
 # sum, whose largest table holds n_types^(2k-1) floats per row
 SHAPE_BATCH_ROWS = 2048
+# floats in one tie pattern's weight table (typed keys x rows x start
+# types), above which the shape sum refuses instead of exhausting memory
+SHAPE_TABLE_FLOATS = 2**24
 
 
 def product_batches(lo, hi, width, rows=SHAPE_BATCH_ROWS):

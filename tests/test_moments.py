@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from branchlab import moments
 from branchlab.moments import (
     BranchFunctional,
     BruteForceMoments,
@@ -21,7 +22,7 @@ from branchlab.moments import (
     rescaled_moment,
     ultrametric_moment,
 )
-from branchlab.process import enumerate_population, mean_matrix
+from branchlab.process import Model, enumerate_population, mean_matrix
 from branchlab.spine import build_kernel
 from branchlab.trees import TreeShape, distance_matrix, is_ancestor, meet
 
@@ -149,6 +150,47 @@ class TestBruteForceTable:
         assert bf.table(2) is bf.table(2)
         with pytest.raises(ValueError):
             bf.table(0)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_boundaries_change_no_bit(self, monkeypatch, chunk):
+        # one-vertex groups and one-first-vertex ranges, then ranges that
+        # cut across outcomes: the adds stay in tuple order either way.
+        # Thirds make the sums inexact, so another order shows in the bits
+        monkeypatch.setattr(moments, "_VERTEX_CHUNK", chunk)
+        monkeypatch.setattr(moments, "_TABLE_CHUNK", chunk)
+        third = Fraction(1, 3)
+        thirds = Model(
+            ("A", "B"),
+            {
+                "A": [(third, ("A", "B")), (third, ("B",)), (third, ())],
+                "B": [(third, ("A", "A")), (2 * third, ())],
+            },
+        )
+        bf = BruteForceMoments(thirds, "A", horizon=3)
+        for k in (1, 2, 3, 4):
+            assert bits(bf.table(k)) == bits(reference_table(bf, k)), k
+
+    @pytest.mark.parametrize("horizon, k", [(0, 2), (0, 3), (1, 3)])
+    def test_no_incomparable_tuple(self, binary, horizon, k):
+        bf = BruteForceMoments(binary, "a", horizon=horizon)
+        assert bf.table(k) == {}
+        assert bf.moment(k, count_F, horizon) == 0.0
+
+    def test_key_codes_stay_in_int64(self):
+        # the key radix (5 depths x 1,024 marks)^(2k-1) at k = 4 passes
+        # 2^63; a pair's radix 5^2 * 1024^2 holds 2^20, so codes wrapped
+        # mod 2^64 would lose their high digits and merge keys
+        nt = 1024
+        types = [f"t{i}" for i in range(nt)]
+        model = Model(
+            types,
+            {
+                x: [(Fraction(1), (types[(2 * i + 1) % nt], types[(2 * i + 2) % nt]))]
+                for i, x in enumerate(types)
+            },
+        )
+        bf = BruteForceMoments(model, types[0], horizon=4)
+        assert bits(bf.table(4)) == bits(reference_table(bf, 4))
 
 
 class TestSingleVertexSums:

@@ -571,3 +571,40 @@ class TestShapeValues:
                     assert v is results[lt]
                 else:
                     assert not v.any()
+
+
+def make_ring(m):
+    # m types on a ring: die w.p. 1/2, else two children whose types are
+    # independently uniform on i - 1, i, i + 1
+    types = [f"r{i}" for i in range(m)]
+    return Model(
+        types,
+        {
+            x: [(0.5, ())]
+            + [
+                (1 / 18, (types[(i + a) % m], types[(i + b) % m]))
+                for a in (-1, 0, 1)
+                for b in (-1, 0, 1)
+            ]
+            for i, x in enumerate(types)
+        },
+    )
+
+
+class TestTableBudget:
+    def test_many_types_refused_before_allocating(self):
+        # 32^5 typed keys per row at k = 3, so even one row is past the
+        # budget; the first tie pattern refused has 73 rows
+        with pytest.raises(ValueError, match=r"n_types = 32 at k = 3 .* 2\.45e\+09 floats"):
+            moments.rescaled_moment(make_ring(32), 3, lambda s, lt, bt: 1.0, 4, "r0")
+
+    def test_budget_is_per_table(self, monkeypatch, binary):
+        q = moments.MomentQuery(k=2, x0="a", F=lambda s, lt, bt: 1.0, R=3)
+        want = moments.moment_m2f(binary, q)
+        # one type: the largest tie pattern of two leaves up to height 3
+        # has 14 rows of one key each
+        monkeypatch.setattr(spine, "SHAPE_TABLE_FLOATS", 14)
+        assert moments.moment_m2f(binary, q) == want
+        monkeypatch.setattr(spine, "SHAPE_TABLE_FLOATS", 13)
+        with pytest.raises(ValueError, match="n_types = 1 at k = 2 .* 14 floats"):
+            moments.moment_m2f(binary, q)
