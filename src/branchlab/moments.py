@@ -15,6 +15,7 @@ The rescaled variants divide heights by n and renormalise, so that the
 values can be compared against continuum limits.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .process import enumerate_population
+from .process import enumerate_arrays, marked_trees
 from .spine import build_kernel, shape_sum
 from .trees import TreeShape, product_batches, shape_batches
 
@@ -74,11 +75,13 @@ class BruteForceMoments:
     functional is then a plain weighted sum.  Feasible only while the
     outcome count stays under the cap.
 
-    The table flattens groups of consecutive outcomes into int arrays
-    over their planar-ordered vertices.  A vertex's subtree is the index
-    interval [i, end[i]), so the k-tuples with no ancestor pair are
-    exactly the increasing index tuples with i_{t+1} >= end[i_t] inside
-    one outcome; ancestral tuples are never visited.  The pairs
+    The table reads the per-vertex arrays of enumerate_arrays (depth and
+    type index, outcome by outcome in planar order) in groups of
+    consecutive outcomes, and builds no tree; `outcomes` builds the trees
+    when first read.  A vertex's subtree is the index interval
+    [i, end[i]), so the k-tuples with no ancestor pair are exactly the
+    increasing index tuples with i_{t+1} >= end[i_t] inside one outcome;
+    ancestral tuples are never visited.  The pairs
     (i, j >= end[i]) are listed once, each with its meet: the ancestor
     of j one level above the shallowest vertex of [end[i], j].  Longer
     tuples chain the pair blocks of their last vertex.  Each tuple's key
@@ -93,8 +96,13 @@ class BruteForceMoments:
         self.model = model
         self.x0 = x0
         self.horizon = horizon
-        self.outcomes = enumerate_population(model, x0, horizon, cap=cap)
+        self._population = enumerate_arrays(model, x0, horizon, cap=cap)
         self._tables = {}
+
+    @functools.cached_property
+    def outcomes(self):
+        """enumerate_population's list, built from the arrays when first read."""
+        return marked_trees(self.model, *self._population)
 
     def table(self, k):
         tab = self._tables.get(k)
@@ -103,10 +111,12 @@ class BruteForceMoments:
         if k < 1:
             raise ValueError("k must be at least 1")
         labels = np.array(self.model.types, dtype=object)
+        prob, outcome, depth, mark = self._population
+        vprob = prob.astype(float)[outcome]
         slots = {}  # key -> its entry of acc, in first-seen order
         acc = np.zeros(0)
-        for group in _outcome_groups(self.outcomes):
-            walk = _PlanarWalk(group, self.model.index, k)
+        for group in _outcome_groups(outcome, len(prob)):
+            walk = _PlanarWalk(depth[group], mark[group], vprob[group], len(labels), k)
             for cols, code in walk.tuple_chunks():
                 _, first, inv = np.unique(code, return_index=True, return_inverse=True)
                 order = np.argsort(first)
@@ -133,45 +143,35 @@ class BruteForceMoments:
         return total
 
 
-def _outcome_groups(outcomes):
-    """Consecutive outcomes in lists of at most _VERTEX_CHUNK vertices, or
-    one larger outcome."""
-    group, size = [], 0
-    for item in outcomes:
-        n = item[1].tree.size
-        if group and size + n > _VERTEX_CHUNK:
-            yield group
-            group, size = [], 0
-        group.append(item)
-        size += n
-    if group:
-        yield group
+def _outcome_groups(outcome, n):
+    """Vertex slices of consecutive outcomes of the n in `outcome`, at most
+    _VERTEX_CHUNK vertices each, or one larger outcome."""
+    start = np.concatenate([[0], np.cumsum(np.bincount(outcome, minlength=n))])
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(start, start[a] + _VERTEX_CHUNK, "right")) - 1)
+        yield slice(start[a], start[b])
+        a = b
 
 
 class _PlanarWalk:
-    """The non-ancestral k-tuples of consecutive outcomes, over int arrays
-    of their planar-ordered vertices.
+    """The non-ancestral k-tuples of consecutive outcomes, over slices of
+    enumerate_arrays's per-vertex arrays in planar order: depth, mark index
+    and its outcome's float probability.
 
-    Per vertex: depth, mark index, outcome probability, subtree end `end`
-    (the next vertex at the same depth or shallower) and outcome end
-    `stop` (the next root).  For k >= 2, per pair (i, j) with
-    end[i] <= j < stop[i], listed by i, then j: the last vertex J and the
-    meet vertex `meet`.  Roots have depth 0, so no interval crosses into
-    the next outcome.
+    Derived per vertex: subtree end `end` (the next vertex at the same
+    depth or shallower) and outcome end `stop` (the next root).  For
+    k >= 2, per pair (i, j) with end[i] <= j < stop[i], listed by i, then
+    j: the last vertex J and the meet vertex `meet`.  Roots have depth 0,
+    so no interval crosses into the next outcome.
     """
 
-    def __init__(self, outcomes, index, k):
-        depth, mark, prob = [], [], []
-        for p, mt in outcomes:
-            vs = mt.tree.vertices
-            depth += map(len, vs)
-            mark += map(index.__getitem__, map(mt.marks.__getitem__, vs))
-            prob += [float(p)] * len(vs)
+    def __init__(self, depth, mark, prob, nt, k):
         self.k = k
-        self.depth = depth = np.array(depth, dtype=np.int64)
-        self.mark = mark = np.array(mark, dtype=np.int64)
-        self.prob = np.array(prob)
-        n, D, nt = len(depth), int(depth.max()) + 1, len(index)
+        self.depth = depth = depth.astype(np.int64)
+        self.mark = mark = mark.astype(np.int64)
+        self.prob = prob
+        n, D = len(depth), int(depth.max()) + 1
         pos = np.arange(n)
         at = depth == np.arange(D)[:, None]
         # after[t, i]: the first vertex after i at depth t or shallower

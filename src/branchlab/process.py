@@ -24,6 +24,8 @@ __all__ = [
     "MarkedTree",
     "Eigenpair",
     "simulate",
+    "enumerate_arrays",
+    "marked_trees",
     "enumerate_population",
     "mean_matrix",
     "eigenpair",
@@ -198,44 +200,95 @@ def simulate(model, x0, n_gen, rng=None):
     return MarkedTree(PlanarTree._built(degrees), marks)
 
 
-def enumerate_population(model, x0, n_gen, cap=200_000):
-    """All possible populations up to generation n_gen with their probabilities.
+def enumerate_arrays(model, x0, n_gen, cap=200_000):
+    """All possible populations up to generation n_gen, as flat arrays.
 
-    Returns a list of (probability, MarkedTree) covering every outcome of
-    the first n_gen generations; generation-n_gen vertices carry degree 0.
-    Probabilities are exact if the model holds Fractions.  Raises
-    ValueError before enumerating anything when some generation has more
-    than `cap` outcomes, naming the first such generation and its count.
+    Returns (prob, outcome, depth, mark): per outcome its probability, a
+    float array if the model holds only floats, else an object array
+    (exact for Fractions); per vertex its outcome id, depth and type
+    index, outcome by outcome in planar order.  Each generation follows
+    every outcome by each combination of atoms for its frontier (its
+    deepest vertices, in planar order), the last atom varying fastest,
+    and multiplies in their probabilities left to right; an np.repeat
+    puts the children right after their frontier parent.  Raises
+    ValueError first when a generation has more than `cap` outcomes.
     """
     _check_outcome_count(model, x0, n_gen, cap)
-    outcomes = [(1, {}, {(): x0}, [()])]
-    for _ in range(n_gen):
-        new = []
-        for prob, degs, marks, frontier in outcomes:
-            if not frontier:
-                new.append((prob, degs, marks, frontier))
-                continue
-            atom_lists = [model.offspring[marks[v]] for v in frontier]
-            for combo in itertools.product(*atom_lists):
-                p2 = prob
-                d2 = dict(degs)
-                m2 = dict(marks)
-                f2 = []
-                for v, (pa, cs) in zip(frontier, combo):
-                    p2 = p2 * pa
-                    d2[v] = len(cs)
-                    for i, c in enumerate(cs, start=1):
-                        m2[v + (i,)] = c
-                        f2.append(v + (i,))
-                new.append((p2, d2, m2, f2))
-        outcomes = new
-    result = []
-    # each outcome owns its dicts: the loop above copies them per combination
-    for prob, degs, marks, frontier in outcomes:
-        for v in frontier:
-            degs[v] = 0
-        result.append((prob, MarkedTree(PlanarTree._built(degs), marks)))
+    atoms = [a for x in model.types for a in model.offspring[x]]
+    exact = not all(isinstance(p, float) for p, _ in atoms)
+    aprob = np.array([p for p, _ in atoms], dtype=object if exact else float)
+    n_atoms = np.array([len(model.offspring[x]) for x in model.types])
+    size = np.array([len(cs) for _, cs in atoms])
+    mtype = np.min_scalar_type(len(model.types) - 1)
+    kids = np.array([model.index[c] for _, cs in atoms for c in cs], dtype=mtype)
+    prob, outcome = np.ones(1, dtype=aprob.dtype), np.zeros(1, dtype=np.uint8)
+    depth = np.zeros(1, dtype=np.min_scalar_type(n_gen))
+    mark = np.array([model.index[x0]], dtype=mtype)
+    for g in range(n_gen):
+        front = np.flatnonzero(depth == g)
+        if not len(front):
+            break
+        P = len(prob)
+        fo, na = outcome[front], n_atoms[mark[front]]
+        width = np.bincount(fo, minlength=P)
+        pos = np.arange(len(front)) - (np.cumsum(width) - width)[fo]
+        # stride[f]: the atom combinations of the frontier after f
+        stride, combos = np.empty(len(front), np.int64), np.ones(P, np.int64)
+        for i in range(int(width.max()) - 1, -1, -1):
+            at = np.flatnonzero(pos == i)
+            stride[at] = combos[fo[at]]
+            combos[fo[at]] *= na[at]
+        # copy each outcome once per combination of its frontier's atoms
+        parent = np.repeat(np.arange(P), combos)
+        combo = _ranges(np.zeros(P, np.int64), combos)
+        count = np.bincount(outcome, minlength=P)[parent]
+        take = _ranges(np.searchsorted(outcome, parent), count)
+        outcome = np.repeat(np.arange(len(parent), dtype=np.min_scalar_type(len(parent))), count)
+        # the copies of frontier vertices: their frontier index and atom
+        hit = depth[take] == g
+        f, row = np.searchsorted(front, take[hit]), outcome[hit]
+        atom = (np.cumsum(n_atoms) - n_atoms)[mark[front[f]]] + combo[row] // stride[f] % na[f]
+        prob = prob[parent]
+        for i in range(int(width.max())):
+            at = np.flatnonzero(pos[f] == i)
+            prob[row[at]] = prob[row[at]] * aprob[atom[at]]
+        reps = np.ones(len(take), np.int64)
+        reps[hit] += size[atom]
+        outcome, depth, mark = (np.repeat(a, reps) for a in (outcome, depth[take], mark[take]))
+        child = np.ones(len(depth), bool)
+        child[np.cumsum(reps) - reps] = False
+        depth[child] = g + 1
+        mark[child] = kids[_ranges((np.cumsum(size) - size)[atom], size[atom])]
+    return prob, outcome, depth, mark
+
+
+def _ranges(start, count):
+    """The concatenation of range(s, s + c) over the pairs (s, c)."""
+    end = np.cumsum(count)
+    return np.repeat(start - end + count, count) + np.arange(int(count.sum()))
+
+
+def marked_trees(model, prob, outcome, depth, mark):
+    """enumerate_arrays's outcomes as (probability, MarkedTree) pairs.  In
+    planar order a vertex at depth d is the first child of the vertex
+    before it, or else the next sibling of that vertex's ancestor at d."""
+    cut = np.cumsum(np.bincount(outcome, minlength=len(prob))).tolist()
+    depth, mark, result = depth.tolist(), mark.tolist(), []
+    for p, lo, hi in zip(prob.tolist(), [0] + cut, cut):
+        word, degs, marks = (), {(): 0}, {(): model.types[mark[lo]]}
+        for d, m in zip(depth[lo + 1 : hi], mark[lo + 1 : hi]):
+            word = word[: d - 1] + (word[d - 1] + 1 if d <= len(word) else 1,)
+            degs[word], marks[word] = 0, model.types[m]
+            degs[word[:-1]] = word[-1]
+        result.append((p, MarkedTree(PlanarTree._built(degs), marks)))
     return result
+
+
+def enumerate_population(model, x0, n_gen, cap=200_000):
+    """All populations up to generation n_gen as (probability, MarkedTree)
+    pairs, with the order, probabilities and cap of enumerate_arrays;
+    generation-n_gen vertices carry degree 0."""
+    return marked_trees(model, *enumerate_arrays(model, x0, n_gen, cap))
 
 
 def _check_outcome_count(model, x0, n_gen, cap):
@@ -243,8 +296,9 @@ def _check_outcome_count(model, x0, n_gen, cap):
     outcomes from x0.  Generation g has N_x0(g) of them, where N_x(0) = 1
     and N_x(g) sums over the atoms of x the product of N_c(g - 1) over
     their children c.  Counts never decrease (every type has an atom), so
-    the loop stops at the first generation past cap; it counts only the
-    types x0 can reach, so no type grows far beyond that."""
+    the loop stops at the first generation past cap, or at the first that
+    changes no count, as no later one does; it counts only the types x0
+    can reach, so no type grows far beyond that."""
     reach = {x0}
     new = [x0]
     while new:
@@ -252,7 +306,7 @@ def _check_outcome_count(model, x0, n_gen, cap):
         reach.update(new)
     counts = dict.fromkeys(reach, 1)
     for g in range(1, n_gen + 1):
-        counts = {
+        last, counts = counts, {
             x: sum(math.prod(counts[c] for c in cs) for _, cs in model.offspring[x])
             for x in reach
         }
@@ -261,6 +315,8 @@ def _check_outcome_count(model, x0, n_gen, cap):
                 f"enumeration would exceed cap={cap}: generation {g} has "
                 f"{counts[x0]} outcomes; raise the cap or lower the horizon"
             )
+        if counts == last:
+            return
 
 
 def mean_matrix(model):

@@ -1,5 +1,7 @@
-"""Shared fixtures: the four reference models used throughout the suite."""
+"""Shared fixtures: the four reference models used throughout the suite,
+and a float model whose probabilities are not dyadic."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -51,6 +53,22 @@ def make_subcritical():
     return Model(("a",), {"a": [(HALF, ()), (HALF, ("a",))]})
 
 
+def make_nondyadic():
+    # probabilities in tenths and thirds, parsed from JSON as floats the
+    # way the CLI loads models: their products and sums round, so the
+    # order they are taken in shows in the bits.  Thirds alone would not
+    # show the product order: 2/3 is exactly twice 1/3 as a float
+    atom = lambda p, cs: {"prob": p, "children": cs}
+    data = {
+        "types": ["A", "B"],
+        "offspring": {
+            "A": [atom(0.3, ["A", "B"]), atom(0.2, ["B"]), atom(0.5, [])],
+            "B": [atom(1 / 3, ["A", "A"]), atom(2 / 3, [])],
+        },
+    }
+    return Model.from_json(json.dumps(data))
+
+
 @pytest.fixture
 def binary():
     return make_binary()
@@ -69,3 +87,8 @@ def asymmetric():
 @pytest.fixture
 def subcritical():
     return make_subcritical()
+
+
+@pytest.fixture
+def nondyadic():
+    return make_nondyadic()

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from branchlab import moments
+from branchlab import moments, process
 from branchlab.moments import (
     BranchFunctional,
     BruteForceMoments,
@@ -24,7 +24,7 @@ from branchlab.moments import (
 )
 from branchlab.process import Model, enumerate_population, mean_matrix
 from branchlab.spine import build_kernel
-from branchlab.trees import TreeShape, distance_matrix, is_ancestor, meet
+from branchlab.trees import PlanarTree, TreeShape, distance_matrix, is_ancestor, meet
 
 
 def count_F(shape, lt, bt):
@@ -125,7 +125,9 @@ class TestBruteForceTable:
             for k in (1, 2, 3, 4)
         ]
         # the asymmetric model has 29,634 outcomes at horizon 4 (about 45 s)
-        + [(m, 2, 4) for m in ("binary", "symmetric")],
+        + [(m, 2, 4) for m in ("binary", "symmetric")]
+        # float probabilities that round: the summation order shows
+        + [("nondyadic", k, 3) for k in (1, 2, 3)],
     )
     def test_matches_subset_filter(self, request, model, k, horizon):
         m = request.getfixturevalue(model)
@@ -144,6 +146,22 @@ class TestBruteForceTable:
             )
             want += prob * free
         assert abs(math.fsum(got.values()) - float(want)) <= 1e-12 * float(want)
+
+    def test_tables_build_no_tree(self, monkeypatch, asymmetric):
+        # the tables read the enumerated arrays: no PlanarTree or
+        # MarkedTree is made until the outcomes are asked for
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PlanarTree, "_built", refuse)
+            patch.setattr(process, "MarkedTree", refuse)
+            bf = BruteForceMoments(asymmetric, "B", horizon=3)
+            for k in (1, 2, 3):
+                bf.table(k)
+        assert "outcomes" not in vars(bf)
+        assert bf.outcomes == enumerate_population(asymmetric, "B", 3)
+        assert bf.outcomes is bf.outcomes
 
     def test_cached_and_k_checked(self, binary):
         bf = BruteForceMoments(binary, "a", horizon=2)

@@ -1,5 +1,7 @@
 """Offspring models: enumeration, simulation, Perron data, survival."""
 
+import itertools
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from branchlab.process import (
     MarkedTree,
     Model,
     eigenpair,
+    enumerate_arrays,
     enumerate_population,
     Eigenpair,
     is_critical,
@@ -25,6 +28,7 @@ from branchlab.trees import PlanarTree
 from conftest import (
     make_asymmetric,
     make_binary,
+    make_nondyadic,
     make_subcritical,
     make_symmetric,
 )
@@ -201,6 +205,34 @@ class TestEnumeration:
         model = Model(("x", "c"), {"x": [(1, ())], "c": [(HALF, ()), (HALF, ("c", "c"))]})
         assert len(enumerate_population(model, "x", 10_000, cap=1)) == 1
 
+    def test_extinct_start_at_a_huge_horizon(self):
+        # the count check stops at its fixed point and the enumeration
+        # once no outcome has a frontier: a million generations take no time
+        model = Model(("x", "c"), {"x": [(1, ())], "c": [(HALF, ()), (HALF, ("c", "c"))]})
+        [(p, mt)] = enumerate_population(model, "x", 10**6, cap=1)
+        assert p == 1 and mt.tree.degrees == {(): 0} and mt.marks == {(): "x"}
+        prob, outcome, depth, mark = enumerate_arrays(model, "x", 10**6, cap=1)
+        assert prob.tolist() == [1] and outcome.tolist() == depth.tolist() == mark.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "make", [make_binary, make_symmetric, make_asymmetric, make_subcritical, make_nondyadic]
+    )
+    def test_matches_seed_loop(self, make):
+        model = make()
+        for x0, n in itertools.product(model.types, range(4)):
+            got = enumerate_population(model, x0, n)
+            want = seed_enumerate_population(model, x0, n)
+            assert len(got) == len(want), (x0, n)
+            for (p, mt), (q, ref) in zip(got, want):
+                assert mt.tree.vertices == ref.tree.vertices
+                assert mt.tree.degrees == ref.tree.degrees
+                assert mt.marks == ref.marks
+                if isinstance(p, float):
+                    # at horizon 0 the seed loop's 1 is an int
+                    assert struct.pack("<d", p) == struct.pack("<d", q), (x0, n)
+                else:
+                    assert p == q and type(p) is type(q), (x0, n)
+
     def test_semigroup_identity(self, asymmetric):
         # E[sum of f over generation n] must equal (M^n f)(x0)
         M = mean_matrix(asymmetric)
@@ -217,6 +249,39 @@ class TestEnumeration:
                     )
                 want = float(Mn[asymmetric.index[x0]] @ f)
                 assert abs(direct - want) <= 1e-10
+
+
+def seed_enumerate_population(model, x0, n_gen):
+    """The enumeration as first written, without the cap: per outcome and
+    generation, copy its degree and mark dicts once per combination of its
+    frontier's atoms, multiplying their probabilities left to right."""
+    outcomes = [(1, {}, {(): x0}, [()])]
+    for _ in range(n_gen):
+        new = []
+        for prob, degs, marks, frontier in outcomes:
+            if not frontier:
+                new.append((prob, degs, marks, frontier))
+                continue
+            atom_lists = [model.offspring[marks[v]] for v in frontier]
+            for combo in itertools.product(*atom_lists):
+                p2 = prob
+                d2 = dict(degs)
+                m2 = dict(marks)
+                f2 = []
+                for v, (pa, cs) in zip(frontier, combo):
+                    p2 = p2 * pa
+                    d2[v] = len(cs)
+                    for i, c in enumerate(cs, start=1):
+                        m2[v + (i,)] = c
+                        f2.append(v + (i,))
+                new.append((p2, d2, m2, f2))
+        outcomes = new
+    result = []
+    for prob, degs, marks, frontier in outcomes:
+        for v in frontier:
+            degs[v] = 0
+        result.append((prob, MarkedTree(PlanarTree(degs), marks)))
+    return result
 
 
 class TestSimulation:
