@@ -407,7 +407,7 @@ def cmd_verify_m2f(args):
         if not values:
             raise ConfigError(f"config key {key!r} must not be empty: nothing would be checked")
     tol = _cfg_float(cfg, "tol", 1e-9)
-    cap = _cfg_int(cfg, "cap", 200_000)
+    cap = _cfg_int(cfg, "cap", process.OUTCOME_CAP)
     F = build_functional(cfg.get("functional", {"name": "count"}), model, k=min(ks))
     rows = []
     failed = False
@@ -452,7 +452,7 @@ def cmd_moments(args):
     x0 = _cfg_x0(cfg, model)
     k = _cfg_int(cfg, "k")
     R = _cfg_int(cfg, "R")
-    cap = _cfg_int(cfg, "cap", 200_000)
+    cap = _cfg_int(cfg, "cap", process.OUTCOME_CAP)
     psi = cfg.get("psi", "unit")
     routes = cfg.get("route", "both")
     if routes == "both":
@@ -537,9 +537,9 @@ def cmd_survival(args):
     model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model) if cfg.get("x0") is not None else None
     n_values = _cfg_int(cfg, "n_values", many=True)
-    critical = process.is_critical(process.eigenpair(model))
-    rows = limits.kolmogorov_rows(model, n_values, x0, critical)
-    payload = {"critical": critical, "rows": rows}
+    eig = process.eigenpair(model)
+    rows = limits.kolmogorov_rows(model, n_values, x0, eig, process.sigma_squared(model, eig))
+    payload = {"critical": process.is_critical(eig), "rows": rows}
     _emit(args, meta, payload, table=(limits.REPORT_COLUMNS, rows))
     return EXIT_OK
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .process import eigenpair, is_critical, kolmogorov_profile, sigma_squared
-from .trees import meet_distances, shape_values
+from .process import _extinction_curve, eigenpair, is_critical, sigma_squared
+from .trees import _per_row, meet_distances, shape_values
 
 __all__ = [
     "lambda_k_integral",
@@ -63,22 +63,6 @@ def _check_grid(n_cells, dim):
         )
 
 
-def _as_rng(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def _evaluate(f, L, B):
-    vals = np.asarray(f(L, B), dtype=float)
-    if vals.shape != (len(L),):
-        raise ValueError(
-            f"a batched integrand must return {len(L)} values, one per row, "
-            f"not an array of shape {vals.shape}"
-        )
-    return vals
-
-
 def _midpoint_grid(mids, dim):
     axes = np.meshgrid(*([mids] * dim), indexing="ij")
     return np.stack([a.reshape(-1) for a in axes], axis=1)
@@ -87,7 +71,7 @@ def _midpoint_grid(mids, dim):
 def _grid_total(f, L, B):
     # builtin sum over Python floats in index order, as a per-point loop
     # would add them
-    return sum(map(float, _evaluate(f, L, B))) if len(L) else 0.0
+    return sum(map(float, _per_row(f, L, B))) if len(L) else 0.0
 
 
 def lambda_k_integral(
@@ -111,13 +95,13 @@ def lambda_k_integral(
     _check_step(grid_step)
     dim = 2 * k - 1
     if method == "mc":
-        rng = _as_rng(rng)
+        rng = np.random.default_rng(rng)
         L = rng.uniform(0.0, R, size=(n_samples, k))
         B = rng.uniform(0.0, R, size=(n_samples, k - 1))
         idx = np.flatnonzero(np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1))
         vals = np.zeros(n_samples)
         if idx.size:
-            vals[idx] = _evaluate(f, L[idx], B[idx])
+            vals[idx] = _per_row(f, L[idx], B[idx])
         box = float(R) ** dim
         est = box * float(vals.mean())
         err = box * float(vals.std(ddof=1)) / math.sqrt(n_samples)
@@ -149,11 +133,11 @@ def lambda_tilde_k_integral(
     """
     _check_step(grid_step)
     if k == 1:
-        return float(_evaluate(f, np.ones((1, 1)), np.zeros((1, 0)))[0]), 0.0
+        return float(_per_row(f, np.ones((1, 1)), np.zeros((1, 0)))[0]), 0.0
     dim = k - 1
     if method == "mc":
-        B = _as_rng(rng).uniform(0.0, 1.0, size=(n_samples, dim))
-        vals = _evaluate(f, np.broadcast_to(np.ones(k), (n_samples, k)), B)
+        B = np.random.default_rng(rng).uniform(0.0, 1.0, size=(n_samples, dim))
+        vals = _per_row(f, np.broadcast_to(np.ones(k), (n_samples, k)), B)
         return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n_samples)
     if method == "grid":
         n_cells = max(1, int(round(1.0 / grid_step)))
@@ -300,7 +284,7 @@ def cpp_sample(sigma_sq, eps, rng=None):
     """
     _check_eps(eps)
     a = 1.0 / eps
-    Z, pos, u = _draw_comb(_as_rng(rng), a)
+    Z, pos, u = _draw_comb(np.random.default_rng(rng), a)
     return CppSample(float(sigma_sq), float(eps), Z, pos, _depths(u, a))
 
 
@@ -360,7 +344,7 @@ def cpp_monomial_samples(
     if n_inner < 1:
         raise ValueError(f"n_inner must be at least 1, got {n_inner!r}")
     _check_eps(eps)
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     ests = np.empty(n_samples)
     done = 0
     while done < n_samples:
@@ -438,7 +422,7 @@ def sample_excursions(n_excursions, n_steps, rng=None):
     if n_steps % 2 or n_steps <= 0:
         raise ValueError("n_steps must be positive and even")
     m = n_steps // 2
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     n = 2 * m + 1
     base = np.concatenate([np.ones(m, dtype=np.int32), -np.ones(m + 1, dtype=np.int32)])
     keys = rng.random((n_excursions, n))
@@ -454,6 +438,11 @@ def sample_excursions(n_excursions, n_steps, rng=None):
     return out
 
 
+# excursions per sample_excursions call of donsker_crt_check, a memory
+# bound; the draws do not depend on it
+_DONSKER_BATCH = 250
+
+
 def donsker_crt_check(
     phi_root=None,
     R=1.0,
@@ -462,7 +451,6 @@ def donsker_crt_check(
     n_steps=10_000,
     l_max=300.0,
     rng=None,
-    batch=250,
 ):
     """Estimate the k = 1 continuum tree moment from rescaled walk excursions.
 
@@ -479,7 +467,7 @@ def donsker_crt_check(
         def phi_root(d):
             return (d <= R).astype(float)
 
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     sigma = math.sqrt(sigma_sq)
     a = 2.0 / sigma
     N = n_excursions
@@ -487,8 +475,8 @@ def donsker_crt_check(
     lengths = l_max * u**2
     weights = np.sqrt(l_max / (2.0 * math.pi)) / lengths
     ests = np.empty(N)
-    for start in range(0, N, batch):
-        stop = min(start + batch, N)
+    for start in range(0, N, _DONSKER_BATCH):
+        stop = min(start + _DONSKER_BATCH, N)
         S = sample_excursions(stop - start, n_steps, rng)
         scale = a * np.sqrt(lengths[start:stop] / n_steps)
         H = S[:, :n_steps] * scale[:, None]
@@ -511,25 +499,28 @@ class ConvergenceReport:
 REPORT_COLUMNS = ("n", "observed", "limit", "rel_error", "path")
 
 
-def kolmogorov_rows(model, n_values, x0, critical):
+def kolmogorov_rows(model, n_values, x0, eig, sig2):
     """Report rows of the scaled survival n * P_x(alive at n) against its
-    Kolmogorov limit, one per (n, type), or per n for x0 alone when x0 is
-    not None; limits are left empty when not critical."""
-    if not n_values:
-        return []
+    Kolmogorov limit 2 h(x) / sigma^2, one per (n, type) in increasing n,
+    or per n for x0 alone when x0 is not None.  eig and sig2 are the
+    model's eigenpair and branching variance; limits are left empty when
+    the model is not critical or sigma^2 vanishes."""
+    shown = is_critical(eig) and sig2 > 0
+    curve = _extinction_curve(model, n_values)
     rows = []
-    for row in kolmogorov_profile(model, n_values, x0=x0):
-        obs = row["observed"]
-        shown = row["limit"] if critical else None
-        rows.append(
-            {
-                "n": row["n"],
-                "observed": obs,
-                "limit": shown,
-                "rel_error": abs(obs - shown) / shown if shown else None,
-                "path": f"kolmogorov:{row['type']}",
-            }
-        )
+    for n in sorted(set(n_values)):
+        for x in [x0] if x0 is not None else model.types:
+            obs = n * (1.0 - curve[n][x])
+            limit = 2.0 * float(eig.h[model.index[x]]) / sig2 if shown else None
+            rows.append(
+                {
+                    "n": n,
+                    "observed": obs,
+                    "limit": limit,
+                    "rel_error": abs(obs - limit) / limit if limit else None,
+                    "path": f"kolmogorov:{x}",
+                }
+            )
     return rows
 
 
@@ -624,7 +615,7 @@ def convergence_report(
                 "path": f"{mode}:k={k}",
             }
         )
-    rows += kolmogorov_rows(model, kolmogorov_ns, x0, critical)
+    rows += kolmogorov_rows(model, kolmogorov_ns, x0, eig, sig2)
     return ConvergenceReport(
         rows=rows, critical=critical, perron=eig.perron, sigma_sq=sig2
     )

@@ -209,8 +209,7 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
 
     if n_sub < 2:
         raise ValueError(f"n_sub must be at least 2, got {n_sub!r}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     weights = mass[support]
     total_mass = float(weights.sum())
     probs = weights / total_mass

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .process import enumerate_arrays, marked_trees
+from .process import OUTCOME_CAP, enumerate_arrays, marked_trees
 from .spine import build_kernel, shape_sum
 from .trees import TreeShape, product_batches, shape_batches
 
@@ -92,7 +92,7 @@ class BruteForceMoments:
     order.
     """
 
-    def __init__(self, model, x0, horizon, cap=200_000):
+    def __init__(self, model, x0, horizon, cap=OUTCOME_CAP):
         self.model = model
         self.x0 = x0
         self.horizon = horizon
@@ -252,10 +252,9 @@ class _PlanarWalk:
         )
 
 
-def moment_bruteforce(model, query, horizon=None, cap=200_000):
-    """k-point moment via full population enumeration (the reference route)."""
-    horizon = int(query.R) if horizon is None else horizon
-    bf = BruteForceMoments(model, query.x0, horizon, cap=cap)
+def moment_bruteforce(model, query, cap=OUTCOME_CAP):
+    """k-point moment via full population enumeration to horizon R (the reference route)."""
+    bf = BruteForceMoments(model, query.x0, int(query.R), cap=cap)
     return bf.moment(query.k, query.F, int(query.R))
 
 

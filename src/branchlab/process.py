@@ -4,7 +4,7 @@ A model assigns to each type a finite offspring law: a list of atoms, each
 an ordered tuple of child types with a probability.  This module covers
 simulation, exact enumeration of all populations up to a horizon, the mean
 matrix with its Perron eigenpair, the branching variance, and extinction
-probabilities with the associated survival-decay profile.
+probabilities by generation.
 """
 
 import bisect
@@ -13,7 +13,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,8 +30,11 @@ __all__ = [
     "eigenpair",
     "is_critical",
     "sigma_squared",
-    "kolmogorov_profile",
 ]
+
+# outcomes per generation above which enumeration refuses, unless the
+# caller passes another cap
+OUTCOME_CAP = 200_000
 
 
 class Model:
@@ -93,29 +95,22 @@ class Model:
         return json.dumps(data, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text, exact=False):
-        """Parse the JSON schema {"types": [...], "offspring": {label: [{"prob": p, "children": [...]}]}}.
-
-        With exact=True probabilities are converted to Fractions via
-        Fraction(str(p)), so enumeration keeps exact arithmetic.
-        """
+    def from_json(cls, text):
+        """Parse the JSON schema {"types": [...], "offspring": {label: [{"prob": p, "children": [...]}]}},
+        with float probabilities."""
         data = json.loads(text)
         if set(data) != {"types", "offspring"}:
             raise ValueError("model JSON must have exactly 'types' and 'offspring'")
-
-        def conv(p):
-            return Fraction(str(p)) if exact else float(p)
-
         offspring = {
-            x: [(conv(a["prob"]), tuple(a["children"])) for a in atoms]
+            x: [(float(a["prob"]), tuple(a["children"])) for a in atoms]
             for x, atoms in data["offspring"].items()
         }
         return cls(tuple(data["types"]), offspring)
 
     @classmethod
-    def from_file(cls, path, exact=False):
+    def from_file(cls, path):
         with open(path) as fh:
-            return cls.from_json(fh.read(), exact=exact)
+            return cls.from_json(fh.read())
 
 
 @dataclass
@@ -164,8 +159,7 @@ def simulate(model, x0, n_gen, rng=None):
         raise ValueError(f"n_gen must be nonnegative, got {n_gen!r}")
     if x0 not in model.types:
         raise ValueError(f"unknown start type {x0!r}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     tables = {}
     for x in model.types:
         # left-to-right float sums, the bits of np.cumsum
@@ -200,7 +194,7 @@ def simulate(model, x0, n_gen, rng=None):
     return MarkedTree(PlanarTree._built(degrees), marks)
 
 
-def enumerate_arrays(model, x0, n_gen, cap=200_000):
+def enumerate_arrays(model, x0, n_gen, cap=OUTCOME_CAP):
     """All possible populations up to generation n_gen, as flat arrays.
 
     Returns (prob, outcome, depth, mark): per outcome its probability, a
@@ -284,7 +278,7 @@ def marked_trees(model, prob, outcome, depth, mark):
     return result
 
 
-def enumerate_population(model, x0, n_gen, cap=200_000):
+def enumerate_population(model, x0, n_gen, cap=OUTCOME_CAP):
     """All populations up to generation n_gen as (probability, MarkedTree)
     pairs, with the order, probabilities and cap of enumerate_arrays;
     generation-n_gen vertices carry degree 0."""
@@ -343,33 +337,34 @@ def _is_primitive(M):
     return bool(B.all())
 
 
-def _power_iterate(M, tol, max_iter):
+def _power_iterate(M):
     n = M.shape[0]
     v = np.ones(n) / n
-    for _ in range(max_iter):
+    for _ in range(100_000):
         w = M @ v
         s = w.sum()
         if s <= 0:
             raise ValueError("mean matrix has a zero power on positive vectors")
         w = w / s
-        if np.max(np.abs(w - v)) <= tol:
+        if np.max(np.abs(w - v)) <= 1e-12:
             return w, float(s)
         v = w
-    raise ValueError(f"power iteration did not reach tolerance {tol}")
+    raise ValueError("power iteration did not reach tolerance 1e-12")
 
 
-def eigenpair(model, tol=1e-12, max_iter=100_000):
+def eigenpair(model):
     """Perron eigenvalue and eigenvectors of the mean matrix.
 
-    Power iteration to `tol` on both M and its transpose; requires the
-    matrix to be irreducible and aperiodic.  Warns when the model is not
-    critical (see is_critical).
+    Power iteration on both M and its transpose, until successive
+    normalised vectors differ by at most 1e-12 (at most 10^5 steps);
+    requires the matrix to be irreducible and aperiodic.  Warns when the
+    model is not critical (see is_critical).
     """
     M = mean_matrix(model)
     if not _is_primitive(M):
         raise ValueError("mean matrix must be irreducible and aperiodic")
-    h, perron = _power_iterate(M, tol, max_iter)
-    pi, _ = _power_iterate(M.T, tol, max_iter)
+    h, perron = _power_iterate(M)
+    pi, _ = _power_iterate(M.T)
     pi = pi / pi.sum()
     h = h / float(pi @ h)
     scale = max(1.0, perron)
@@ -426,26 +421,3 @@ def _extinction_curve(model, n_values):
             out[n] = dict(s)
     return out
 
-
-def kolmogorov_profile(model, n_values, x0=None):
-    """Scaled survival n * P_x(alive at n) against its critical limit.
-
-    Returns one row per (n, type) as a dict with keys n, type, observed,
-    limit; the limit is 2 h(x) / sigma^2, or None when the branching
-    variance vanishes.  Restrict to one type with x0.
-    """
-    eig = eigenpair(model)
-    sig2 = sigma_squared(model, eig)
-    curve = _extinction_curve(model, n_values)
-    types = [x0] if x0 is not None else list(model.types)
-    rows = []
-    for n in sorted(set(n_values)):
-        for x in types:
-            surv = 1.0 - curve[n][x]
-            limit = (
-                2.0 * float(eig.h[model.index[x]]) / sig2 if sig2 > 0 else None
-            )
-            rows.append(
-                {"n": n, "type": x, "observed": n * surv, "limit": limit}
-            )
-    return rows

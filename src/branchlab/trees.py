@@ -156,14 +156,18 @@ class TreeShape:
             for x in self.leaf_heights + self.branch_heights
         )
 
-    def scale(self, a):
-        """The shape with every height multiplied by a > 0."""
-        if a <= 0:
-            raise ValueError("scale factor must be positive")
-        return TreeShape(
-            tuple(a * x for x in self.leaf_heights),
-            tuple(a * x for x in self.branch_heights),
+
+def _per_row(f, L, *args):
+    """f(L, *args) as a float array of len(L) values, one per row of L; any
+    other shape is a ValueError, where numpy would broadcast a scalar or a
+    length-1 array."""
+    vals = np.asarray(f(L, *args), dtype=float)
+    if vals.shape != (len(L),):
+        raise ValueError(
+            f"a batched function must return {len(L)} values, one per row, "
+            f"not an array of shape {vals.shape}"
         )
+    return vals
 
 
 def shape_values(F, L, B, keys, live=None):
@@ -176,9 +180,10 @@ def shape_values(F, L, B, keys, live=None):
     F(shape, leaf_types, branch_types) is called once per wanted entry,
     with one TreeShape per row; other entries are 0.0.  If F has an
     attribute batched(L, B, leaf_types), that is called instead, once per
-    distinct leaf-type tuple of the keys with a wanted entry, on all rows,
-    and its array is handed through uncopied; it must ignore branch types
-    and give F's bits row by row.  Keys with no wanted entry get zeros.
+    distinct leaf-type tuple of the keys with a wanted entry, on all rows;
+    it must return one float per row (else a ValueError), ignore branch
+    types and give F's bits row by row, and a float array it returns is
+    handed through uncopied.  Keys with no wanted entry get zeros.
     """
     batched = getattr(F, "batched", None)
     if batched is not None:
@@ -186,7 +191,7 @@ def shape_values(F, L, B, keys, live=None):
         by_lt, out = {}, []
         for (lt, _), want in zip(keys, wanted):
             if want and lt not in by_lt:
-                by_lt[lt] = batched(L, B, lt)
+                by_lt[lt] = _per_row(batched, L, B, lt)
             out.append(by_lt[lt] if want else np.zeros(len(L)))
         return out
     shapes = [TreeShape(tuple(l), tuple(b)) for l, b in zip(L.tolist(), B.tolist())]

@@ -29,7 +29,8 @@ from branchlab.moments import (
     moment_m2f,
     moment_recursive,
 )
-from branchlab.process import enumerate_population, kolmogorov_profile
+from branchlab.limits import kolmogorov_rows
+from branchlab.process import eigenpair, enumerate_population, sigma_squared
 from branchlab.spine import build_kernel
 from branchlab.trees import (
     count_deficient_tuples,
@@ -192,7 +193,8 @@ def test_a04_survival_scaling(capsys):
     results = []
     for model, tol in [(make_binary(), 0.05), (make_symmetric(), 0.1)]:
         t0 = time.perf_counter()
-        rows = kolmogorov_profile(model, [10_000])
+        eig = eigenpair(model)
+        rows = kolmogorov_rows(model, [10_000], None, eig, sigma_squared(model, eig))
         elapsed = time.perf_counter() - t0
         for row in rows:
             err = abs(row["observed"] - row["limit"])

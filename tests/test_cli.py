@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from branchlab import process
 from branchlab.cli import main, read_csv_rows
 from branchlab.trees import PlanarTree, tree_to_string
 
@@ -705,6 +706,12 @@ class TestSurvival:
         last = max(rows, key=lambda r: r["n"])
         assert last["n"] == 10_000
         assert last["rel_error"] <= 0.01
+
+    def test_one_eigenpair_per_run(self, capsys, monkeypatch):
+        calls, eigenpair = [], process.eigenpair
+        monkeypatch.setattr(process, "eigenpair", lambda m: calls.append(m) or eigenpair(m))
+        rc, _, _ = run(capsys, "survival", "--config", f"{CONFIG_DIR}/survival_binary.json")
+        assert rc == 0 and len(calls) == 1
 
 
 class TestComb:

@@ -471,10 +471,12 @@ class TestReports:
 
     def test_off_criticality_leaves_limits_empty(self, subcritical):
         F = lambda shape, lt, bt: float(shape.height <= 1.0)
-        with pytest.warns(UserWarning, match="not critical"):
+        with pytest.warns(UserWarning, match="not critical") as caught:
             rep = convergence_report(
                 subcritical, 1, F, [8], "a", kolmogorov_ns=(16,)
             )
+        # one eigenpair serves the moment and the survival rows
+        assert sum("not critical" in str(w.message) for w in caught) == 1
         assert not rep.critical
         assert all(r["limit"] is None for r in rep.rows)
         assert all(r["rel_error"] is None for r in rep.rows)

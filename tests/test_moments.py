@@ -265,7 +265,7 @@ class TestProductRecursion:
         leaf = lambda l, t: float(l <= 1) * (1.0 if t == "A" else 2.0)
         func = BranchFunctional(stem, (PathFunctional(leaf),) * 2)
         q = MomentQuery(k=2, x0="A", F=as_functional(func), R=3)
-        want = moment_bruteforce(asymmetric, q, horizon=3)
+        want = moment_bruteforce(asymmetric, q)
         got = moment_recursive(
             asymmetric, MomentQuery(k=2, x0="A", F=func, R=3)
         )

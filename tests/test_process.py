@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from branchlab.cli import build_functional
+from branchlab.limits import kolmogorov_rows
 from branchlab.moments import ultrametric_moment
 from branchlab.process import (
     _extinction_curve,
@@ -18,7 +19,6 @@ from branchlab.process import (
     enumerate_population,
     Eigenpair,
     is_critical,
-    kolmogorov_profile,
     mean_matrix,
     sigma_squared,
     simulate,
@@ -70,13 +70,6 @@ class TestModelValidation:
             ):
                 assert c1 == c2
                 assert abs(float(p1) - float(p2)) < 1e-15
-
-    def test_json_exact_mode_yields_fractions(self, binary):
-        back = Model.from_json(binary.to_json(), exact=True)
-        for p, _ in back.offspring["a"]:
-            assert isinstance(p, Fraction)
-        total = sum(p for p, _ in back.offspring["a"])
-        assert total == 1
 
     def test_json_schema_is_strict(self):
         with pytest.raises(ValueError):
@@ -477,6 +470,11 @@ class TestBuiltTrees:
                 self.assert_public(mt.tree)
 
 
+def survival_rows(model, n_values, x0=None):
+    eig = eigenpair(model)
+    return kolmogorov_rows(model, n_values, x0, eig, sigma_squared(model, eig))
+
+
 class TestSurvival:
     def test_binary_exact_values(self, binary):
         curve = _extinction_curve(binary, [1, 2])
@@ -500,21 +498,21 @@ class TestSurvival:
             _extinction_curve(binary, [-1])
 
     def test_scaled_survival_approaches_limit(self, binary, asymmetric):
-        rows = kolmogorov_profile(binary, [10_000])
+        rows = survival_rows(binary, [10_000])
         assert abs(rows[0]["observed"] - rows[0]["limit"]) <= 0.01
         assert rows[0]["limit"] == 2.0
-        for row in kolmogorov_profile(asymmetric, [5000]):
-            want = {"A": 2 * 0.75 / 1.125, "B": 2 * 1.5 / 1.125}[row["type"]]
+        for row in survival_rows(asymmetric, [5000]):
+            want = {"kolmogorov:A": 2 * 0.75 / 1.125, "kolmogorov:B": 2 * 1.5 / 1.125}[row["path"]]
             assert abs(row["limit"] - want) <= 1e-9
             assert abs(row["observed"] - row["limit"]) / row["limit"] <= 0.01
 
     def test_zero_variance_limit_is_none(self):
         chain = Model(("a",), {"a": [(1, ("a",))]})
-        rows = kolmogorov_profile(chain, [5])
+        rows = survival_rows(chain, [5])
         assert rows[0]["limit"] is None
         assert rows[0]["observed"] == 5.0
 
     def test_type_filter(self, asymmetric):
-        rows = kolmogorov_profile(asymmetric, [10, 20], x0="B")
+        rows = survival_rows(asymmetric, [10, 20], x0="B")
         assert [r["n"] for r in rows] == [10, 20]
-        assert all(r["type"] == "B" for r in rows)
+        assert all(r["path"] == "kolmogorov:B" for r in rows)

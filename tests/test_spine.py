@@ -293,9 +293,17 @@ def reference_m2f(kernel, k, F, R, x0):
     return float(kernel.psi[kernel.model.index[x0]]) * total
 
 
+def scaled(shape, a):
+    """The shape with every height multiplied by a."""
+    return TreeShape(
+        tuple(a * x for x in shape.leaf_heights),
+        tuple(a * x for x in shape.branch_heights),
+    )
+
+
 def reference_rescaled(kernel, k, F_cont, n, x0):
     def F(shape, lt, bt):
-        return F_cont(shape.scale(1.0 / n), lt, bt)
+        return F_cont(scaled(shape, 1.0 / n), lt, bt)
 
     return reference_m2f(kernel, k, F, n, x0) / float(n) ** (2 * k)
 
@@ -304,9 +312,9 @@ def reference_ultrametric(kernel, k, F_cont, n, x0):
     total = 0.0
     for b in itertools.product(range(n), repeat=k - 1):
         shape = TreeShape((n,) * k, b)
-        scaled = shape.scale(1.0 / n)
+        small = scaled(shape, 1.0 / n)
         total += reference_q_expectation(
-            kernel, shape, lambda _s, lt, bt: F_cont(scaled, lt, bt), x0
+            kernel, shape, lambda _s, lt, bt: F_cont(small, lt, bt), x0
         )
     psi_x = float(kernel.psi[kernel.model.index[x0]])
     return psi_x * total / float(n) ** k
@@ -571,6 +579,19 @@ class TestShapeValues:
                     assert v is results[lt]
                 else:
                     assert not v.any()
+
+    def test_batched_must_return_one_value_per_row(self, binary):
+        # a scalar or a length-1 array would broadcast over the rows
+        for bad in (
+            lambda L, B, lt: 1.0,
+            lambda L, B, lt: np.ones(1),
+            lambda L, B, lt: np.ones((len(L), 1)),
+        ):
+            F = lambda shape, lt, bt: 1.0
+            F.batched = bad
+            q = moments.MomentQuery(k=2, x0="a", F=F, R=3)
+            with pytest.raises(ValueError, match="values, one per row"):
+                moments.moment_m2f(binary, q)
 
 
 def make_ring(m):

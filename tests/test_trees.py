@@ -111,14 +111,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             TreeShape((), ())
 
-    def test_shape_scale(self):
-        s = TreeShape((2, 3), (1,))
-        t = s.scale(0.5)
+    def test_float_shapes(self):
+        t = TreeShape((1.0, 1.5), (0.5,))
         assert t.leaf_heights == (1.0, 1.5)
         assert not t.is_discrete
-        assert t.scale(2.0).leaf_heights == (2.0, 3.0)
-        with pytest.raises(ValueError):
-            s.scale(0)
+        assert TreeShape((2, 3), (1,)).is_discrete
 
 
 class TestHeightEncoding:
