@@ -336,6 +336,12 @@ def build_phi(spec, k):
 
     Names: "ones", "pair_indicator" with "r" (one when the first two
     sampled points sit within distance r; needs k >= 2).
+
+    Each is written once, as a batched form phi.batched(D, marks): an
+    (N, k+1, k+1) stack of distance matrices and one k-tuple of marks give
+    N values, which mmm.phi_values calls.  The result is the scalar
+    phi(D, marks) that calls it on one matrix, so the two forms give the
+    same bits by construction.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"config key 'phi' must be an object, got {spec!r}")
@@ -345,13 +351,20 @@ def build_phi(spec, k):
         raise ConfigError(f"unknown phi keys: {sorted(unknown)}")
     name = spec.get("name", "ones")
     if name == "ones":
-        return lambda D, marks: 1.0
-    if name == "pair_indicator":
+        batched = lambda D, marks: np.ones(len(D))
+    elif name == "pair_indicator":
         if k < 2:
             raise ConfigError("pair_indicator needs k >= 2")
         r = _cfg_float(spec, "r")
-        return lambda D, marks: 1.0 if D[1, 2] <= r else 0.0
-    raise ConfigError(f"unknown phi {name!r}")
+        batched = lambda D, marks: np.where(D[:, 1, 2] <= r, 1.0, 0.0)
+    else:
+        raise ConfigError(f"unknown phi {name!r}")
+
+    def phi(D, marks):
+        return float(batched(D[None], marks)[0])
+
+    phi.batched = batched
+    return phi
 
 
 def cmd_model_check(args):

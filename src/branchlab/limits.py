@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mmm import phi_values
 from .process import _extinction_curve, eigenpair, is_critical, sigma_squared
 from .trees import _per_row, meet_distances, shape_values
 
@@ -155,8 +156,10 @@ class LimitQuery:
 
     phi(D, marks) sees the (k+1) x (k+1) distance matrix (row 0 is the
     root) and a k-tuple of mark labels; it must vanish whenever a root
-    distance exceeds R.  mark_probs maps labels to probabilities; None
-    means a single unmarked class.
+    distance exceeds R.  It is evaluated through mmm.phi_values, so a phi
+    with a batched(D, marks) form, as cli.build_phi's carry, is called on
+    a stack of matrices at a time.  mark_probs maps labels to
+    probabilities; None means a single unmarked class.
     """
 
     k: int
@@ -194,15 +197,17 @@ def _symmetrized_integrand(query):
         out = np.empty(len(L))
         for s in range(0, len(L), _INTEGRAND_CHUNK):
             chunk = slice(s, s + _INTEGRAND_CHUNK)
-            root = np.zeros((len(out[chunk]), 1))  # height 0, meets leaf 1 at 0
+            n = len(out[chunk])
+            root = np.zeros((n, 1))  # height 0, meets leaf 1 at 0
             D = meet_distances(np.hstack([root, L[chunk]]), np.hstack([root, B[chunk]]))
-            Dps = [D[:, perm[:, None], perm] for perm in perms]
-            for t in range(len(D)):
-                total = 0.0
-                for Dp in Dps:
-                    for mk, p in marks:
-                        total += p * query.phi(Dp[t], mk)
-                out[s + t] = total
+            # every point gets p * phi added from 0.0, leaf order by leaf
+            # order and mark tuple by mark tuple, as a per-point loop would
+            acc = np.zeros(n)
+            for perm in perms:
+                Dp = D[:, perm[:, None], perm]
+                for mk, p in marks:
+                    acc += p * phi_values(query.phi, Dp, [mk] * n)
+            out[chunk] = acc
         return out
 
     return g
@@ -214,7 +219,9 @@ def crt_moment(query, method="grid", n_samples=200_000, grid_step=0.02, rng=None
 
     Returns (value, stderr); stderr is 0.0 for the grid method.  The shape
     integral is truncated at leaf heights R, which is exact as long as phi
-    vanishes beyond that radius.
+    vanishes beyond that radius.  phi is called leaf order by leaf order
+    and mark tuple by mark tuple on a chunk of points at a time, not
+    point by point.
     """
     g = _symmetrized_integrand(query)
     val, err = lambda_k_integral(
@@ -235,7 +242,8 @@ def cpp_moment(query, grid_step=0.001):
     integral of phi over meet heights, summed over leaf orderings.
 
     Deterministic midpoint rule; leaf heights are pinned at one, so the
-    root sits at distance one from every point.
+    root sits at distance one from every point.  phi is called as in
+    crt_moment.
     """
     g = _symmetrized_integrand(query)
     val, _ = lambda_tilde_k_integral(query.k, g, method="grid", grid_step=grid_step)
@@ -330,9 +338,11 @@ def cpp_monomial_samples(
 
     The draws are one sample after another, each in cpp_sample's order
     (exponential Z, Poisson atom count, atom positions, depth uniforms),
-    then its (n_inner, k) inner positions, then its marks.  phi is called
-    once per inner tuple in sample order, and each sample's inner values
-    are summed in order, so the bits do not depend on the chunking below.
+    then its (n_inner, k) inner positions, then its marks.  phi is
+    evaluated through mmm.phi_values on a chunk's inner tuples in sample
+    order (a plain phi once per tuple, a batched one once per distinct
+    mark tuple), and each sample's inner values are summed in order, so
+    the bits do not depend on the chunking below.
     Distances and matrices are built for a chunk of samples at a time; a
     chunk closes once it holds _COMB_CHUNK inner points or atoms, so
     memory is O(_COMB_CHUNK) plus one sample's atoms and inner points,
@@ -378,7 +388,11 @@ def _comb_chunk(query, rng, a, n_inner, most):
     if query.mark_probs is None:
         mks = [(None,) * k] * (m * n_inner)
     else:
-        mks = [tuple(map(labels.__getitem__, row)) for row in np.concatenate(marks).tolist()]
+        # a row of label indices, read as a number in base len(labels), is
+        # the place of its tuple in product order
+        table = list(itertools.product(labels, repeat=k))
+        codes = np.concatenate(marks) @ len(labels) ** np.arange(k - 1, -1, -1)
+        mks = list(map(table.__getitem__, codes.tolist()))
     # each sample's indices shifted to its atoms' place in the concatenation
     starts = np.cumsum([0] + [len(u) for u in uniforms[:-1]])
     idx = np.stack(idx) + starts[:, None, None]
@@ -390,8 +404,7 @@ def _comb_chunk(query, rng, a, n_inner, most):
     D = np.zeros((m * n_inner, k + 1, k + 1))
     D[:, 0, 1:] = D[:, 1:, 0] = 1.0
     D[:, I + 1, J + 1] = D[:, J + 1, I + 1] = d.reshape(m * n_inner, len(I))
-    vals = np.fromiter(map(query.phi, D, mks), dtype=float, count=m * n_inner)
-    vals = vals.reshape(m, n_inner)
+    vals = phi_values(query.phi, D, mks).reshape(m, n_inner)
     # inner values summed one index at a time, as a scalar acc += would
     acc = np.zeros(m)
     for t in range(n_inner):
@@ -417,24 +430,34 @@ def sample_excursions(n_excursions, n_steps, rng=None):
     with m up and m down steps, nonnegative throughout, zero at both ends,
     uniform among all such walks.  Built by rotating a uniformly shuffled
     step sequence with one extra down step at its first minimum, then
-    dropping that step.
+    dropping that step.  The draws are one (n_excursions, n_steps + 1)
+    block of uniforms, one key per step.
     """
     if n_steps % 2 or n_steps <= 0:
         raise ValueError("n_steps must be positive and even")
     m = n_steps // 2
     rng = np.random.default_rng(rng)
     n = 2 * m + 1
-    base = np.concatenate([np.ones(m, dtype=np.int32), -np.ones(m + 1, dtype=np.int32)])
-    keys = rng.random((n_excursions, n))
-    idx = np.argsort(keys, axis=1)
-    steps = base[idx]
-    c = np.cumsum(steps, axis=1)
-    j = np.argmin(c, axis=1)
-    order = (j[:, None] + 1 + np.arange(n)[None, :]) % n
-    rot = np.take_along_axis(steps, order, axis=1)
-    h = np.cumsum(rot, axis=1)
+    # one uniform key per step, the first m steps up: the steps sorted by
+    # key are a uniform shuffle.  The keys are multiples of 2^-53, so
+    # keys * 2^53 is an exact integer; shifted up one bit, it carries the
+    # step in its low bit, and one sort of the packed keys gives the
+    # shuffled steps (tied keys, about n^2 / 2^54 likely per row, have
+    # no defined order in an argsort either)
+    packed = rng.random((n_excursions, n))
+    packed *= 2.0**53
+    packed = packed.astype(np.int64)
+    packed <<= 1
+    packed[:, :m] |= 1
+    packed.sort(axis=1)
+    c = np.cumsum((packed & 1).astype(np.int32) * 2 - 1, axis=1, dtype=np.int32)
+    # the walk rotated to start after its first minimum j: heights c - c[j]
+    # up to the end, where it reads -1 - c[j], then on from there
+    j = np.argmin(c, axis=1).tolist()
     out = np.zeros((n_excursions, n_steps + 1), dtype=np.int32)
-    out[:, 1:] = h[:, : n - 1]
+    for r, jr in enumerate(j):
+        out[r, 1 : n - jr] = c[r, jr + 1 :] - c[r, jr]
+        out[r, n - jr :] = c[r, :jr] - (c[r, jr] + 1)
     return out
 
 

@@ -11,12 +11,13 @@ its points and distances stay as they are.
 
 import numpy as np
 
-from .trees import meet, meet_distances
+from .trees import _per_row, meet, meet_distances
 
 __all__ = [
     "FiniteMmmSpace",
     "tree_to_mmm",
     "generation_slice",
+    "phi_values",
     "monomial",
 ]
 
@@ -169,6 +170,35 @@ def _tuple_matrices(dist, root, ids):
     return D
 
 
+def phi_values(phi, D, marks):
+    """Values of a distance-matrix test function on N matrices, as an (N,)
+    float array.
+
+    D holds (N, k+1, k+1) distance matrices whose row 0 is the root, and
+    marks is a list of one k-tuple of mark labels per matrix.  A plain
+    phi(D, marks) is called once per row, in row order, on a view into D.
+    If phi has an attribute batched(D, marks), that is called instead,
+    once per distinct mark tuple in first-seen order, on the stack of that
+    tuple's rows (D itself when every row has the same tuple); it must
+    return one float per row (else a ValueError) and give phi's bits row
+    by row.
+    """
+    batched = getattr(phi, "batched", None)
+    if batched is None:
+        return np.fromiter(map(phi, D, marks), dtype=float, count=len(D))
+    if marks and marks.count(marks[0]) == len(marks):
+        # one tuple on every row; count compares by identity first
+        return _per_row(batched, D, marks[0])
+    distinct = list(dict.fromkeys(marks))
+    code = {mk: c for c, mk in enumerate(distinct)}
+    codes = np.fromiter(map(code.__getitem__, marks), dtype=np.intp, count=len(D))
+    out = np.empty(len(D))
+    for c, mk in enumerate(distinct):
+        rows = np.flatnonzero(codes == c)
+        out[rows] = _per_row(batched, D[rows], mk)
+    return out
+
+
 def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
     """k-th monomial statistic: sum over point tuples (with repetition) of
     the mass product times phi(D, marks).
@@ -178,7 +208,9 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
     matrices, so phi must not keep it.  Exhaustive while the tuple count
     is at most `cap`; beyond that, stratified subsampling over the first
     coordinate with n_sub >= 2 draws per point.  Returns (value, stderr)
-    with stderr 0.0 in the exhaustive case.
+    with stderr 0.0 in the exhaustive case.  phi is evaluated through
+    phi_values on a block of tuples at a time, so a batched phi is called
+    once per distinct mark tuple of a block.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
@@ -203,8 +235,9 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
             for a in range(1, k):
                 w = w * mass[ids[:, a]]
             D = _tuple_matrices(dist, root, ids)
-            for wt, Dt, row in zip(w, D, ids.tolist()):
-                total += wt * phi(Dt, tuple(map(mark.__getitem__, row)))
+            mks = [tuple(map(mark.__getitem__, row)) for row in ids.tolist()]
+            for wt, v in zip(w.tolist(), phi_values(phi, D, mks).tolist()):
+                total += wt * v
         return float(total), 0.0
 
     if n_sub < 2:
@@ -219,9 +252,8 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
         draws = rng.choice(support, size=(n_sub, k - 1), p=probs)
         ids = np.hstack([np.full((n_sub, 1), lead), draws])
         D = _tuple_matrices(dist, root, ids)
-        vals = np.empty(n_sub)
-        for t, row in enumerate(ids.tolist()):
-            vals[t] = phi(D[t], tuple(map(mark.__getitem__, row)))
+        mks = [tuple(map(mark.__getitem__, row)) for row in ids.tolist()]
+        vals = phi_values(phi, D, mks)
         scale = float(mass[lead]) * total_mass ** (k - 1)
         value += scale * float(vals.mean())
         var += scale**2 * float(vals.var(ddof=1)) / n_sub

@@ -97,14 +97,29 @@ class Model:
     @classmethod
     def from_json(cls, text):
         """Parse the JSON schema {"types": [...], "offspring": {label: [{"prob": p, "children": [...]}]}},
-        with float probabilities."""
+        with float probabilities.  A "prob" that is not a JSON number (a
+        string, true) or "children" that are not a list of strings is a
+        ValueError naming the type, the key and the value's type."""
         data = json.loads(text)
         if set(data) != {"types", "offspring"}:
             raise ValueError("model JSON must have exactly 'types' and 'offspring'")
-        offspring = {
-            x: [(float(a["prob"]), tuple(a["children"])) for a in atoms]
-            for x, atoms in data["offspring"].items()
-        }
+        offspring = {}
+        for x, atoms in data["offspring"].items():
+            law = []
+            for a in atoms:
+                p, cs = a["prob"], a["children"]
+                if isinstance(p, bool) or not isinstance(p, (int, float)):
+                    raise ValueError(
+                        f"offspring of {x!r}: 'prob' must be a number, "
+                        f"got {type(p).__name__} {p!r}"
+                    )
+                if not isinstance(cs, list) or not all(isinstance(c, str) for c in cs):
+                    raise ValueError(
+                        f"offspring of {x!r}: 'children' must be a list of type "
+                        f"labels, got {type(cs).__name__} {cs!r}"
+                    )
+                law.append((float(p), tuple(cs)))
+            offspring[x] = law
         return cls(tuple(data["types"]), offspring)
 
     @classmethod

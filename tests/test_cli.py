@@ -123,6 +123,18 @@ class TestConfigHandling:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "atom, key",
+        [({"prob": "0.5", "children": []}, "prob"), ({"prob": 0.5, "children": "aa"}, "children")],
+    )
+    def test_model_value_types_exit_1(self, capsys, tmp_path, atom, key):
+        model = {"types": ["a"], "offspring": {"a": [atom, {"prob": 0.5, "children": ["a", "a"]}]}}
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        cfg = write_config(tmp_path, "check.json", {"model": "m.json"})
+        rc, out, err = run(capsys, "model-check", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: offspring of 'a': '{key}' must be") and err.count("\n") == 1
+
     def test_invalid_json(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -824,6 +836,9 @@ class TestGoldenBytes:
             ("simulate", "simulate_binary", ("--seed", "7")),
             ("moments", "moments_binary", ()),
             ("survival", "survival_binary", ()),
+            # recorded before phi was evaluated in batches
+            ("cpp", "cpp_pair", ("--seed", "5")),
+            ("cpp", "cpp_marks_k3", ("--seed", "5")),
         ],
     )
     def test_golden_bytes(self, capsys, command, name, extra, fmt):

@@ -5,11 +5,12 @@ import io
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from branchlab.cli import ConfigError, build_functional, csv_text, read_csv_rows
+from branchlab.cli import ConfigError, build_functional, build_phi, csv_text, read_csv_rows
 from branchlab.limits import (
     REPORT_COLUMNS,
     CppSample,
@@ -294,6 +295,15 @@ def _every_comb_entry(D, marks):
     return float((D * w).sum()) * (1.5 if marks[0] == "A" else 1.0)
 
 
+def named_pair_indicator(r, k, batched):
+    """cli.build_phi's pair indicator, or its scalar form alone, and the
+    seed's scalar lambda for the reference side."""
+    phi = build_phi({"name": "pair_indicator", "r": r}, k)
+    assert callable(phi.batched)
+    seed = lambda D, marks: 1.0 if D[1, 2] <= r else 0.0
+    return (phi if batched else (lambda D, m: phi(D, m))), seed
+
+
 class TestCombOracle:
     """The batched comb draws what the seed draws and gives its bits."""
 
@@ -309,6 +319,22 @@ class TestCombOracle:
         want = seed_cpp_monomial_samples(q, 60, 0.05, n_inner, ref)
         assert _hex_matrix(got) == _hex_matrix(want)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("marks", [None, {"A": 0.3, "B": 0.7}])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_named_pair_indicator(self, k, marks, batched):
+        # the seed calls the parent's lambda per inner tuple; the library
+        # calls the batched form per chunk, or the plain one per tuple
+        phi, seed = named_pair_indicator(0.9, k, batched)
+        q = LimitQuery(k=k, phi=phi, sigma_sq=1.3, mark_probs=marks)
+        rng = np.random.default_rng(60 + k)
+        ref = np.random.default_rng(60 + k)
+        got = limits.cpp_monomial_samples(q, n_samples=120, eps=0.05, n_inner=8, rng=rng)
+        want = seed_cpp_monomial_samples(replace(q, phi=seed), 120, 0.05, 8, ref)
+        assert _hex_matrix(got) == _hex_matrix(want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert len(set(got.tolist())) > 10
 
     def test_indicator_phi(self):
         q = LimitQuery(k=3, phi=lambda D, m: float(D[1, 3] <= 0.4), sigma_sq=0.9)
@@ -361,7 +387,35 @@ class TestCombOracle:
         assert limits.cpp_monomial_samples(q, n_samples=1, rng=0).shape == (1,)
 
 
+def seed_sample_excursions(n_excursions, n_steps, rng):
+    """The seed's excursions: argsort of the keys, a modular rotation and
+    a second cumsum; kept as the oracle of the packed-key sort."""
+    m = n_steps // 2
+    n = 2 * m + 1
+    base = np.concatenate([np.ones(m, dtype=np.int32), -np.ones(m + 1, dtype=np.int32)])
+    keys = rng.random((n_excursions, n))
+    steps = base[np.argsort(keys, axis=1)]
+    j = np.argmin(np.cumsum(steps, axis=1), axis=1)
+    order = (j[:, None] + 1 + np.arange(n)[None, :]) % n
+    h = np.cumsum(np.take_along_axis(steps, order, axis=1), axis=1)
+    out = np.zeros((n_excursions, n_steps + 1), dtype=np.int32)
+    out[:, 1:] = h[:, : n - 1]
+    return out
+
+
 class TestExcursions:
+    @pytest.mark.parametrize(
+        "n_excursions, n_steps, seed",
+        [(1, 2, 0), (1, 40, 1), (9, 2, 2), (50, 10, 3), (250, 2000, 4)],
+    )
+    def test_against_seed(self, n_excursions, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        got = sample_excursions(n_excursions, n_steps, rng)
+        want = seed_sample_excursions(n_excursions, n_steps, ref)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_arguments_validated(self):
         with pytest.raises(ValueError):
             sample_excursions(2, 5)
@@ -683,6 +737,25 @@ class TestSeedOracle:
             monkeypatch.setattr(limits, "_INTEGRAND_CHUNK", chunk)
             assert float(cpp_moment(q, grid_step=step)).hex() == want.hex()
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("marks", [None, {"A": 0.3, "B": 0.7}])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_named_pair_indicator(self, monkeypatch, k, marks, batched):
+        phi, seed = named_pair_indicator(0.6, k, batched)
+        q = LimitQuery(k=k, phi=phi, sigma_sq=1.3, mark_probs=marks, R=0.9)
+        g = _reference_symmetrized(replace(q, phi=seed))
+        step = {2: 0.05, 3: 0.125}[k]
+        val, _ = _reference_lambda_k(k, g, R=q.R, method="grid", grid_step=step)
+        crt = (q.sigma_sq / 2.0) ** (k - 1) * val
+        # every leaf sits at height one: meets of at least 0.7 pass
+        val, _ = _reference_lambda_tilde(k, g, method="grid", grid_step=step / 2)
+        comb = (q.sigma_sq / 2.0) ** k * val
+        assert crt != 0.0 and comb != 0.0
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(limits, "_INTEGRAND_CHUNK", chunk)
+            assert float(crt_moment(q, method="grid", grid_step=step)[0]).hex() == crt.hex()
+            assert float(cpp_moment(q, grid_step=step / 2)).hex() == comb.hex()
+
     def test_batch_larger_than_one_chunk(self):
         # 10^4 grid points in one call, at the library's own chunk size
         phi = lambda D, m: _marked_phi(D, m, r=1.0)
@@ -833,6 +906,28 @@ class TestSeedOracle:
                 assert got[0] == w and got[3] == w and got[2] == 0.0
             if name == "pair_indicator":
                 assert got[1] == w and got[6] == w
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name", ["ones", "pair_indicator"])
+    def test_named_phi_scalar_and_batched(self, k, name):
+        # against the parent's lambdas, on matrices with d(1, 2) at r and
+        # one ulp on either side
+        r = 0.5
+        seed = {
+            "ones": lambda D, marks: 1.0,
+            "pair_indicator": lambda D, marks: 1.0 if D[1, 2] <= r else 0.0,
+        }[name]
+        rng = np.random.default_rng(k)
+        D = rng.uniform(0.0, 2.0, size=(9, k + 1, k + 1))
+        D[:3, 1, 2] = [r, np.nextafter(r, 1.0), np.nextafter(r, 0.0)]
+        D[3:, 1, 2] = [0.0, 2.0, 0.25, 0.75, r, 1.5]
+        phi = build_phi({"name": name, "r": r}, k)
+        for mk in [(None,) * k, ("A",) * k, ("B",) + ("A",) * (k - 1)]:
+            want = [float(seed(Dt, mk)).hex() for Dt in D]
+            assert [float(phi(Dt, mk)).hex() for Dt in D] == want
+            assert [float(v).hex() for v in phi.batched(D, mk)] == want
+        if name == "pair_indicator":
+            assert want == [v.hex() for v in (1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)]
 
     def test_named_pair_indicator_batched_needs_two_leaves(self, binary):
         F = build_functional({"name": "pair_indicator", "r": 1.0}, binary)

@@ -10,6 +10,7 @@ from branchlab.mmm import (
     FiniteMmmSpace,
     generation_slice,
     monomial,
+    phi_values,
     tree_to_mmm,
 )
 from branchlab.process import MarkedTree, enumerate_population, simulate
@@ -464,6 +465,87 @@ def skewed_space(n, seed):
     return FiniteMmmSpace([str(i) for i in range(n)], n // 3, d, mass, marks)
 
 
+def marked_batched(D, marks):
+    # reads the marks, the root row and one leaf pair, per row
+    w = {"A": 1.5, "B": 0.5, None: 1.0}[marks[0]] + 0.25 * (marks[-1] == "A")
+    return w * D[:, 0, -1] * np.where(D[:, 1, -1] <= 2.0, 1.0, 0.375)
+
+
+def marked_phi(D, marks):
+    # the scalar form, as cli.build_phi derives it; the seed's monomial
+    # calls it, the library the batched form
+    return float(marked_batched(D[None], marks)[0])
+
+
+marked_phi.batched = marked_batched
+
+
+class TestPhiValues:
+    """The one evaluator of distance-matrix test functions."""
+
+    @staticmethod
+    def stack(n, k):
+        # row t carries t in entry (0, 1), so a call shows which rows it saw
+        D = np.random.default_rng(n + k).uniform(0.0, 3.0, size=(n, k + 1, k + 1))
+        D[:, 0, 1] = np.arange(n)
+        return D
+
+    def test_batched_called_once_per_distinct_tuple(self):
+        D = self.stack(9, 2)
+        a, b, c = ("A", "B"), ("B", "B"), (None, "A")
+        marks = [b, a, b, c, a, a, b, c, b]
+        calls = []
+
+        def batched(Ds, mk):
+            calls.append((mk, Ds[:, 0, 1].tolist()))
+            return marked_batched(Ds, mk)
+
+        phi = lambda D, m: pytest.fail("the scalar form is not called")
+        phi.batched = batched
+        got = phi_values(phi, D, marks)
+        assert calls == [
+            (b, [0.0, 2.0, 6.0, 8.0]),
+            (a, [1.0, 4.0, 5.0]),
+            (c, [3.0, 7.0]),
+        ]
+        want = [marked_phi(Dt, mk) for Dt, mk in zip(D, marks)]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    def test_one_tuple_hands_the_whole_stack(self):
+        D = self.stack(5, 3)
+        seen = []
+
+        def batched(Ds, mk):
+            seen.append((Ds, mk))
+            return np.arange(len(Ds), dtype=float)
+
+        phi = lambda D, m: 0.0
+        phi.batched = batched
+        # equal tuples that are distinct objects count as one
+        marks = [("A", "B", "A")] + [tuple(["A", "B", "A"]) for _ in range(4)]
+        assert phi_values(phi, D, marks).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert len(seen) == 1 and seen[0][0] is D and seen[0][1] == ("A", "B", "A")
+
+    def test_plain_phi_called_once_per_row(self):
+        D = self.stack(7, 2)
+        marks = [("A", "B"), ("B", "B")] * 3 + [(None, None)]
+        calls = []
+
+        def phi(Dt, mk):
+            calls.append((float(Dt[0, 1]), mk))
+            return marked_phi(Dt, mk)
+
+        got = phi_values(phi, D, marks)
+        assert calls == list(zip(range(7), marks))
+        assert got.tolist() == [marked_phi(Dt, mk) for Dt, mk in zip(D, marks)]
+
+    def test_batched_values_must_be_one_per_row(self):
+        phi = lambda D, m: 1.0
+        phi.batched = lambda D, m: 1.0
+        with pytest.raises(ValueError, match="one per row"):
+            phi_values(phi, self.stack(4, 2), [("A", "A")] * 4)
+
+
 class TestMonomialOracle:
     """Batched tuple matrices give the seed's per-tuple sums bit for bit."""
 
@@ -476,6 +558,7 @@ class TestMonomialOracle:
             lambda D, m: float(D[0, -1] <= 1.7),
             lambda D, m: 1.0,
             lambda D, m: np.float64(D[0, 1]) * (2 if m[0] == "B" else 1),
+            marked_phi,
         ]
         for n, k in [(1, 1), (2, 3), (5, 1), (5, 2), (5, 3), (9, 2), (13, 3)]:
             space = skewed_space(n, n + k)
@@ -506,10 +589,11 @@ class TestMonomialOracle:
         space = skewed_space(9, 4)
         rng = np.random.default_rng(12)
         ref = np.random.default_rng(12)
-        got = monomial(space, k, every_entry, cap=20, n_sub=5, rng=rng)
-        want = seed_monomial(space, k, every_entry, cap=20, n_sub=5, rng=ref)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-        assert rng.random() == ref.random()
+        for phi in (every_entry, marked_phi):
+            got = monomial(space, k, phi, cap=20, n_sub=5, rng=rng)
+            want = seed_monomial(space, k, phi, cap=20, n_sub=5, rng=ref)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert rng.random() == ref.random()
 
     def test_bad_sizes_rejected(self):
         space = line_space()

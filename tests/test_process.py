@@ -1,6 +1,7 @@
 """Offspring models: enumeration, simulation, Perron data, survival."""
 
 import itertools
+import json
 import struct
 from fractions import Fraction
 
@@ -74,6 +75,32 @@ class TestModelValidation:
     def test_json_schema_is_strict(self):
         with pytest.raises(ValueError):
             Model.from_json('{"types": ["a"]}')
+
+    @pytest.mark.parametrize(
+        "atom, message",
+        [
+            # a string probability once passed through float()
+            ({"prob": "0.5", "children": []}, "offspring of 'a': 'prob' must be a number, got str '0.5'"),
+            ({"prob": True, "children": []}, "offspring of 'a': 'prob' must be a number, got bool True"),
+            ({"prob": None, "children": []}, "'prob' must be a number, got NoneType None"),
+            # a string of children was once split into one child per character
+            ({"prob": 0.5, "children": "aa"}, "offspring of 'a': 'children' must be a list of type labels, got str 'aa'"),
+            ({"prob": 0.5, "children": ["a", 1]}, "'children' must be a list of type labels, got list ['a', 1]"),
+            ({"prob": 0.5, "children": {"a": 2}}, "'children' must be a list of type labels, got dict"),
+        ],
+    )
+    def test_json_value_types(self, atom, message):
+        text = json.dumps(
+            {"types": ["a"], "offspring": {"a": [atom, {"prob": 0.5, "children": ["a", "a"]}]}}
+        )
+        with pytest.raises(ValueError) as info:
+            Model.from_json(text)
+        assert message in str(info.value)
+
+    def test_json_integer_probabilities(self):
+        model = Model.from_json('{"types": ["a"], "offspring": {"a": [{"prob": 1, "children": []}]}}')
+        assert model.offspring["a"] == ((1.0, ()),)
+        assert isinstance(model.offspring["a"][0][0], float)
 
     def test_max_brood(self, asymmetric):
         assert asymmetric.max_brood == 3
