@@ -371,14 +371,20 @@ def _comb_chunk(query, rng, a, n_inner, most):
     half = query.sigma_sq / 2.0
     if query.mark_probs is not None:
         labels = sorted(query.mark_probs)
-        probs = np.array([query.mark_probs[c] for c in labels])
+        probs = np.array([query.mark_probs[c] for c in labels], dtype=float)
+        # Generator.choice's checks (at its tolerance, sqrt(eps) = 2**-26),
+        # then its own cdf and draw, once per chunk instead of per sample
+        if not (probs >= 0).all() or abs(probs.sum() - 1.0) > 2**-26:
+            raise ValueError(f"mark_probs must be nonnegative and sum to 1: {query.mark_probs}")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
     scales, uniforms, idx, marks = [], [], [], []
     atoms = 0
     while len(scales) < most and atoms < _COMB_CHUNK and len(scales) * n_inner < _COMB_CHUNK:
         Z, pos, u = _draw_comb(rng, a)
         points = rng.uniform(0.0, Z, size=(n_inner, k))
         if query.mark_probs is not None:
-            marks.append(rng.choice(len(labels), size=(n_inner, k), p=probs))
+            marks.append(cdf.searchsorted(rng.random((n_inner, k)), side="right"))
         scales.append((half * Z) ** k)
         # atoms lo < position <= hi lie in [index(lo), index(hi))
         idx.append(pos.searchsorted(points, side="right"))

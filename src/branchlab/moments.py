@@ -15,7 +15,6 @@ The rescaled variants divide heights by n and renormalise, so that the
 values can be compared against continuum limits.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .process import OUTCOME_CAP, enumerate_arrays, marked_trees
+from .process import OUTCOME_CAP, enumerate_arrays
 from .spine import build_kernel, shape_sum
-from .trees import TreeShape, product_batches, shape_batches
+from .trees import product_batches, shape_batches, shape_values
 
 __all__ = [
     "MomentQuery",
@@ -72,16 +71,15 @@ class BruteForceMoments:
 
     Builds, per k, a table mapping (leaf heights, meet heights, leaf
     types, branch types) to total probability weight, once; evaluating a
-    functional is then a plain weighted sum.  Feasible only while the
-    outcome count stays under the cap.
+    functional is then a weighted sum of its trees.shape_values.  Feasible
+    only while the outcome count stays under the cap.
 
     The table reads the per-vertex arrays of enumerate_arrays (depth and
     type index, outcome by outcome in planar order) in groups of
-    consecutive outcomes, and builds no tree; `outcomes` builds the trees
-    when first read.  A vertex's subtree is the index interval
-    [i, end[i]), so the k-tuples with no ancestor pair are exactly the
-    increasing index tuples with i_{t+1} >= end[i_t] inside one outcome;
-    ancestral tuples are never visited.  The pairs
+    consecutive outcomes, and builds no tree.  A vertex's subtree is the
+    index interval [i, end[i]), so the k-tuples with no ancestor pair are
+    exactly the increasing index tuples with i_{t+1} >= end[i_t] inside
+    one outcome; ancestral tuples are never visited.  The pairs
     (i, j >= end[i]) are listed once, each with its meet: the ancestor
     of j one level above the shallowest vertex of [end[i], j].  Longer
     tuples chain the pair blocks of their last vertex.  Each tuple's key
@@ -98,11 +96,6 @@ class BruteForceMoments:
         self.horizon = horizon
         self._population = enumerate_arrays(model, x0, horizon, cap=cap)
         self._tables = {}
-
-    @functools.cached_property
-    def outcomes(self):
-        """enumerate_population's list, built from the arrays when first read."""
-        return marked_trees(self.model, *self._population)
 
     def table(self, k):
         tab = self._tables.get(k)
@@ -134,12 +127,23 @@ class BruteForceMoments:
         return tab
 
     def moment(self, k, F, R):
+        """The sum of w * F over the table rows with leaf heights <= R, from
+        0.0 in table order; one shape_values call evaluates F on the rows'
+        distinct shapes, each row's (key, shape) entry wanted once."""
         if R > self.horizon:
             raise ValueError("support radius exceeds the enumeration horizon")
+        rows = [(key, w) for key, w in self.table(k).items() if max(key[0]) <= R]
+        slots, shapes = {}, {}
+        j = [slots.setdefault(key[2:], len(slots)) for key, _ in rows]
+        r = [shapes.setdefault(key[:2], len(shapes)) for key, _ in rows]
+        L = np.array([l for l, _ in shapes]).reshape(len(shapes), k)
+        B = np.array([b for _, b in shapes], dtype=L.dtype).reshape(len(shapes), k - 1)
+        live = np.zeros((len(slots), len(shapes)), dtype=bool)
+        live[j, r] = True
+        vals = np.array(shape_values(F, L, B, list(slots), live)).reshape(live.shape)[j, r]
         total = 0.0
-        for (l, b, lt, bt), w in self.table(k).items():
-            if max(l) <= R:
-                total += w * F(TreeShape(l, b), lt, bt)
+        for (_, w), v in zip(rows, vals.tolist()):
+            total += w * v
         return total
 
 

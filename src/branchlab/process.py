@@ -24,8 +24,6 @@ __all__ = [
     "Eigenpair",
     "simulate",
     "enumerate_arrays",
-    "marked_trees",
-    "enumerate_population",
     "mean_matrix",
     "eigenpair",
     "is_critical",
@@ -97,35 +95,48 @@ class Model:
     @classmethod
     def from_json(cls, text):
         """Parse the JSON schema {"types": [...], "offspring": {label: [{"prob": p, "children": [...]}]}},
-        with float probabilities.  A "prob" that is not a JSON number (a
-        string, true) or "children" that are not a list of strings is a
-        ValueError naming the type, the key and the value's type."""
+        with float probabilities.  Any other shape (types or children not
+        a list of strings, offspring not an object of atom lists, an atom
+        without exactly "prob" and "children", a "prob" not a JSON number)
+        is a ValueError naming the key, its owner and the value's type."""
         data = json.loads(text)
-        if set(data) != {"types", "offspring"}:
+        if not isinstance(data, dict) or set(data) != {"types", "offspring"}:
             raise ValueError("model JSON must have exactly 'types' and 'offspring'")
+        types, laws = data["types"], data["offspring"]
+        if not _is_labels(types):
+            raise _shape_error("model key 'types'", "a list of type labels", types)
+        if not isinstance(laws, dict):
+            raise _shape_error("model key 'offspring'", "an object of atom lists", laws)
         offspring = {}
-        for x, atoms in data["offspring"].items():
+        for x, atoms in laws.items():
+            if not isinstance(atoms, list):
+                raise _shape_error(f"offspring of {x!r}", "a list of atoms", atoms)
             law = []
             for a in atoms:
+                if not isinstance(a, dict) or set(a) != {"prob", "children"}:
+                    want = "an object with exactly 'prob' and 'children'"
+                    raise _shape_error(f"offspring of {x!r}: an atom", want, a)
                 p, cs = a["prob"], a["children"]
                 if isinstance(p, bool) or not isinstance(p, (int, float)):
-                    raise ValueError(
-                        f"offspring of {x!r}: 'prob' must be a number, "
-                        f"got {type(p).__name__} {p!r}"
-                    )
-                if not isinstance(cs, list) or not all(isinstance(c, str) for c in cs):
-                    raise ValueError(
-                        f"offspring of {x!r}: 'children' must be a list of type "
-                        f"labels, got {type(cs).__name__} {cs!r}"
-                    )
+                    raise _shape_error(f"offspring of {x!r}: 'prob'", "a number", p)
+                if not _is_labels(cs):
+                    raise _shape_error(f"offspring of {x!r}: 'children'", "a list of type labels", cs)
                 law.append((float(p), tuple(cs)))
             offspring[x] = law
-        return cls(tuple(data["types"]), offspring)
+        return cls(tuple(types), offspring)
 
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+def _is_labels(value):
+    return isinstance(value, list) and all(isinstance(c, str) for c in value)
+
+
+def _shape_error(where, want, value):
+    return ValueError(f"{where} must be {want}, got {type(value).__name__} {value!r}")
 
 
 @dataclass
@@ -275,29 +286,6 @@ def _ranges(start, count):
     """The concatenation of range(s, s + c) over the pairs (s, c)."""
     end = np.cumsum(count)
     return np.repeat(start - end + count, count) + np.arange(int(count.sum()))
-
-
-def marked_trees(model, prob, outcome, depth, mark):
-    """enumerate_arrays's outcomes as (probability, MarkedTree) pairs.  In
-    planar order a vertex at depth d is the first child of the vertex
-    before it, or else the next sibling of that vertex's ancestor at d."""
-    cut = np.cumsum(np.bincount(outcome, minlength=len(prob))).tolist()
-    depth, mark, result = depth.tolist(), mark.tolist(), []
-    for p, lo, hi in zip(prob.tolist(), [0] + cut, cut):
-        word, degs, marks = (), {(): 0}, {(): model.types[mark[lo]]}
-        for d, m in zip(depth[lo + 1 : hi], mark[lo + 1 : hi]):
-            word = word[: d - 1] + (word[d - 1] + 1 if d <= len(word) else 1,)
-            degs[word], marks[word] = 0, model.types[m]
-            degs[word[:-1]] = word[-1]
-        result.append((p, MarkedTree(PlanarTree._built(degs), marks)))
-    return result
-
-
-def enumerate_population(model, x0, n_gen, cap=OUTCOME_CAP):
-    """All populations up to generation n_gen as (probability, MarkedTree)
-    pairs, with the order, probabilities and cap of enumerate_arrays;
-    generation-n_gen vertices carry degree 0."""
-    return marked_trees(model, *enumerate_arrays(model, x0, n_gen, cap))
 
 
 def _check_outcome_count(model, x0, n_gen, cap):

@@ -1,13 +1,16 @@
 """Shared fixtures: the four reference models used throughout the suite,
-and a float model whose probabilities are not dyadic."""
+a float model whose probabilities are not dyadic, and the tree oracle of
+population enumeration."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from branchlab.process import Model
+from branchlab.process import MarkedTree, Model
+from branchlab.trees import PlanarTree
 
 settings.register_profile(
     "suite",
@@ -67,6 +70,42 @@ def make_nondyadic():
         },
     }
     return Model.from_json(json.dumps(data))
+
+
+def seed_enumerate_population(model, x0, n_gen):
+    """Every population up to generation n_gen as (probability, MarkedTree)
+    pairs, by the enumeration as first written, without the cap: per
+    outcome and generation, copy its degree and mark dicts once per
+    combination of its frontier's atoms, multiplying their probabilities
+    left to right.  Generation-n_gen vertices get degree 0.  The order and
+    float bits are those of process.enumerate_arrays."""
+    outcomes = [(1, {}, {(): x0}, [()])]
+    for _ in range(n_gen):
+        new = []
+        for prob, degs, marks, frontier in outcomes:
+            if not frontier:
+                new.append((prob, degs, marks, frontier))
+                continue
+            atom_lists = [model.offspring[marks[v]] for v in frontier]
+            for combo in itertools.product(*atom_lists):
+                p2 = prob
+                d2 = dict(degs)
+                m2 = dict(marks)
+                f2 = []
+                for v, (pa, cs) in zip(frontier, combo):
+                    p2 = p2 * pa
+                    d2[v] = len(cs)
+                    for i, c in enumerate(cs, start=1):
+                        m2[v + (i,)] = c
+                        f2.append(v + (i,))
+                new.append((p2, d2, m2, f2))
+        outcomes = new
+    result = []
+    for prob, degs, marks, frontier in outcomes:
+        for v in frontier:
+            degs[v] = 0
+        result.append((prob, MarkedTree(PlanarTree(degs), marks)))
+    return result
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from branchlab.moments import (
     moment_recursive,
 )
 from branchlab.limits import kolmogorov_rows
-from branchlab.process import eigenpair, enumerate_population, sigma_squared
+from branchlab.process import eigenpair, sigma_squared
 from branchlab.spine import build_kernel
 from branchlab.trees import (
     count_deficient_tuples,
@@ -41,7 +41,7 @@ from branchlab.trees import (
     generate_trees,
 )
 
-from conftest import make_asymmetric, make_binary, make_symmetric
+from conftest import make_asymmetric, make_binary, make_symmetric, seed_enumerate_population
 
 
 def _report(capsys, name, ok, detail, warn_only=False):
@@ -111,7 +111,7 @@ def test_a02_single_vertex_sums(capsys):
         for n in (1, 2, 3, 4):
             for x0 in model.types:
                 direct = Fraction(0)
-                for p, mt in enumerate_population(model, x0, n):
+                for p, mt in seed_enumerate_population(model, x0, n):
                     for v in mt.tree.vertices:
                         if len(v) == n:
                             path = tuple(mt.marks[v[:j]] for j in range(n + 1))

@@ -135,6 +135,23 @@ class TestConfigHandling:
         assert rc == 1 and out == ""
         assert err.startswith(f"error: offspring of 'a': '{key}' must be") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "model, needle",
+        [
+            ({"types": "a", "offspring": {"a": [{"prob": 1.0, "children": []}]}}, "'types'"),
+            ({"types": ["a"], "offspring": [1]}, "'offspring'"),
+            ({"types": ["a"], "offspring": {"a": [[0.5, []], [0.5, ["a", "a"]]]}}, "'prob' and 'children'"),
+            ({"types": ["a"], "offspring": {"a": [{"prob": 1.0}]}}, "'prob' and 'children'"),
+        ],
+    )
+    def test_model_shape_exit_1(self, capsys, tmp_path, model, needle):
+        # each once loaded, printed a traceback or printed only the key
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        cfg = write_config(tmp_path, "check.json", {"model": "m.json"})
+        rc, out, err = run(capsys, "model-check", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
     def test_invalid_json(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -481,10 +498,12 @@ class TestVerify:
         only_config_error(rc, out, err, repr(key), "empty")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("name", ["binary", "two_type"])
+    @pytest.mark.parametrize("name", ["binary", "two_type", "asymmetric_weighted"])
     def test_golden_bytes(self, capsys, name, fmt):
-        # recorded before the shape sums went through one numpy pass per
-        # tie pattern
+        # binary and two_type recorded before the shape sums went through
+        # one numpy pass per tie pattern; asymmetric_weighted, a weighted
+        # height indicator, before brute force evaluated through
+        # shape_values
         rc, out, _ = run(
             capsys, "verify-m2f", "--config", f"{CONFIG_DIR}/verify_{name}.json", "--format", fmt
         )

@@ -336,6 +336,48 @@ class TestCombOracle:
         assert rng.bit_generator.state == ref.bit_generator.state
         assert len(set(got.tolist())) > 10
 
+    @pytest.mark.parametrize(
+        "marks",
+        [
+            {"A": 0.3, "B": 0.7},
+            # a zero-probability label ties two cdf entries
+            {"A": 0.2, "B": 0.0, "C": 0.3, "D": 0.5},
+            {"x": 1 / 3, "y": 1 / 3, "z": 1 / 3},
+            # sums to 0.9999999999999999 left to right: choice rescales the cdf
+            {"a": 0.7, "b": 0.2, "c": 0.1},
+        ],
+    )
+    def test_mark_draws_are_choice_draws(self, marks):
+        # the comb draws marks with Generator.choice's cdf and searchsorted
+        # once per chunk; the seed calls rng.choice per sample: every mark
+        # tuple and the stream after must be the same
+        def recording(seen):
+            def phi(D, m):
+                seen.append(m)
+                return 1.0
+
+            return phi
+
+        for seed in range(50):
+            got, want = [], []
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            q = LimitQuery(k=3, phi=recording(got), mark_probs=marks)
+            limits.cpp_monomial_samples(q, n_samples=6, eps=0.5, n_inner=3, rng=rng)
+            seed_cpp_monomial_samples(replace(q, phi=recording(want)), 6, 0.5, 3, ref)
+            assert got == want, seed
+            assert rng.bit_generator.state == ref.bit_generator.state, seed
+            assert all(marks[c] > 0 for m in got for c in m)
+
+    @pytest.mark.parametrize(
+        "marks", [{"A": -0.5, "B": 1.5}, {"A": 0.3, "B": 0.6}, {"A": float("nan"), "B": 1.0}]
+    )
+    def test_bad_mark_probs_rejected(self, marks):
+        # as rng.choice rejected them when it drew the marks
+        q = LimitQuery(k=1, phi=lambda D, m: 1.0, mark_probs=marks)
+        with pytest.raises(ValueError):
+            limits.cpp_monomial_samples(q, n_samples=4, eps=0.5, n_inner=2, rng=1)
+
     def test_indicator_phi(self):
         q = LimitQuery(k=3, phi=lambda D, m: float(D[1, 3] <= 0.4), sigma_sq=0.9)
         got = limits.cpp_monomial_samples(q, n_samples=200, eps=0.1, n_inner=8, rng=3)

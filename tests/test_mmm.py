@@ -13,10 +13,16 @@ from branchlab.mmm import (
     phi_values,
     tree_to_mmm,
 )
-from branchlab.process import MarkedTree, enumerate_population, simulate
+from branchlab.process import MarkedTree, simulate
 from branchlab.trees import PlanarTree, count_deficient_tuples, meet_distances
 
-from conftest import make_asymmetric, make_binary, make_subcritical, make_symmetric
+from conftest import (
+    make_asymmetric,
+    make_binary,
+    make_subcritical,
+    make_symmetric,
+    seed_enumerate_population,
+)
 
 
 def cherry_marked():
@@ -267,7 +273,7 @@ class TestBuiltSpaces:
         model = make()
         rng = np.random.default_rng(9)
         trees = [simulate(model, x0, 6, rng=rng) for _ in range(30)]
-        trees += [mt for _, mt in enumerate_population(model, x0, 2)]
+        trees += [mt for _, mt in seed_enumerate_population(model, x0, 2)]
         for mt in trees:
             spaces = [tree_to_mmm(mt), tree_to_mmm(mt, edge_scale=0.3, mass_scale=1.5)]
             spaces += [generation_slice(mt, n, mass_scale=0.7) for n in (1, 2, 6)]

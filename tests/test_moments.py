@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from branchlab import moments, process
+from branchlab.cli import build_functional
 from branchlab.moments import (
     BranchFunctional,
     BruteForceMoments,
@@ -22,9 +23,11 @@ from branchlab.moments import (
     rescaled_moment,
     ultrametric_moment,
 )
-from branchlab.process import Model, enumerate_population, mean_matrix
+from branchlab.process import Model, mean_matrix
 from branchlab.spine import build_kernel
 from branchlab.trees import PlanarTree, TreeShape, distance_matrix, is_ancestor, meet
+
+from conftest import seed_enumerate_population
 
 
 def count_F(shape, lt, bt):
@@ -88,9 +91,10 @@ class TestShapeSumVsEnumeration:
 
 
 def reference_table(bf, k):
-    """The table by filtering every vertex k-subset, in planar order."""
+    """The table by filtering every vertex k-subset of the oracle's trees,
+    in planar order."""
     tab = {}
-    for prob, mt in bf.outcomes:
+    for prob, mt in seed_enumerate_population(bf.model, bf.x0, bf.horizon):
         p = float(prob)
         marks = mt.marks
         for combo in itertools.combinations(mt.tree.vertices, k):
@@ -136,7 +140,7 @@ class TestBruteForceTable:
         assert bits(got) == bits(reference_table(bf, k))
         # every non-ancestral k-subset carries its outcome's weight once
         want = Fraction(0)
-        for prob, mt in bf.outcomes:
+        for prob, mt in seed_enumerate_population(m, m.types[0], horizon):
             free = sum(
                 1
                 for combo in itertools.combinations(mt.tree.vertices, k)
@@ -149,7 +153,7 @@ class TestBruteForceTable:
 
     def test_tables_build_no_tree(self, monkeypatch, asymmetric):
         # the tables read the enumerated arrays: no PlanarTree or
-        # MarkedTree is made until the outcomes are asked for
+        # MarkedTree is made
         def refuse(*args, **kwargs):
             raise AssertionError("a tree was built")
 
@@ -159,9 +163,6 @@ class TestBruteForceTable:
             bf = BruteForceMoments(asymmetric, "B", horizon=3)
             for k in (1, 2, 3):
                 bf.table(k)
-        assert "outcomes" not in vars(bf)
-        assert bf.outcomes == enumerate_population(asymmetric, "B", 3)
-        assert bf.outcomes is bf.outcomes
 
     def test_cached_and_k_checked(self, binary):
         bf = BruteForceMoments(binary, "a", horizon=2)
@@ -211,6 +212,94 @@ class TestBruteForceTable:
         assert bits(bf.table(4)) == bits(reference_table(bf, 4))
 
 
+def seed_moment(bf, k, F, R):
+    """BruteForceMoments.moment as first written, kept as the oracle: one
+    TreeShape per table key and F called on it, summed in table order."""
+    total = 0.0
+    for (l, b, lt, bt), w in bf.table(k).items():
+        if max(l) <= R:
+            total += w * F(TreeShape(l, b), lt, bt)
+    return total
+
+
+def named_functionals(model):
+    """cli.build_functional's named functionals, plain and with leaf
+    weights, keyed by the smallest k they accept."""
+    weights = dict(zip(model.types, (0.7, 1.3)))
+    out = []
+    for spec in ({"name": "count"}, {"name": "height_indicator", "r": 2}):
+        out += [(1, spec), (1, dict(spec, weights=weights))]
+    pair = {"name": "pair_indicator", "r": 2}
+    out += [(2, pair), (2, dict(pair, weights=weights))]
+    return [(k, build_functional(spec, model, k=k)) for k, spec in out]
+
+
+class TestMomentEvaluation:
+    """moment evaluates the table through trees.shape_values and adds
+    w * value from 0.0 in table order, the bits of the per-key loop."""
+
+    @pytest.mark.parametrize("name", ["binary", "symmetric", "asymmetric"])
+    def test_matches_per_key_loop(self, request, name):
+        model = request.getfixturevalue(name)
+        Fs = [(1, typed_F), (1, count_F)] + named_functionals(model)
+        nonzero = 0
+        for x0 in model.types:
+            bf = BruteForceMoments(model, x0, horizon=3)
+            for k, R in itertools.product((1, 2, 3), (1, 2, 3)):
+                for k_min, F in Fs:
+                    if k < k_min:
+                        continue
+                    got, want = bf.moment(k, F, R), seed_moment(bf, k, F, R)
+                    assert float.hex(got) == float.hex(want), (x0, k, R, F)
+                    nonzero += got != 0.0
+        assert nonzero > 50
+
+    def test_batched_called_once_per_leaf_types(self, asymmetric):
+        # only the batched form runs, once per distinct leaf-type tuple of
+        # the rows with every leaf height at most R, on their distinct shapes
+        bf = BruteForceMoments(asymmetric, "A", horizon=3)
+        named = build_functional({"name": "count", "weights": {"A": 0.7}}, asymmetric)
+        calls = []
+
+        def F(shape, lt, bt):
+            raise AssertionError("the scalar form was called")
+
+        def batched(L, B, lt):
+            calls.append((lt, len(L), int(L.max())))
+            return named.batched(L, B, lt)
+
+        F.batched = batched
+        for k, R in itertools.product((1, 2, 3), (1, 2, 3)):
+            calls.clear()
+            got = bf.moment(k, F, R)
+            rows = [key for key in bf.table(k) if max(key[0]) <= R]
+            assert [lt for lt, _, _ in calls] == list(dict.fromkeys(key[2] for key in rows))
+            n_shapes = len({key[:2] for key in rows})
+            assert all(n == n_shapes and top <= R for _, n, top in calls)
+            assert float.hex(got) == float.hex(seed_moment(bf, k, named, R))
+            if k == 3 and R == 2:
+                assert len(calls) > 1 and len(rows) < len(bf.table(k))
+
+    def test_plain_called_once_per_row_up_to_R(self, asymmetric):
+        bf = BruteForceMoments(asymmetric, "B", horizon=3)
+        seen = []
+
+        def F(shape, lt, bt):
+            seen.append((shape.leaf_heights, shape.branch_heights, lt, bt))
+            return typed_F(shape, lt, bt)
+
+        for k, R in itertools.product((1, 2, 3), (1, 2)):
+            seen.clear()
+            bf.moment(k, F, R)
+            rows = [key for key in bf.table(k) if max(key[0]) <= R]
+            assert sorted(seen) == sorted(rows)
+            assert len(rows) < len(bf.table(k))
+
+    def test_no_row_up_to_R(self, binary):
+        bf = BruteForceMoments(binary, "a", horizon=3)
+        assert bf.table(3) and bf.moment(3, count_F, 1) == 0.0
+
+
 class TestSingleVertexSums:
     def path_weight(self, path):
         w = {"A": 1.25, "B": 0.8}
@@ -226,7 +315,7 @@ class TestSingleVertexSums:
             for n in (1, 2, 3):
                 for x0 in asymmetric.types:
                     direct = 0.0
-                    for p, mt in enumerate_population(asymmetric, x0, n):
+                    for p, mt in seed_enumerate_population(asymmetric, x0, n):
                         for v in mt.tree.vertices:
                             if len(v) != n:
                                 continue

@@ -17,7 +17,6 @@ from branchlab.process import (
     Model,
     eigenpair,
     enumerate_arrays,
-    enumerate_population,
     Eigenpair,
     is_critical,
     mean_matrix,
@@ -32,6 +31,7 @@ from conftest import (
     make_nondyadic,
     make_subcritical,
     make_symmetric,
+    seed_enumerate_population,
 )
 
 HALF = Fraction(1, 2)
@@ -95,6 +95,41 @@ class TestModelValidation:
         )
         with pytest.raises(ValueError) as info:
             Model.from_json(text)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # a string of types was once split into one type per character
+            (
+                {"types": "a", "offspring": {"a": [{"prob": 1.0, "children": []}]}},
+                "model key 'types' must be a list of type labels, got str 'a'",
+            ),
+            ({"types": ["a", 1], "offspring": {}}, "'types' must be a list of type labels, got list"),
+            # offspring as a list once raised AttributeError
+            ({"types": ["a"], "offspring": [1]}, "model key 'offspring' must be an object"),
+            ({"types": ["a"], "offspring": {"a": 5}}, "offspring of 'a' must be a list of atoms, got int 5"),
+            # an atom as a pair once raised TypeError
+            (
+                {"types": ["a"], "offspring": {"a": [[0.5, []], [0.5, ["a", "a"]]]}},
+                "offspring of 'a': an atom must be an object with exactly 'prob' and "
+                "'children', got list [0.5, []]",
+            ),
+            # a missing key once raised KeyError('children')
+            (
+                {"types": ["a"], "offspring": {"a": [{"prob": 1.0}]}},
+                "an atom must be an object with exactly 'prob' and 'children', got dict",
+            ),
+            (
+                {"types": ["a"], "offspring": {"a": [{"prob": 1.0, "children": [], "note": 1}]}},
+                "an atom must be an object with exactly 'prob' and 'children', got dict",
+            ),
+            ([], "model JSON must have exactly 'types' and 'offspring'"),
+        ],
+    )
+    def test_json_shape(self, data, message):
+        with pytest.raises(ValueError) as info:
+            Model.from_json(json.dumps(data))
         assert message in str(info.value)
 
     def test_json_integer_probabilities(self):
@@ -176,61 +211,64 @@ class TestPerronData:
         assert sigma_squared(chain) == 0.0
 
 
+def outcome_vertices(outcome, n):
+    """The vertex slices of the n outcomes of enumerate_arrays."""
+    cut = np.cumsum(np.bincount(outcome, minlength=n)).tolist()
+    return [slice(lo, hi) for lo, hi in zip([0] + cut, cut)]
+
+
 class TestEnumeration:
     def test_outcome_counts(self, binary):
         for n, want in [(1, 2), (2, 5), (3, 26), (4, 677)]:
-            assert len(enumerate_population(binary, "a", n)) == want
+            prob, outcome, depth, mark = enumerate_arrays(binary, "a", n)
+            assert len(prob) == want and outcome.max() == want - 1
 
     def test_probabilities_are_exact(self, binary):
-        outcomes = enumerate_population(binary, "a", 3)
-        total = sum(p for p, _ in outcomes)
-        assert total == Fraction(1)
+        prob, _, _, _ = enumerate_arrays(binary, "a", 3)
+        assert prob.dtype == object
+        assert sum(prob.tolist()) == Fraction(1)
 
     def test_generation_two_size_law(self, binary):
+        prob, outcome, depth, _ = enumerate_arrays(binary, "a", 2)
+        sizes = np.bincount(outcome[depth == 2], minlength=len(prob))
         law = {}
-        for p, mt in enumerate_population(binary, "a", 2):
-            z = sum(1 for v in mt.tree.vertices if len(v) == 2)
+        for p, z in zip(prob.tolist(), sizes.tolist()):
             law[z] = law.get(z, Fraction(0)) + p
         assert law == {0: Fraction(5, 8), 2: Fraction(1, 4), 4: Fraction(1, 8)}
 
-    def test_horizon_vertices_have_degree_zero(self, symmetric):
-        for _, mt in enumerate_population(symmetric, "A", 2):
-            for v in mt.tree.vertices:
-                if len(v) == 2:
-                    assert mt.tree.degrees[v] == 0
-            assert set(mt.marks) == set(mt.tree.degrees)
+    def test_no_vertex_past_the_horizon(self, symmetric):
+        _, _, depth, mark = enumerate_arrays(symmetric, "A", 2)
+        assert depth.max() == 2 and mark.max() == 1
 
     def test_cap_refusal_mentions_estimate(self, binary, asymmetric):
         with pytest.raises(ValueError, match="cap"):
-            enumerate_population(binary, "a", 4, cap=100)
+            enumerate_arrays(binary, "a", 4, cap=100)
         with pytest.raises(ValueError, match="cap"):
-            enumerate_population(asymmetric, "A", 5)
+            enumerate_arrays(asymmetric, "A", 5)
 
     def test_cap_refusal_names_generation_and_count(self, binary, asymmetric):
         # generation 5 of binary_gw has 458330 outcomes: counted, not enumerated
         with pytest.raises(ValueError, match=r"exceed cap=200000: generation 5 has 458330 outcomes"):
-            enumerate_population(binary, "a", 5)
+            enumerate_arrays(binary, "a", 5)
         with pytest.raises(ValueError, match=r"cap=676: generation 4 has 677 outcomes"):
-            enumerate_population(binary, "a", 7, cap=676)
+            enumerate_arrays(binary, "a", 7, cap=676)
         # a cap equal to the count passes, one below refuses, extinct
         # outcomes included
         for n, count in ((1, 3), (2, 12), (3, 164)):
-            assert len(enumerate_population(asymmetric, "A", n, cap=count)) == count
+            assert len(enumerate_arrays(asymmetric, "A", n, cap=count)[0]) == count
             with pytest.raises(ValueError, match=f"generation {n} has {count} outcomes"):
-                enumerate_population(asymmetric, "A", n, cap=count - 1)
+                enumerate_arrays(asymmetric, "A", n, cap=count - 1)
 
     def test_cap_counts_only_reachable_types(self):
         # x0 dies at once; the unreachable type's count squares each
         # generation, N_c(g) = 1 + N_c(g - 1)^2
         model = Model(("x", "c"), {"x": [(1, ())], "c": [(HALF, ()), (HALF, ("c", "c"))]})
-        assert len(enumerate_population(model, "x", 10_000, cap=1)) == 1
+        assert len(enumerate_arrays(model, "x", 10_000, cap=1)[0]) == 1
 
     def test_extinct_start_at_a_huge_horizon(self):
         # the count check stops at its fixed point and the enumeration
         # once no outcome has a frontier: a million generations take no time
         model = Model(("x", "c"), {"x": [(1, ())], "c": [(HALF, ()), (HALF, ("c", "c"))]})
-        [(p, mt)] = enumerate_population(model, "x", 10**6, cap=1)
-        assert p == 1 and mt.tree.degrees == {(): 0} and mt.marks == {(): "x"}
         prob, outcome, depth, mark = enumerate_arrays(model, "x", 10**6, cap=1)
         assert prob.tolist() == [1] and outcome.tolist() == depth.tolist() == mark.tolist() == [0]
 
@@ -238,15 +276,18 @@ class TestEnumeration:
         "make", [make_binary, make_symmetric, make_asymmetric, make_subcritical, make_nondyadic]
     )
     def test_matches_seed_loop(self, make):
+        # each oracle tree flattened to its vertices' depths and mark
+        # indices in planar order
         model = make()
         for x0, n in itertools.product(model.types, range(4)):
-            got = enumerate_population(model, x0, n)
+            prob, outcome, depth, mark = enumerate_arrays(model, x0, n)
             want = seed_enumerate_population(model, x0, n)
-            assert len(got) == len(want), (x0, n)
-            for (p, mt), (q, ref) in zip(got, want):
-                assert mt.tree.vertices == ref.tree.vertices
-                assert mt.tree.degrees == ref.tree.degrees
-                assert mt.marks == ref.marks
+            assert len(prob) == len(want), (x0, n)
+            cuts = outcome_vertices(outcome, len(prob))
+            for p, cut, (q, ref) in zip(prob.tolist(), cuts, want):
+                vs = ref.tree.vertices
+                assert depth[cut].tolist() == [len(v) for v in vs]
+                assert mark[cut].tolist() == [model.index[ref.marks[v]] for v in vs]
                 if isinstance(p, float):
                     # at horizon 0 the seed loop's 1 is an int
                     assert struct.pack("<d", p) == struct.pack("<d", q), (x0, n)
@@ -260,48 +301,11 @@ class TestEnumeration:
         for n in (1, 2, 3):
             Mn = np.linalg.matrix_power(M, n)
             for x0 in asymmetric.types:
-                direct = 0.0
-                for p, mt in enumerate_population(asymmetric, x0, n):
-                    direct += float(p) * sum(
-                        f[asymmetric.index[mt.marks[v]]]
-                        for v in mt.tree.vertices
-                        if len(v) == n
-                    )
+                prob, outcome, depth, mark = enumerate_arrays(asymmetric, x0, n)
+                at = depth == n
+                direct = float(np.sum(prob.astype(float)[outcome[at]] * f[mark[at]]))
                 want = float(Mn[asymmetric.index[x0]] @ f)
                 assert abs(direct - want) <= 1e-10
-
-
-def seed_enumerate_population(model, x0, n_gen):
-    """The enumeration as first written, without the cap: per outcome and
-    generation, copy its degree and mark dicts once per combination of its
-    frontier's atoms, multiplying their probabilities left to right."""
-    outcomes = [(1, {}, {(): x0}, [()])]
-    for _ in range(n_gen):
-        new = []
-        for prob, degs, marks, frontier in outcomes:
-            if not frontier:
-                new.append((prob, degs, marks, frontier))
-                continue
-            atom_lists = [model.offspring[marks[v]] for v in frontier]
-            for combo in itertools.product(*atom_lists):
-                p2 = prob
-                d2 = dict(degs)
-                m2 = dict(marks)
-                f2 = []
-                for v, (pa, cs) in zip(frontier, combo):
-                    p2 = p2 * pa
-                    d2[v] = len(cs)
-                    for i, c in enumerate(cs, start=1):
-                        m2[v + (i,)] = c
-                        f2.append(v + (i,))
-                new.append((p2, d2, m2, f2))
-        outcomes = new
-    result = []
-    for prob, degs, marks, frontier in outcomes:
-        for v in frontier:
-            degs[v] = 0
-        result.append((prob, MarkedTree(PlanarTree(degs), marks)))
-    return result
 
 
 class TestSimulation:
@@ -472,9 +476,8 @@ class TestSeedOracle:
 
 
 class TestBuiltTrees:
-    """simulate and enumerate_population build their trees past the
-    public checks; each must be a tree PlanarTree accepts, with the same
-    vertex and leaf order."""
+    """simulate builds its trees past the public checks; each must be a
+    tree PlanarTree accepts, with the same vertex and leaf order."""
 
     @staticmethod
     def assert_public(tree):
@@ -487,14 +490,11 @@ class TestBuiltTrees:
         "make, x0",
         [(make_binary, "a"), (make_symmetric, "A"), (make_asymmetric, "B"), (make_subcritical, "a")],
     )
-    def test_simulated_and_enumerated_trees(self, make, x0):
+    def test_simulated_trees(self, make, x0):
         model = make()
         rng = np.random.default_rng(4)
         for G in [0, 1, 2, 4, 7] * 8:
             self.assert_public(simulate(model, x0, G, rng=rng).tree)
-        for G in range(4):
-            for _, mt in enumerate_population(model, x0, G):
-                self.assert_public(mt.tree)
 
 
 def survival_rows(model, n_values, x0=None):
