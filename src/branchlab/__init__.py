@@ -8,7 +8,6 @@ from .trees import (
     decode_heights,
     encode_heights,
     distance_matrix,
-    enumerate_shapes,
 )
 from .process import Model, MarkedTree, Eigenpair, eigenpair, sigma_squared
 from .spine import SpineKernel, build_kernel
@@ -25,7 +24,6 @@ from .limits import (
     LimitQuery,
     crt_moment,
     cpp_moment,
-    cpp_sample,
     convergence_report,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "decode_heights",
     "encode_heights",
     "distance_matrix",
-    "enumerate_shapes",
     "Model",
     "MarkedTree",
     "Eigenpair",
@@ -56,7 +53,6 @@ __all__ = [
     "LimitQuery",
     "crt_moment",
     "cpp_moment",
-    "cpp_sample",
     "convergence_report",
     "__version__",
 ]

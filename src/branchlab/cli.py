@@ -176,14 +176,6 @@ def _git_describe():
     return "unknown"
 
 
-def _write_out(args, text):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _fmt(v):
     if v is None:
         return ""
@@ -203,24 +195,26 @@ def csv_text(meta, header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _json_text(meta, payload):
-    return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
-
-
 def _emit(args, meta, payload, table=None, csv_meta=None):
     """Write a command's output: as JSON, meta and payload; as CSV, the
     meta and csv_meta comment lines, then table = (header, rows), or with
-    no table one key/value row per sorted payload entry (lists as JSON)."""
+    no table one key/value row per sorted payload entry (lists as JSON);
+    to --out when given, else to stdout."""
     if args.format == "json":
-        _write_out(args, _json_text(meta, payload))
-        return
-    if table is None:
-        rows = [
-            {"key": k, "value": json.dumps(v) if isinstance(v, list) else v}
-            for k, v in sorted(payload.items())
-        ]
-        table = (["key", "value"], rows)
-    _write_out(args, csv_text({**meta, **(csv_meta or {})}, *table))
+        text = json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
+    else:
+        if table is None:
+            rows = [
+                {"key": k, "value": json.dumps(v) if isinstance(v, list) else v}
+                for k, v in sorted(payload.items())
+            ]
+            table = (["key", "value"], rows)
+        text = csv_text({**meta, **(csv_meta or {})}, *table)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def read_csv_rows(path_or_fh):
@@ -374,7 +368,7 @@ def cmd_model_check(args):
     try:
         eig = process.eigenpair(model)
     except ValueError as e:
-        _write_out(args, _json_text(meta, {"error": str(e), "critical": False}))
+        _emit(args, meta, {"error": str(e), "critical": False})
         return EXIT_MODEL
     critical = process.is_critical(eig, tol)
     payload = {
@@ -424,11 +418,7 @@ def cmd_verify_m2f(args):
     F = build_functional(cfg.get("functional", {"name": "count"}), model, k=min(ks))
     rows = []
     failed = False
-    try:
-        bf = moments.BruteForceMoments(model, x0, max(Rs), cap=cap)
-    except ValueError as e:
-        _write_out(args, _json_text(meta, {"error": str(e)}))
-        return EXIT_RUNTIME
+    bf = moments.BruteForceMoments(model, x0, max(Rs), cap=cap)
     kernels = {psi: spine.build_kernel(model, psi) for psi in psis}
     for k in ks:
         for R in Rs:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import moments, spine
 from .mmm import phi_values
 from .process import _extinction_curve, eigenpair, is_critical, sigma_squared
 from .trees import _per_row, meet_distances, shape_values
@@ -28,8 +29,6 @@ __all__ = [
     "LimitQuery",
     "crt_moment",
     "cpp_moment",
-    "CppSample",
-    "cpp_sample",
     "cpp_monomial_samples",
     "cpp_monomial_mc",
     "sample_excursions",
@@ -159,7 +158,8 @@ class LimitQuery:
     distance exceeds R.  It is evaluated through mmm.phi_values, so a phi
     with a batched(D, marks) form, as cli.build_phi's carry, is called on
     a stack of matrices at a time.  mark_probs maps labels to
-    probabilities; None means a single unmarked class.
+    probabilities; None means a single unmarked class.  A mark law that is
+    not finite, nonnegative and summing to 1 within 2**-26 is a ValueError.
     """
 
     k: int
@@ -167,6 +167,17 @@ class LimitQuery:
     sigma_sq: float = 1.0
     mark_probs: dict = field(default=None)
     R: float = 1.0
+
+    def __post_init__(self):
+        # Generator.choice's checks, at its tolerance sqrt(eps) = 2**-26,
+        # once for every route that reads the mark law; a nan fails the
+        # first test, an infinity the second
+        if self.mark_probs is not None:
+            probs = np.array([self.mark_probs[c] for c in sorted(self.mark_probs)], dtype=float)
+            if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= 2**-26):
+                raise ValueError(
+                    f"mark_probs must be finite, nonnegative and sum to 1: {self.mark_probs}"
+                )
 
 
 def _type_tuples(labels, probs, k):
@@ -250,22 +261,6 @@ def cpp_moment(query, grid_step=0.001):
     return (query.sigma_sq / 2.0) ** query.k * val
 
 
-@dataclass
-class CppSample:
-    """One realization: interval length Z, atom positions (sorted) and depths."""
-
-    sigma_sq: float
-    eps: float
-    Z: float
-    positions: np.ndarray
-    depths: np.ndarray
-
-
-def _check_eps(eps):
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-
-
 def _draw_comb(rng, a):
     """One comb's draws, in this order: Z, the atom count, the positions,
     one uniform per atom for its depth.  Returns Z, the sorted positions
@@ -283,19 +278,6 @@ def _depths(u, a):
     return 1.0 / (a - u * (a - 1.0))
 
 
-def cpp_sample(sigma_sq, eps, rng=None):
-    """Sample the Poisson comb on [0, Z] with depth intensity ds / s^2 on
-    (eps, 1], Z exponential of rate one.
-
-    eps truncates shallow atoms only: any statistic insensitive to
-    distances below 2 eps is unaffected by the cutoff.
-    """
-    _check_eps(eps)
-    a = 1.0 / eps
-    Z, pos, u = _draw_comb(np.random.default_rng(rng), a)
-    return CppSample(float(sigma_sq), float(eps), Z, pos, _depths(u, a))
-
-
 def _range_distances(depths, lo, hi):
     """Twice the largest of depths[lo[q]:hi[q]] for each q, zero where the
     range is empty.  One reduceat over the interleaved bounds; depths gets
@@ -305,13 +287,6 @@ def _range_distances(depths, lo, hi):
     bounds[1::2] = hi
     top = np.maximum.reduceat(np.append(depths, 0.0), bounds)[0::2]
     return np.where(hi > lo, 2.0 * top, 0.0)
-
-
-def _pair_distances(sample, us, vs):
-    # the atoms with positions in (min(u, v), max(u, v)]
-    i = np.searchsorted(sample.positions, us, side="right")
-    j = np.searchsorted(sample.positions, vs, side="right")
-    return _range_distances(sample.depths, np.minimum(i, j), np.maximum(i, j))
 
 
 # inner points and atoms per chunk of the batched comb: a chunk closes
@@ -336,7 +311,7 @@ def cpp_monomial_samples(
     depth eps is cut off).  D may be a view into a batch of matrices, so
     phi must not keep it.
 
-    The draws are one sample after another, each in cpp_sample's order
+    The draws are one sample after another, each in _draw_comb's order
     (exponential Z, Poisson atom count, atom positions, depth uniforms),
     then its (n_inner, k) inner positions, then its marks.  phi is
     evaluated through mmm.phi_values on a chunk's inner tuples in sample
@@ -353,7 +328,8 @@ def cpp_monomial_samples(
         raise ValueError(f"k must be at least 1, got {k!r}")
     if n_inner < 1:
         raise ValueError(f"n_inner must be at least 1, got {n_inner!r}")
-    _check_eps(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
     rng = np.random.default_rng(rng)
     ests = np.empty(n_samples)
     done = 0
@@ -371,12 +347,9 @@ def _comb_chunk(query, rng, a, n_inner, most):
     half = query.sigma_sq / 2.0
     if query.mark_probs is not None:
         labels = sorted(query.mark_probs)
-        probs = np.array([query.mark_probs[c] for c in labels], dtype=float)
-        # Generator.choice's checks (at its tolerance, sqrt(eps) = 2**-26),
-        # then its own cdf and draw, once per chunk instead of per sample
-        if not (probs >= 0).all() or abs(probs.sum() - 1.0) > 2**-26:
-            raise ValueError(f"mark_probs must be nonnegative and sum to 1: {query.mark_probs}")
-        cdf = probs.cumsum()
+        # Generator.choice's cdf and draw, once per chunk instead of per
+        # sample; LimitQuery made its checks
+        cdf = np.array([query.mark_probs[c] for c in labels], dtype=float).cumsum()
         cdf /= cdf[-1]
     scales, uniforms, idx, marks = [], [], [], []
     atoms = 0
@@ -473,7 +446,6 @@ _DONSKER_BATCH = 250
 
 
 def donsker_crt_check(
-    phi_root=None,
     R=1.0,
     sigma_sq=1.0,
     n_excursions=10_000,
@@ -483,19 +455,15 @@ def donsker_crt_check(
 ):
     """Estimate the k = 1 continuum tree moment from rescaled walk excursions.
 
-    phi_root maps an array of root distances to values (default: indicator
-    of distance <= R, whose limit moment equals R).  Excursion lengths are
-    importance-sampled proportionally to 1/sqrt(l) up to l_max and each
-    excursion contributes its occupation sum; the walk is rescaled
-    diffusively and distances carry the 2/sigma factor that turns the
-    excursion into the continuum tree's contour.  Returns (estimate,
-    stderr).  The l_max truncation biases the estimate low by about
-    2 u^2 / sqrt(2 pi l_max) with u = R sigma / 2.
+    The test function is the indicator of root distance <= R, whose limit
+    moment equals R.  Excursion lengths are importance-sampled
+    proportionally to 1/sqrt(l) up to l_max and each excursion contributes
+    its occupation sum; the walk is rescaled diffusively and distances
+    carry the 2/sigma factor that turns the excursion into the continuum
+    tree's contour.  Returns (estimate, stderr).  The l_max truncation
+    biases the estimate low by about 2 u^2 / sqrt(2 pi l_max) with
+    u = R sigma / 2.
     """
-    if phi_root is None:
-        def phi_root(d):
-            return (d <= R).astype(float)
-
     rng = np.random.default_rng(rng)
     sigma = math.sqrt(sigma_sq)
     a = 2.0 / sigma
@@ -509,7 +477,7 @@ def donsker_crt_check(
         S = sample_excursions(stop - start, n_steps, rng)
         scale = a * np.sqrt(lengths[start:stop] / n_steps)
         H = S[:, :n_steps] * scale[:, None]
-        occ = phi_root(H).sum(axis=1) * (lengths[start:stop] / n_steps)
+        occ = (H <= R).astype(float).sum(axis=1) * (lengths[start:stop] / n_steps)
         ests[start:stop] = a * weights[start:stop] * occ
     return float(ests.mean()), float(ests.std(ddof=1)) / math.sqrt(N)
 
@@ -606,9 +574,6 @@ def convergence_report(
     criticality the limit columns are left empty.  An unknown mode, k < 1
     or an R that is negative or not finite is a ValueError.
     """
-    from .moments import rescaled_moment, ultrametric_moment
-    from .spine import build_kernel
-
     if mode not in ("rescaled", "ultrametric"):
         raise ValueError(f"unknown mode {mode!r}")
     if k < 1:
@@ -618,7 +583,7 @@ def convergence_report(
     eig = eigenpair(model)
     sig2 = sigma_squared(model, eig)
     critical = is_critical(eig)
-    kernel = build_kernel(model, eig.h)
+    kernel = spine.build_kernel(model, eig.h)
     hx = float(eig.h[model.index[x0]])
 
     limit = None
@@ -631,9 +596,9 @@ def convergence_report(
     rows = []
     for n in n_values:
         if mode == "rescaled":
-            obs = n * rescaled_moment(model, k, F, n, x0, R=R, kernel=kernel)
+            obs = n * moments.rescaled_moment(model, k, F, n, x0, R=R, kernel=kernel)
         else:
-            obs = n * ultrametric_moment(model, k, F, n, x0, kernel=kernel)
+            obs = n * moments.ultrametric_moment(model, k, F, n, x0, kernel=kernel)
         rel = None if limit in (None, 0.0) else abs(obs - limit) / abs(limit)
         rows.append(
             {

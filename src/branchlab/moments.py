@@ -423,7 +423,7 @@ def _recursive_vector(kernel, func, R):
     return kernel.psi * out
 
 
-def moment_recursive(model, query, kernel=None):
+def moment_recursive(model, query):
     """k-point moment of a product-form functional by branch recursion.
 
     query.F must be a PathFunctional or BranchFunctional; stems are summed
@@ -433,8 +433,7 @@ def moment_recursive(model, query, kernel=None):
     """
     if not isinstance(query.F, (PathFunctional, BranchFunctional)):
         raise TypeError("moment_recursive needs a product-form functional")
-    if kernel is None:
-        kernel = build_kernel(model, query.psi)
+    kernel = build_kernel(model, query.psi)
     vec = _recursive_vector(kernel, query.F, int(query.R))
     return float(vec[model.index[query.x0]])
 

@@ -30,7 +30,6 @@ __all__ = [
     "distance_matrix",
     "product_batches",
     "shape_batches",
-    "enumerate_shapes",
     "count_shapes",
     "count_deficient_tuples",
     "generate_trees",
@@ -284,9 +283,13 @@ def product_batches(lo, hi, width, rows=SHAPE_BATCH_ROWS):
 
 
 def shape_batches(k, R):
-    """The shapes of enumerate_shapes(k, R), in its order, as int arrays of
-    leaf heights (N, k) and meet heights (N, k-1), in batches of at most
-    max(SHAPE_BATCH_ROWS, R^(k-1)) rows.
+    """All integer k-leaf shapes with every leaf height <= R, in order, as
+    int arrays of leaf heights (N, k) and meet heights (N, k-1), in batches
+    of at most max(SHAPE_BATCH_ROWS, R^(k-1)) rows.
+
+    For k = 1 the heights 0..R each give one shape.  For k >= 2 every leaf
+    height ranges over 1..R and each meet height over 0..min-1, so the
+    total count is sum over l of prod_i min(l[i], l[i+1]).
 
     Each batch takes whole leaf-height rows, expanding meet position i
     over range(min(l[i], l[i+1])) for i = 0, 1, ..., which keeps the
@@ -312,21 +315,8 @@ def shape_batches(k, R):
         yield L, B
 
 
-def enumerate_shapes(k, R):
-    """All integer k-leaf shapes with every leaf height <= R, in order.
-
-    For k = 1 the heights 0..R each give one shape.  For k >= 2 every leaf
-    height ranges over 1..R and each meet height over 0..min-1, so the
-    total count is sum over l of prod_i min(l[i], l[i+1]).  The rows of
-    shape_batches(k, R).
-    """
-    for L, B in shape_batches(k, R):
-        for l, b in zip(L.tolist(), B.tolist()):
-            yield TreeShape(tuple(l), tuple(b))
-
-
 def count_shapes(k, R):
-    """Closed-form count of enumerate_shapes(k, R)."""
+    """Closed-form count of the shapes of shape_batches(k, R)."""
     if k == 1:
         return R + 1
     total = 0
@@ -362,7 +352,7 @@ def generate_trees(max_height, max_leaves):
     """All planar trees with height <= max_height and <= max_leaves leaves.
 
     Direct recursive construction, independent of the height encoding; used
-    as an oracle against decode_heights/enumerate_shapes.
+    as an oracle against decode_heights/shape_batches.
     """
     cache = {}
 

@@ -1,6 +1,6 @@
 """Shared fixtures: the four reference models used throughout the suite,
-a float model whose probabilities are not dyadic, and the tree oracle of
-population enumeration."""
+a float model whose probabilities are not dyadic, the tree oracle of
+population enumeration and the rows of shape_batches as shapes."""
 
 import itertools
 import json
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from branchlab.process import MarkedTree, Model
-from branchlab.trees import PlanarTree
+from branchlab.trees import PlanarTree, TreeShape, shape_batches
 
 settings.register_profile(
     "suite",
@@ -70,6 +70,13 @@ def make_nondyadic():
         },
     }
     return Model.from_json(json.dumps(data))
+
+
+def batch_shapes(k, R):
+    """The rows of shape_batches(k, R), in order, as checked TreeShapes."""
+    for L, B in shape_batches(k, R):
+        for l, b in zip(L.tolist(), B.tolist()):
+            yield TreeShape(tuple(l), tuple(b))
 
 
 def seed_enumerate_population(model, x0, n_gen):

@@ -37,11 +37,16 @@ from branchlab.trees import (
     count_shapes,
     decode_heights,
     encode_heights,
-    enumerate_shapes,
     generate_trees,
 )
 
-from conftest import make_asymmetric, make_binary, make_symmetric, seed_enumerate_population
+from conftest import (
+    batch_shapes,
+    make_asymmetric,
+    make_binary,
+    make_symmetric,
+    seed_enumerate_population,
+)
 
 
 def _report(capsys, name, ok, detail, warn_only=False):
@@ -323,7 +328,7 @@ def test_a09_encoding_bijection(capsys):
     fails = 0
     from_shapes = set()
     for k in (1, 2, 3):
-        for shape in enumerate_shapes(k, 4):
+        for shape in batch_shapes(k, 4):
             tree = decode_heights(shape)
             if encode_heights(tree) != shape:
                 fails += 1

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -70,17 +71,43 @@ class TestModelCheck:
         assert rc == 2
         assert json.loads(out)["critical"] is False
 
-    def test_periodic_model_reports_error(self, capsys, tmp_path):
+    def _periodic_config(self, tmp_path):
         write_model(
             tmp_path,
             "swap.json",
             ["A", "B"],
             {"A": [(1.0, ("B",))], "B": [(1.0, ("A",))]},
         )
-        cfg = write_config(tmp_path, "check.json", {"model": "swap.json"})
-        rc, out, _ = run(capsys, "model-check", "--config", str(cfg))
-        assert rc == 2
-        assert "error" in json.loads(out)
+        return write_config(tmp_path, "check.json", {"model": "swap.json"})
+
+    def test_periodic_model_reports_error(self, capsys, tmp_path):
+        cfg = self._periodic_config(tmp_path)
+        rc, out, err = run(capsys, "model-check", "--config", str(cfg))
+        assert rc == 2 and err == ""
+        # the JSON failure payload, byte for byte
+        sha = hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert mask_git(out) == (
+            "{\n"
+            '  "critical": false,\n'
+            '  "error": "mean matrix must be irreducible and aperiodic",\n'
+            '  "meta": {\n'
+            f'    "config_sha256": "{sha}",\n'
+            '    "git": <masked>\n'
+            '    "seed": 0\n'
+            "  }\n"
+            "}\n"
+        )
+
+    def test_periodic_model_error_as_csv(self, capsys, tmp_path):
+        cfg = self._periodic_config(tmp_path)
+        rc, out, err = run(capsys, "model-check", "--config", str(cfg), "--format", "csv")
+        assert rc == 2 and err == ""
+        meta, rows = read_csv_rows_from_text(out)
+        assert set(meta) == {"seed", "git", "config_sha256"}
+        assert rows == [
+            {"key": "critical", "value": "False"},
+            {"key": "error", "value": "mean matrix must be irreducible and aperiodic"},
+        ]
 
     def test_csv_format(self, capsys):
         rc, out, _ = run(
@@ -496,6 +523,18 @@ class TestVerify:
         cfg = write_config(tmp_path, "c.json", {"model": "m.json", key: []})
         rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", fmt)
         only_config_error(rc, out, err, repr(key), "empty")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_enumeration_past_the_cap_is_an_error(self, capsys, tmp_path, fmt):
+        # as for moments: one line on stderr, nothing on stdout, in either format
+        model = str(Path(CONFIG_DIR, "binary_gw.json").resolve())
+        cfg = write_config(tmp_path, "c.json", {"model": model, "Rs": [6]})
+        rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", fmt)
+        assert rc == 1 and out == ""
+        assert err == (
+            "error: enumeration would exceed cap=200000: generation 5 has 458330 "
+            "outcomes; raise the cap or lower the horizon\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", ["binary", "two_type", "asymmetric_weighted"])

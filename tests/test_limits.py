@@ -6,6 +6,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,19 +14,18 @@ import pytest
 from branchlab.cli import ConfigError, build_functional, build_phi, csv_text, read_csv_rows
 from branchlab.limits import (
     REPORT_COLUMNS,
-    CppSample,
     LimitQuery,
     convergence_report,
     cpp_moment,
     cpp_monomial_mc,
-    cpp_sample,
+    cpp_monomial_samples,
     crt_moment,
     donsker_crt_check,
     lambda_k_integral,
     lambda_tilde_k_integral,
     sample_excursions,
 )
-from branchlab.limits import _pair_distances
+from branchlab.limits import _depths, _draw_comb, _range_distances
 from branchlab import limits
 from branchlab.process import eigenpair, sigma_squared
 from branchlab.trees import TreeShape
@@ -173,8 +173,31 @@ class TestCombMoment:
             assert abs(cpp_moment(q) - want) <= 1e-12
 
 
+def seed_comb(rng, eps):
+    """One comb drawn from the Generator as the seed drew it: Z exponential
+    of rate one, a Poisson atom count of mean Z (1/eps - 1), uniform
+    positions on [0, Z], then one uniform per atom mapped to a depth of
+    intensity ds / s^2 on (eps, 1]; atoms sorted by position."""
+    a = 1.0 / eps
+    Z = float(rng.exponential())
+    count = rng.poisson(Z * (a - 1.0))
+    pos = rng.uniform(0.0, Z, size=count)
+    u = rng.random(count)
+    order = pos.argsort()
+    return SimpleNamespace(Z=Z, positions=pos[order], depths=1.0 / (a - u[order] * (a - 1.0)))
+
+
+def comb_distances(comb, us, vs):
+    """Comb distances of the pairs (us[q], vs[q]) by _range_distances over
+    the atoms with positions in (min, max], as the batched comb indexes
+    them."""
+    i = np.searchsorted(comb.positions, us, side="right")
+    j = np.searchsorted(comb.positions, vs, side="right")
+    return _range_distances(comb.depths, np.minimum(i, j), np.maximum(i, j))
+
+
 def scalar_cpp_distance(sample, u, v):
-    """Comb distance of one pair, the reference for _pair_distances: twice
+    """Comb distance of one pair, the reference for comb_distances: twice
     the deepest atom strictly between the two points (positions in
     (min, max]), zero when there is none."""
     if u == v:
@@ -189,16 +212,19 @@ def scalar_cpp_distance(sample, u, v):
 
 class TestCombSampler:
     def test_eps_validated(self):
-        with pytest.raises(ValueError):
-            cpp_sample(1.0, 0.0)
-        with pytest.raises(ValueError):
-            cpp_sample(1.0, 1.5)
+        q = LimitQuery(k=1, phi=lambda D, m: 1.0)
+        with pytest.raises(ValueError, match="eps"):
+            cpp_monomial_samples(q, n_samples=2, eps=0.0, rng=0)
+        with pytest.raises(ValueError, match="eps"):
+            cpp_monomial_samples(q, n_samples=2, eps=1.5, rng=0)
 
     def test_sample_layout(self):
-        s = cpp_sample(1.0, 0.05, rng=4)
-        assert np.all(np.diff(s.positions) >= 0)
-        assert np.all((s.depths > 0.05) & (s.depths <= 1.0))
-        assert np.all((s.positions >= 0) & (s.positions <= s.Z))
+        Z, pos, u = _draw_comb(np.random.default_rng(4), 1.0 / 0.05)
+        depths = _depths(u, 1.0 / 0.05)
+        assert len(pos) > 0
+        assert np.all(np.diff(pos) >= 0)
+        assert np.all((depths > 0.05) & (depths <= 1.0))
+        assert np.all((pos >= 0) & (pos <= Z))
 
     def test_atom_count_intensity(self):
         # E[count | Z] = Z (1/eps - 1)
@@ -206,36 +232,30 @@ class TestCombSampler:
         a = 1.0 / 0.2
         resid = []
         for _ in range(3000):
-            s = cpp_sample(1.0, 0.2, rng=rng)
-            resid.append(len(s.positions) - s.Z * (a - 1.0))
+            Z, pos, _ = _draw_comb(rng, a)
+            resid.append(len(pos) - Z * (a - 1.0))
         resid = np.array(resid)
         assert abs(resid.mean()) <= 4 * resid.std(ddof=1) / np.sqrt(len(resid))
 
     def test_distance_hand_case(self):
-        s = CppSample(
-            sigma_sq=1.0,
-            eps=0.1,
-            Z=4.0,
-            positions=np.array([1.0, 2.0, 3.0]),
-            depths=np.array([0.3, 0.9, 0.5]),
-        )
+        s = SimpleNamespace(positions=np.array([1.0, 2.0, 3.0]), depths=np.array([0.3, 0.9, 0.5]))
         cases = [(0.5, 2.5, 1.8), (2.5, 0.5, 1.8), (2.1, 2.9, 0.0), (1.5, 3.0, 1.8), (2.2, 2.2, 0.0)]
         for u, v, want in cases:
             assert scalar_cpp_distance(s, u, v) == want
         us, vs, want = map(np.array, zip(*cases))
-        assert _pair_distances(s, us, vs).tolist() == want.tolist()
+        assert comb_distances(s, us, vs).tolist() == want.tolist()
 
     def test_empty_comb(self):
-        s = CppSample(1.0, 0.5, 1.0, np.array([]), np.array([]))
+        s = SimpleNamespace(positions=np.array([]), depths=np.array([]))
         assert scalar_cpp_distance(s, 0.1, 0.9) == 0.0
-        assert _pair_distances(s, np.array([0.1, 0.5]), np.array([0.9, 0.5])).tolist() == [0.0, 0.0]
+        assert comb_distances(s, np.array([0.1, 0.5]), np.array([0.9, 0.5])).tolist() == [0.0, 0.0]
 
     def test_batch_distances_match_scalar(self):
-        s = cpp_sample(1.0, 0.1, rng=13)
+        s = seed_comb(np.random.default_rng(13), 0.1)
         rng = np.random.default_rng(14)
         us = rng.uniform(0, s.Z, 40)
         vs = rng.uniform(0, s.Z, 40)
-        batch = _pair_distances(s, us, vs)
+        batch = comb_distances(s, us, vs)
         for i in range(40):
             assert batch[i] == scalar_cpp_distance(s, us[i], vs[i])
 
@@ -270,7 +290,7 @@ def seed_cpp_monomial_samples(query, n_samples, eps, n_inner, rng):
         probs = np.array([query.mark_probs[c] for c in labels])
     ests = np.empty(n_samples)
     for s in range(n_samples):
-        sample = cpp_sample(query.sigma_sq, eps, rng)
+        sample = seed_comb(rng, eps)
         us = rng.uniform(0.0, sample.Z, size=(n_inner, k))
         if query.mark_probs is not None:
             marks = rng.choice(len(labels), size=(n_inner, k), p=probs)
@@ -370,13 +390,29 @@ class TestCombOracle:
             assert all(marks[c] > 0 for m in got for c in m)
 
     @pytest.mark.parametrize(
-        "marks", [{"A": -0.5, "B": 1.5}, {"A": 0.3, "B": 0.6}, {"A": float("nan"), "B": 1.0}]
+        "marks",
+        [
+            {"A": -0.5, "B": 1.5},
+            {"A": 0.3, "B": 0.6},
+            {"A": float("nan"), "B": 1.0},
+            {"A": float("inf"), "B": 0.0},
+            {},
+        ],
     )
-    def test_bad_mark_probs_rejected(self, marks):
-        # as rng.choice rejected them when it drew the marks
-        q = LimitQuery(k=1, phi=lambda D, m: 1.0, mark_probs=marks)
-        with pytest.raises(ValueError):
-            limits.cpp_monomial_samples(q, n_samples=4, eps=0.5, n_inner=2, rng=1)
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda q: crt_moment(q, grid_step=0.1),
+            lambda q: cpp_moment(q, grid_step=0.1),
+            lambda q: limits.cpp_monomial_samples(q, n_samples=4, eps=0.5, n_inner=2, rng=1),
+        ],
+        ids=["crt", "cpp_formula", "comb"],
+    )
+    def test_bad_mark_probs_rejected(self, marks, route):
+        # the laws Generator.choice refuses, refused where the query is
+        # built, so no route reads them
+        with pytest.raises(ValueError, match="mark_probs"):
+            route(LimitQuery(k=1, phi=lambda D, m: 1.0, mark_probs=marks))
 
     def test_indicator_phi(self):
         q = LimitQuery(k=3, phi=lambda D, m: float(D[1, 3] <= 0.4), sigma_sq=0.9)
@@ -492,10 +528,8 @@ class TestWalkLimit:
         assert 0 < err < 0.15
         assert abs(est - 1.0) <= 0.25
 
-    def test_custom_root_function(self):
-        phi = lambda d: (d <= 0.5).astype(float)
+    def test_indicator_radius(self):
         est, _ = donsker_crt_check(
-            phi_root=phi,
             R=0.5,
             n_excursions=800,
             n_steps=1200,
