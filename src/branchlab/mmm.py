@@ -9,9 +9,11 @@ never contribute, so a space can be restricted by zeroing masses while
 its points and distances stay as they are.
 """
 
+import itertools
+
 import numpy as np
 
-from .trees import _per_row, meet, meet_distances
+from .trees import _per_row, meet_distances
 
 __all__ = [
     "FiniteMmmSpace",
@@ -112,9 +114,20 @@ class FiniteMmmSpace:
 
 
 def _word_distances(words):
-    """Graph distances between sorted tuple words, the root first."""
-    meets = [len(meet(u, v)) for u, v in zip(words, words[1:])]
-    return meet_distances([len(v) for v in words], meets)
+    """Graph distances between distinct sorted tuple words, the root first.
+
+    The words are the columns of one int array, padded with zeros.  Child
+    indices are positive, so a word and the next one differ at the first
+    position past their common prefix, and their meet height is the count
+    of leading positions where the two columns agree.
+    """
+    if len(words) < 2:
+        # the root of an empty generation: no meets to find
+        return np.zeros((len(words), len(words)))
+    cols = np.array(list(itertools.zip_longest(*words, fillvalue=0)), dtype=np.intp)
+    cols = cols.reshape(-1, len(words))
+    agree = np.logical_and.accumulate(cols[:, 1:] == cols[:, :-1], axis=0)
+    return meet_distances(np.count_nonzero(cols, axis=0), agree.sum(axis=0))
 
 
 def _check_scale(name, value):
@@ -130,7 +143,7 @@ def tree_to_mmm(marked_tree, edge_scale=1.0, mass_scale=1.0):
     vs = marked_tree.tree.vertices
     labels = [".".join(map(str, v)) for v in vs]
     mass = np.full(len(vs), float(mass_scale))
-    marks = [marked_tree.marks[v] for v in vs]
+    marks = list(map(marked_tree.marks.__getitem__, vs))
     return FiniteMmmSpace._built(labels, 0, edge_scale * _word_distances(vs), mass, marks)
 
 
@@ -144,10 +157,12 @@ def generation_slice(marked_tree, n, mass_scale=1.0):
         raise ValueError("the generation must be at least 1")
     _check_scale("mass_scale", mass_scale)
     gen = [v for v in marked_tree.tree.vertices if len(v) == n]
+    words = [()] + gen
     labels = ["root"] + [".".join(map(str, v)) for v in gen]
-    mass = np.concatenate([[0.0], np.full(len(gen), float(mass_scale))])
-    marks = [marked_tree.marks[()]] + [marked_tree.marks[v] for v in gen]
-    return FiniteMmmSpace._built(labels, 0, _word_distances([()] + gen) / n, mass, marks)
+    mass = np.full(len(words), float(mass_scale))
+    mass[0] = 0.0
+    marks = list(map(marked_tree.marks.__getitem__, words))
+    return FiniteMmmSpace._built(labels, 0, _word_distances(words) / n, mass, marks)
 
 
 # k-tuples per batched distance build in monomial: bounds its memory
@@ -168,6 +183,11 @@ def _tuple_matrices(dist, root, ids):
     D[:, upper[0], upper[1]] = vals
     D[:, upper[1], upper[0]] = vals
     return D
+
+
+def _mark_tuples(mark, ids):
+    """The k-tuple of marks of each row of ids, built column by column."""
+    return list(zip(*(map(mark.__getitem__, col) for col in ids.T.tolist())))
 
 
 def phi_values(phi, D, marks):
@@ -235,9 +255,10 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
             for a in range(1, k):
                 w = w * mass[ids[:, a]]
             D = _tuple_matrices(dist, root, ids)
-            mks = [tuple(map(mark.__getitem__, row)) for row in ids.tolist()]
-            for wt, v in zip(w.tolist(), phi_values(phi, D, mks).tolist()):
-                total += wt * v
+            terms = w * phi_values(phi, D, _mark_tuples(mark, ids))
+            # add.accumulate is sequential: the bits of adding the terms
+            # one by one to the running total
+            total = np.cumsum(np.concatenate([[total], terms]))[-1]
         return float(total), 0.0
 
     if n_sub < 2:
@@ -252,8 +273,7 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
         draws = rng.choice(support, size=(n_sub, k - 1), p=probs)
         ids = np.hstack([np.full((n_sub, 1), lead), draws])
         D = _tuple_matrices(dist, root, ids)
-        mks = [tuple(map(mark.__getitem__, row)) for row in ids.tolist()]
-        vals = phi_values(phi, D, mks)
+        vals = phi_values(phi, D, _mark_tuples(mark, ids))
         scale = float(mass[lead]) * total_mass ** (k - 1)
         value += scale * float(vals.mean())
         var += scale**2 * float(vals.var(ddof=1)) / n_sub

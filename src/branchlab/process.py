@@ -33,6 +33,10 @@ __all__ = [
 # outcomes per generation above which enumeration refuses, unless the
 # caller passes another cap
 OUTCOME_CAP = 200_000
+# vertex entries that enumeration may write, summed over its generations,
+# whatever the cap: the largest enumeration of the tests, the shipped
+# configs and the benchmark (asymmetric from A, horizon 4) writes 593,370
+_ENUMERATE_VERTEX_LIMIT = 4_000_000
 
 
 class Model:
@@ -72,6 +76,17 @@ class Model:
                         raise ValueError(f"unknown child type {c!r}")
             laws[x] = atoms
         self.offspring = laws
+        # simulate's draw table per type: the left-to-right float sums of
+        # the probabilities (the bits of np.cumsum) without the last one,
+        # so a uniform past them all takes the last atom, and per atom its
+        # children as (child word suffix, type) pairs
+        self._draws = {
+            x: (
+                list(itertools.accumulate(float(p) for p, _ in atoms))[:-1],
+                [tuple(((i,), c) for i, c in enumerate(cs, start=1)) for _, cs in atoms],
+            )
+            for x, atoms in laws.items()
+        }
 
     @property
     def max_brood(self):
@@ -150,6 +165,15 @@ class MarkedTree:
         if set(self.marks) != set(self.tree.degrees):
             raise ValueError("marks must cover exactly the tree's vertices")
 
+    @classmethod
+    def _built(cls, tree, marks):
+        """A marked tree whose marks cover its vertices by construction;
+        takes ownership of both and skips the check."""
+        mt = cls.__new__(cls)
+        mt.tree = tree
+        mt.marks = marks
+        return mt
+
 
 @dataclass
 class Eigenpair:
@@ -177,21 +201,17 @@ def simulate(model, x0, n_gen, rng=None):
     offspring are not sampled.  rng may be a seed or a numpy Generator.
     The draws are one uniform per vertex below generation n_gen,
     generation by generation, each generation in planar order; a vertex
-    takes the first atom whose cumulative probability exceeds its uniform.
-    Raises ValueError for a negative n_gen or an unknown x0, and as soon
-    as a generation takes the tree past _SIMULATE_VERTEX_LIMIT vertices.
+    takes the first atom whose cumulative probability exceeds its uniform,
+    and the last atom when no float sum does.  Raises ValueError for a
+    negative n_gen or an unknown x0, and as soon as a generation takes the
+    tree past _SIMULATE_VERTEX_LIMIT vertices.
     """
     if n_gen < 0:
         raise ValueError(f"n_gen must be nonnegative, got {n_gen!r}")
     if x0 not in model.types:
         raise ValueError(f"unknown start type {x0!r}")
     rng = np.random.default_rng(rng)
-    tables = {}
-    for x in model.types:
-        # left-to-right float sums, the bits of np.cumsum
-        cum = list(itertools.accumulate(float(p) for p, _ in model.offspring[x]))
-        kids = [cs for _, cs in model.offspring[x]]
-        tables[x] = (cum, kids, len(kids) - 1)
+    draws = model._draws
     degrees = {}
     marks = {(): x0}
     frontier = [((), x0)]
@@ -201,11 +221,11 @@ def simulate(model, x0, n_gen, rng=None):
         nxt = []
         # one uniform per frontier vertex, the same stream as one call each
         for (v, x), u in zip(frontier, rng.random(len(frontier)).tolist()):
-            cum, kids, last = tables[x]
-            cs = kids[min(bisect.bisect_right(cum, u), last)]
+            cum, kids = draws[x]
+            cs = kids[bisect.bisect_right(cum, u)]
             degrees[v] = len(cs)
-            for i, c in enumerate(cs, start=1):
-                w = v + (i,)
+            for i, c in cs:
+                w = v + i
                 marks[w] = c
                 nxt.append((w, c))
         frontier = nxt
@@ -217,7 +237,7 @@ def simulate(model, x0, n_gen, rng=None):
             )
     for v, _ in frontier:
         degrees[v] = 0
-    return MarkedTree(PlanarTree._built(degrees), marks)
+    return MarkedTree._built(PlanarTree._built(degrees), marks)
 
 
 def enumerate_arrays(model, x0, n_gen, cap=OUTCOME_CAP):
@@ -231,7 +251,9 @@ def enumerate_arrays(model, x0, n_gen, cap=OUTCOME_CAP):
     deepest vertices, in planar order), the last atom varying fastest,
     and multiplies in their probabilities left to right; an np.repeat
     puts the children right after their frontier parent.  Raises
-    ValueError first when a generation has more than `cap` outcomes.
+    ValueError first when a generation has more than `cap` outcomes, or
+    when the vertex arrays of all generations would hold more than
+    _ENUMERATE_VERTEX_LIMIT entries.
     """
     _check_outcome_count(model, x0, n_gen, cap)
     atoms = [a for x in model.types for a in model.offspring[x]]
@@ -290,10 +312,14 @@ def _ranges(start, count):
 
 def _check_outcome_count(model, x0, n_gen, cap):
     """ValueError unless every generation up to n_gen has at most `cap`
-    outcomes from x0.  Generation g has N_x0(g) of them, where N_x(0) = 1
-    and N_x(g) sums over the atoms of x the product of N_c(g - 1) over
-    their children c.  Counts never decrease (every type has an atom), so
-    the loop stops at the first generation past cap, or at the first that
+    outcomes from x0, and the vertex arrays that enumerate_arrays builds
+    for those generations hold at most _ENUMERATE_VERTEX_LIMIT entries in
+    all.  Generation g has N_x0(g) outcomes holding V_x0(g) vertices in
+    all, where N_x(0) = V_x(0) = 1, and an atom of x whose children c
+    have (N_c(g - 1), V_c(g - 1)) gives the product of their N_c outcomes
+    holding one root each plus the V_c of every child times the N of its
+    siblings.  Counts never decrease (every type has an atom), so the
+    loop stops at the first generation past a bound, or at the first that
     changes no count, as no later one does; it counts only the types x0
     can reach, so no type grows far beyond that."""
     reach = {x0}
@@ -301,19 +327,38 @@ def _check_outcome_count(model, x0, n_gen, cap):
     while new:
         new = [c for x in new for _, cs in model.offspring[x] for c in cs if c not in reach]
         reach.update(new)
-    counts = dict.fromkeys(reach, 1)
+    counts = dict.fromkeys(reach, (1, 1))
+    entries = 0
     for g in range(1, n_gen + 1):
-        last, counts = counts, {
-            x: sum(math.prod(counts[c] for c in cs) for _, cs in model.offspring[x])
-            for x in reach
-        }
-        if counts[x0] > cap:
+        last, counts = counts, {x: _atom_counts(model.offspring[x], counts) for x in reach}
+        outcomes, vertices = counts[x0]
+        if outcomes > cap:
             raise ValueError(
                 f"enumeration would exceed cap={cap}: generation {g} has "
-                f"{counts[x0]} outcomes; raise the cap or lower the horizon"
+                f"{outcomes} outcomes; raise the cap or lower the horizon"
+            )
+        entries += vertices
+        if entries > _ENUMERATE_VERTEX_LIMIT:
+            raise ValueError(
+                f"enumeration would write {entries} vertex entries by generation {g}, "
+                f"above the limit of {_ENUMERATE_VERTEX_LIMIT}; lower the horizon"
             )
         if counts == last:
             return
+
+
+def _atom_counts(atoms, counts):
+    """(outcomes, vertices) one generation on from a type with these atoms,
+    given the (outcomes, vertices) of each child type before it."""
+    outcomes = vertices = 0
+    for _, cs in atoms:
+        n, v = 1, 0
+        for c in cs:
+            nc, vc = counts[c]
+            n, v = n * nc, v * nc + n * vc
+        outcomes += n
+        vertices += n + v
+    return outcomes, vertices
 
 
 def mean_matrix(model):

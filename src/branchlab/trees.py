@@ -238,12 +238,23 @@ def decode_heights(shape):
     return PlanarTree(degrees)
 
 
+# entries in one block of meet_distances' padded triangle, batch axes
+# included: bounds its temporaries beside D, and keeps them below the
+# sizes at which a fresh allocation costs more than the arithmetic
+_MEET_BLOCK = 2**14
+
+
 def meet_distances(l, b):
     """D[i, j] = l_i + l_j - 2 min(b[i..j-1]) for planar-ordered points of
     heights l whose neighbours i, i+1 meet at height b[i]; leading axes are
     batch axes.  Sorted tuple words meet at their lowest consecutive meet,
     so this is graph distance on leaves, vertex sets and generation slices,
     and with b = minimum(f[:-1], f[1:]) the contour distance of a path f.
+
+    The range minima of a block of points i come from one running minimum
+    over j of a triangle padded with +inf: entry (j, i) holds b[j - 1] for
+    j > i and +inf else.  The points lead and the batch axes follow, so
+    that each numpy step covers whole batches.
     """
     l = np.asarray(l, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -251,10 +262,38 @@ def meet_distances(l, b):
     if b.shape != l.shape[:-1] + (max(n - 1, 0),):
         raise ValueError("need one meet height between each pair of neighbours")
     D = np.zeros(l.shape + (n,))
-    for i in range(n - 1):
-        low = np.minimum.accumulate(b[..., i:], axis=-1)
-        D[..., i, i + 1:] = l[..., i, None] + l[..., i + 1:] - 2.0 * low
-        D[..., i + 1:, i] = D[..., i, i + 1:]
+    if n < 2:
+        return D
+    # .T reverses the batch axes too; D is symmetric in its last two
+    Dt = D.T
+    lt = np.ascontiguousarray(l.T)
+    pad = np.empty(lt.shape)
+    pad[0] = np.inf
+    pad[1:] = b.T
+    point = np.arange(n).reshape((n,) + (1,) * l.ndim)
+    step = max(1, _MEET_BLOCK // l.size)
+    for s in range(0, n - 1, step):
+        e = min(s + step, n - 1)
+        above = point[s:] > point[s:e].swapaxes(0, 1)
+        low = np.where(above, pad[s:, None], np.inf)
+        # the running minimum over j: accumulate makes one inner call per
+        # scan (one i of one batch row), so many short scans take one
+        # np.minimum per step of j instead
+        if low[0].size > 32 * len(low):
+            for j in range(1, len(low)):
+                np.minimum(low[j - 1], low[j], out=low[j])
+        else:
+            np.minimum.accumulate(low, axis=0, out=low)
+        # U[j, i] = (l_j + l_i) - 2 low[j, i] = D[i, j] for j > i
+        np.multiply(low, 2.0, out=low)
+        U = np.add(lt[s:, None], lt[None, s:e])
+        np.subtract(U, low, out=U)
+        square = U[: e - s]
+        Dt[s:e, s:e] = np.where(above[: e - s], square, square.swapaxes(0, 1))
+        Dt[e:, s:e] = U[e - s :]
+        Dt[s:e, e:] = U[e - s :].swapaxes(0, 1)
+    diagonal = np.arange(n)
+    Dt[diagonal, diagonal] = 0.0
     return D
 
 

@@ -260,6 +260,31 @@ class TestSeedOracle:
                 empty += not gen
         assert empty > 0
 
+    @pytest.mark.parametrize(
+        "model_name, x0, sizes", [("binary", "a", {0, 2}), ("asymmetric", "A", {0, 1, 2})]
+    )
+    def test_every_horizon_to_thirty(self, request, model_name, x0, sizes):
+        # four trees per horizon G = 1..30, sliced at G and at generation 1:
+        # empty, one-point (binary generations are even) and wider ones
+        model = request.getfixturevalue(model_name)
+        rng = np.random.default_rng(30)
+        seen = set()
+        for G in list(range(1, 31)) * 4:
+            mt = simulate(model, x0, G, rng=rng)
+            for n in {1, G}:
+                sl = generation_slice(mt, n, mass_scale=0.7)
+                gen = [v for v in mt.tree.vertices if len(v) == n]
+                assert hex_matrix(sl.dist) == hex_matrix(seed_generation_slice_dist(mt.tree, n))
+                assert sl.points == ["root"] + [".".join(map(str, v)) for v in gen]
+                assert sl.mark == [mt.marks[v] for v in [()] + gen]
+                assert [v.hex() for v in sl.mass.tolist()] == [v.hex() for v in [0.0] + [0.7] * len(gen)]
+                seen.add(min(len(gen), 2))
+            if mt.tree.size <= 200:
+                space = tree_to_mmm(mt, edge_scale=1.0 / G)
+                assert hex_matrix(space.dist) == hex_matrix(seed_tree_to_mmm_dist(mt.tree, 1.0 / G))
+                assert space.mark == [mt.marks[v] for v in mt.tree.vertices]
+        assert seen == sizes
+
 
 class TestBuiltSpaces:
     """tree_to_mmm and generation_slice build their spaces past the
@@ -573,13 +598,22 @@ class TestMonomialOracle:
                 want = seed_monomial(space, k, phi)
                 assert got[0].hex() == want[0].hex() and got[1] == want[1] == 0.0
 
-    @pytest.mark.parametrize("ns", [63, 64, 65, 91])
+    @staticmethod
+    def assert_seed_sum(space, k):
+        for phi in (every_entry, lambda D, m: float(D[1, 2] <= 2.0), marked_phi):
+            got = monomial(space, k, phi)
+            assert got[0].hex() == seed_monomial(space, k, phi)[0].hex()
+
+    @pytest.mark.parametrize("ns", [63, 64, 65, 70, 91])
     def test_chunk_boundaries(self, ns):
-        # 3969, 4096, 4225 and 8281 pairs: below, at and past one chunk
-        space = skewed_space(ns + 1, ns)
-        for phi in (every_entry, lambda D, m: float(D[1, 2] <= 2.0)):
-            got = monomial(space, 2, phi)
-            assert got[0].hex() == seed_monomial(space, 2, phi)[0].hex()
+        # 3969, 4096, 4225, 4900 and 8281 pairs: below, at and past one
+        # chunk, the running total carried across
+        self.assert_seed_sum(skewed_space(ns + 1, ns), 2)
+
+    @pytest.mark.parametrize("ns", [16, 17])
+    def test_chunk_boundaries_of_triples(self, ns):
+        # 4096 and 4913 triples: at and past one chunk
+        self.assert_seed_sum(skewed_space(ns + 1, ns), 3)
 
     def test_simulated_slices_and_trees(self, asymmetric):
         rng = np.random.default_rng(31)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from branchlab import process
 from branchlab.cli import build_functional
 from branchlab.limits import kolmogorov_rows
 from branchlab.moments import ultrametric_moment
@@ -141,9 +142,13 @@ class TestModelValidation:
         assert asymmetric.max_brood == 3
 
     def test_marked_tree_marks_must_cover(self):
-        tree = PlanarTree({(): 0})
-        with pytest.raises(ValueError):
-            MarkedTree(tree, {})
+        # the public constructor checks what simulate's trees skip
+        tree = PlanarTree({(): 2, (1,): 0, (2,): 0})
+        full = {(): "a", (1,): "a", (2,): "a"}
+        assert MarkedTree(tree, full).marks == full
+        for marks in ({}, {(): "a", (1,): "a"}, {**full, (3,): "a"}):
+            with pytest.raises(ValueError, match="cover exactly"):
+                MarkedTree(tree, marks)
 
 
 class TestPerronData:
@@ -264,6 +269,34 @@ class TestEnumeration:
         # generation, N_c(g) = 1 + N_c(g - 1)^2
         model = Model(("x", "c"), {"x": [(1, ())], "c": [(HALF, ()), (HALF, ("c", "c"))]})
         assert len(enumerate_arrays(model, "x", 10_000, cap=1)[0]) == 1
+
+    def test_vertex_budget_counts_the_arrays_of_every_generation(self, monkeypatch, asymmetric, nondyadic):
+        # the budget's entries are the lengths of the vertex arrays of
+        # generations 1..n, counted before enumerating: at the budget the
+        # enumeration runs, one below it is refused naming the total
+        cases = [(asymmetric, "A", 3), (asymmetric, "B", 3), (nondyadic, "B", 4)]
+        totals = [
+            sum(len(enumerate_arrays(model, x0, g)[1]) for g in range(1, n + 1))
+            for model, x0, n in cases
+        ]
+        for (model, x0, n), total in zip(cases, totals):
+            monkeypatch.setattr(process, "_ENUMERATE_VERTEX_LIMIT", total)
+            enumerate_arrays(model, x0, n)
+            monkeypatch.setattr(process, "_ENUMERATE_VERTEX_LIMIT", total - 1)
+            with pytest.raises(ValueError, match=f"write {total} vertex entries by generation {n},"):
+                enumerate_arrays(model, x0, n)
+
+    def test_single_child_chain_refused_by_its_vertices(self):
+        # one outcome at every horizon, so the cap never fires; generation
+        # g holds g + 1 vertices, g (g + 3) / 2 entries by generation g
+        chain = Model(("a",), {"a": [(1, ("a",))]})
+        assert len(enumerate_arrays(chain, "a", 1000)[1]) == 1001
+        for n in (2827, 4000, 10**5):
+            with pytest.raises(
+                ValueError,
+                match="write 4000205 vertex entries by generation 2827, above the limit of 4000000",
+            ):
+                enumerate_arrays(chain, "a", n)
 
     def test_extinct_start_at_a_huge_horizon(self):
         # the count check stops at its fixed point and the enumeration
@@ -402,6 +435,13 @@ def seed_simulate(model, x0, n_gen, rng):
     return MarkedTree(PlanarTree(degrees), marks)
 
 
+def make_tenths():
+    # exact tenths, whose float sums end at 0.9999999999999999 as the
+    # floats' do: the last atom takes every uniform past them
+    tenth = Fraction(1, 10)
+    return Model(("a",), {"a": [(tenth, ("a",) * (i % 3)) for i in range(9)] + [(tenth, ("a", "a"))]})
+
+
 def make_ties():
     # a zero-probability atom between two others ties the cumulative sums,
     # and ten atoms of 0.1 sum to 0.9999999999999999, so the clamp matters
@@ -429,6 +469,7 @@ class TestSeedOracle:
             (make_subcritical, "a"),
             (make_ties, "a"),
             (make_ties, "b"),
+            (make_tenths, "a"),
         ],
     )
     def test_trees_marks_and_stream(self, make, x0):
@@ -448,18 +489,20 @@ class TestSeedOracle:
         assert rng.random() == ref.random()
 
     def test_uniform_past_the_last_cumulative_sum(self):
-        # ten atoms of 0.1 sum to the largest double below one; a uniform of
-        # that value falls past the table and takes the last atom
+        # ten atoms of 0.1, as floats or Fractions, sum to the largest
+        # double below one; a uniform of that value falls past the table
+        # and takes the last atom
         class Top(np.random.Generator):
             def random(self, size=None):
                 u = np.nextafter(1.0, 0.0)
                 return u if size is None else np.full(size, u)
 
-        model = make_ties()
-        got = simulate(model, "b", 3, rng=Top(np.random.PCG64(0)))
-        want = seed_simulate(model, "b", 3, Top(np.random.PCG64(0)))
-        assert got.tree == want.tree and got.marks == want.marks
-        assert got.tree.size == 1 + 3 + 9 + 27
+        for make, x0, size in [(make_ties, "b", 1 + 3 + 9 + 27), (make_tenths, "a", 1 + 2 + 4 + 8)]:
+            model = make()
+            got = simulate(model, x0, 3, rng=Top(np.random.PCG64(0)))
+            want = seed_simulate(model, x0, 3, Top(np.random.PCG64(0)))
+            assert got.tree == want.tree and got.marks == want.marks
+            assert got.tree.size == size
 
     def test_seed_argument_is_a_fresh_stream(self, asymmetric):
         got = simulate(asymmetric, "A", 6, rng=5)

@@ -238,7 +238,60 @@ def hex_matrix(D):
     return [float(v).hex() for v in np.asarray(D, dtype=float).reshape(-1)]
 
 
+def same_bits(a, b):
+    """Equal shapes and equal float bits, as hex_matrix compares them, at
+    numpy speed for large matrices."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def seed_meet_distances(l, b):
+    """The row loop meet_distances ran before its padded triangle, one
+    running minimum per row, kept as the reference."""
+    l = np.asarray(l, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = l.shape[-1]
+    D = np.zeros(l.shape + (n,))
+    for i in range(n - 1):
+        low = np.minimum.accumulate(b[..., i:], axis=-1)
+        D[..., i, i + 1:] = l[..., i, None] + l[..., i + 1:] - 2.0 * low
+        D[..., i + 1:, i] = D[..., i, i + 1:]
+    return D
+
+
+def tied_heights(rng, batch, n):
+    """Leaf and meet heights on a coarse grid, so that meets tie with
+    each other and with leaves, with a few arbitrary floats among them."""
+    l = rng.integers(0, 6, batch + (n,)) * 0.375
+    b = rng.integers(0, 6, batch + (max(n - 1, 0),)) * 0.375
+    l.reshape(-1)[::7] = rng.uniform(0.0, 3.0, l.reshape(-1)[::7].shape)
+    return l, b
+
+
 class TestMeetDistances:
+    def test_matches_seed_row_loop(self):
+        rng = np.random.default_rng(11)
+        for n in range(301):
+            l, b = tied_heights(rng, (), n)
+            assert same_bits(meet_distances(l, b), seed_meet_distances(l, b)), n
+        # a batch of 64 takes the row-step minimum up to n = 7
+        for batch in [(3,), (2, 3), (64,)]:
+            for n in [0, 1, 2, 3, 4, 7, 40, 300]:
+                l, b = tied_heights(rng, batch, n)
+                got = meet_distances(l, b)
+                assert got.shape == batch + (n, n) and got.flags.c_contiguous
+                assert same_bits(got, seed_meet_distances(l, b)), (batch, n)
+
+    @pytest.mark.parametrize("block", [1, 40, 100])
+    def test_row_blocks(self, monkeypatch, block):
+        # max(1, block // l.size) rows per block: one row, a few, or a
+        # ragged last block
+        monkeypatch.setattr(trees, "_MEET_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for batch, n in [((), 2), ((), 13), ((2,), 9), ((2, 3), 6)]:
+            l, b = tied_heights(rng, batch, n)
+            assert same_bits(meet_distances(l, b), seed_meet_distances(l, b)), (batch, n)
+
     def test_distance_matrix_matches_seed_loop(self):
         rng = np.random.default_rng(2)
         shapes = [encode_heights(tree) for tree in FAMILY]
