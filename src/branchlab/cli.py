@@ -592,7 +592,9 @@ def cmd_cpp(args):
     return EXIT_OK if abs(z) <= z_max else EXIT_VERIFY
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="branchlab",
         description="moment identities and scaling limits of finite-type "
@@ -618,7 +620,11 @@ def main(argv=None):
         )
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     if args.format is None:
         args.format = {
             "model-check": "json",

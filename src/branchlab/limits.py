@@ -21,7 +21,7 @@ import numpy as np
 from . import moments, spine
 from .mmm import phi_values
 from .process import _extinction_curve, eigenpair, is_critical, sigma_squared
-from .trees import _per_row, meet_distances, shape_values
+from .trees import _expand_meets, _per_row, meet_distances, shape_values
 
 __all__ = [
     "lambda_k_integral",
@@ -40,8 +40,11 @@ __all__ = [
 ]
 
 
-# the midpoint grids hold one float64 per box point and coordinate, plus
-# the stacked copy: 10^7 points in three dimensions take about 0.5 GB
+# midpoints per grid, counted over the whole box of n_cells^dim.  The
+# unit-cube grid holds the box, one float64 per point and coordinate plus
+# the stacked copy: 10^7 points in three dimensions peak near 0.5 GB.  The
+# rescaled grid holds only its in-region points, about 13% of the box at
+# k = 3: 25^5 box points peak near 120 MB, where the masked box took 774 MB
 _GRID_POINT_LIMIT = 10**7
 
 
@@ -109,12 +112,16 @@ def lambda_k_integral(
     if method == "grid":
         n_cells = max(1, int(round(R / grid_step)))
         _check_grid(n_cells, dim)
-        pts = _midpoint_grid((np.arange(n_cells) + 0.5) * (R / n_cells), dim)
-        L = pts[:, :k]
-        B = pts[:, k:]
-        ok = np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1)
+        mids = (np.arange(n_cells) + 0.5) * (R / n_cells)
+        # below[j] is the number of midpoints less than mids[j] (j unless
+        # subnormal cells tie neighbours), so meet cell b is in the region
+        # exactly when b < below[min(l_i, l_i+1)]: the walk yields the
+        # points, in the order, that masking the whole box keeps
+        below = np.searchsorted(mids, mids)
+        I = np.indices((n_cells,) * k).reshape(k, -1).T
+        L, B = _expand_meets(mids[I], below[np.minimum(I[:, :-1], I[:, 1:])])
         cell = (R / n_cells) ** dim
-        return cell * _grid_total(f, L[ok], B[ok]), 0.0
+        return cell * _grid_total(f, L, mids[B]), 0.0
     raise ValueError(f"unknown method {method!r}")
 
 

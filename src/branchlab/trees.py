@@ -55,7 +55,7 @@ def is_ancestor(v, w):
 class PlanarTree:
     """A rooted planar tree given by a prefix-closed map vertex -> out-degree."""
 
-    __slots__ = ("degrees", "vertices", "leaves")
+    __slots__ = ("degrees", "vertices", "_leaves")
 
     def __init__(self, degrees):
         if not degrees:
@@ -90,7 +90,14 @@ class PlanarTree:
     def _own(self, degrees):
         self.degrees = degrees
         self.vertices = sorted(degrees)
-        self.leaves = [v for v in self.vertices if degrees[v] == 0]
+        self._leaves = None
+
+    @property
+    def leaves(self):
+        """The leaves in planar order, listed on first read."""
+        if self._leaves is None:
+            self._leaves = [v for v in self.vertices if self.degrees[v] == 0]
+        return self._leaves
 
     @property
     def size(self):
@@ -345,13 +352,24 @@ def shape_batches(k, R):
         return
     # one leaf-height row has at most R^(k-1) meet rows
     for L in product_batches(1, R + 1, k, max(1, rows // max(1, R ** (k - 1)))):
-        B = np.zeros((len(L), 0), dtype=int)
-        for i in range(k - 1):
-            m = np.minimum(L[:, i], L[:, i + 1])
-            at = np.repeat(np.arange(len(L)), m)
-            b = np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m)
-            L, B = L[at], np.column_stack([B[at], b])
-        yield L, B
+        yield _expand_meets(L, np.minimum(L[:, :-1], L[:, 1:]))
+
+
+def _expand_meets(L, M):
+    """Each row r of L repeated once per meet tuple b with 0 <= b[i] <
+    M[r, i], beside those tuples: (rows of L, int array B of the b).
+
+    Rows come in the order of L, and the tuples of one row in product
+    order, meet position 0 slowest.  L is gathered once, at the end.
+    """
+    src = np.arange(len(L))
+    B = np.zeros((len(L), 0), dtype=int)
+    for i in range(M.shape[1]):
+        m = M[src, i]
+        at = np.repeat(np.arange(len(src)), m)
+        b = np.arange(len(at)) - np.repeat(np.cumsum(m) - m, m)
+        src, B = src[at], np.column_stack([B[at], b])
+    return L[src], B
 
 
 def count_shapes(k, R):

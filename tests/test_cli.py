@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from branchlab import process
+from branchlab import cli, process
 from branchlab.cli import main, read_csv_rows
 from branchlab.trees import PlanarTree, tree_to_string
 
@@ -659,7 +659,10 @@ class TestConvergence:
         rc, out, err = run(capsys, "convergence", "--config", str(cfg))
         assert rc == 1
         assert out == ""
-        assert err.startswith("error:") and "grid_step" in err
+        assert err == (
+            "error: a 5-dimensional grid of 50 cells per axis has 3.12e+08 points, "
+            "above the limit of 1e+07; use a larger grid_step\n"
+        )
 
     @pytest.mark.parametrize(
         "payload, prefix",
@@ -727,9 +730,10 @@ class TestConvergence:
         assert err.startswith(f"{prefix} {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("name", ["binary_k2", "subcritical", "sym_ultra"])
+    @pytest.mark.parametrize("name", ["binary_k2", "subcritical", "sym_ultra", "binary_k3"])
     def test_golden_bytes(self, capsys, name, fmt):
-        # recorded before the limit column took the batched functionals
+        # recorded before the limit column took the batched functionals;
+        # binary_k3 before the rescaled grid walked only in-region points
         rc, out, _ = run(
             capsys, "convergence", "--config", f"{CONFIG_DIR}/convergence_{name}.json", "--format", fmt
         )
@@ -882,6 +886,27 @@ class TestComb:
         )
         rc, out, _ = run(capsys, "cpp", "--config", str(cfg), "--seed", "0")
         assert rc == 3
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_each_call_parses_afresh(self, capsys):
+        # what one call was given does not carry into the next
+        for argv, code in ((["--help"], 0), (["survival", "--help"], 0), (["survival"], 2)):
+            seen = []
+            for _ in range(2):
+                with pytest.raises(SystemExit) as e:
+                    main(argv)
+                assert e.value.code == code
+                seen.append(capsys.readouterr())
+            assert seen[0] == seen[1]
+        assert "the following arguments are required: --config" in seen[0].err
+        config = f"{CONFIG_DIR}/survival_binary.json"
+        _, out, _ = run(capsys, "survival", "--config", config, "--format", "json")
+        _, out2, _ = run(capsys, "survival", "--config", config)
+        assert out.startswith("{") and out2.startswith("# seed=0")
 
 
 class TestGoldenBytes:

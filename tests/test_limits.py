@@ -28,7 +28,7 @@ from branchlab.limits import (
 from branchlab.limits import _depths, _draw_comb, _range_distances
 from branchlab import limits
 from branchlab.process import eigenpair, sigma_squared
-from branchlab.trees import TreeShape
+from branchlab.trees import TreeShape, _per_row, count_shapes
 
 
 def ones_f(L, B):
@@ -1009,3 +1009,106 @@ class TestSeedOracle:
         F = build_functional({"name": "pair_indicator", "r": 1.0}, binary)
         with pytest.raises(ConfigError, match="pair_indicator needs k >= 2"):
             F.batched(np.full((3, 1), 0.5), np.zeros((3, 0)), ("a",))
+
+
+# The rescaled grid branch of lambda_k_integral as it was before the grid
+# walked only its in-region midpoints, verbatim with its helpers: every
+# point of the (2k-1)-dimensional box, then masked to the region.
+
+_SEED_GRID_POINT_LIMIT = 10**7
+
+
+def _seed_check_grid(n_cells, dim):
+    if n_cells**dim > _SEED_GRID_POINT_LIMIT:
+        raise ValueError(
+            f"a {dim}-dimensional grid of {n_cells} cells per axis has "
+            f"{n_cells**dim:.3g} points, above the limit of "
+            f"{_SEED_GRID_POINT_LIMIT:.0e}; use a larger grid_step"
+        )
+
+
+def _seed_midpoint_grid(mids, dim):
+    axes = np.meshgrid(*([mids] * dim), indexing="ij")
+    return np.stack([a.reshape(-1) for a in axes], axis=1)
+
+
+def _seed_grid_total(f, L, B):
+    return sum(map(float, _per_row(f, L, B))) if len(L) else 0.0
+
+
+def seed_lambda_k_integral(k, f, R=1.0, grid_step=0.01):
+    dim = 2 * k - 1
+    n_cells = max(1, int(round(R / grid_step)))
+    _seed_check_grid(n_cells, dim)
+    pts = _seed_midpoint_grid((np.arange(n_cells) + 0.5) * (R / n_cells), dim)
+    L = pts[:, :k]
+    B = pts[:, k:]
+    ok = np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1)
+    cell = (R / n_cells) ** dim
+    return cell * _seed_grid_total(f, L[ok], B[ok]), 0.0
+
+
+def _nowhere_zero(L, B):
+    # at least one at every point, so any point outside the region, or
+    # one missing inside it, moves the sum
+    return 2.0 + np.sin(L.sum(axis=1)) * np.cos(0.5 + B.sum(axis=1))
+
+
+class TestInRegionGrid:
+    """The in-region walk against the seed's masked box grid, bit for bit."""
+
+    # R / step for an odd and an even cell count, and for a step that does
+    # not divide R
+    CELLS = {1: (101, 100, 100.4), 2: (21, 20, 20.4), 3: (9, 10, 9.4)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("R", [1.0, 2.5, 0.3])
+    @pytest.mark.parametrize("cells", range(3))
+    def test_bits_match_the_box_grid(self, k, R, cells):
+        step = R / self.CELLS[k][cells]
+        want = seed_lambda_k_integral(k, _nowhere_zero, R=R, grid_step=step)
+        got = lambda_k_integral(k, _nowhere_zero, R=R, method="grid", grid_step=step)
+        assert want[0] != 0.0
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "k, R, step",
+        # the last: subnormal cells, where rounding ties neighbouring
+        # midpoints, so that a meet index may not reach its leaf index
+        [(1, 0.9, 0.1), (2, 0.9, 0.1), (3, 0.9, 0.1), (2, 1e-322, 5e-324)],
+    )
+    def test_integrand_gets_the_box_grids_kept_rows(self, k, R, step):
+        # one call, on the rows the mask kept, in order, as contiguous arrays
+        def recorder(calls):
+            def f(L, B):
+                calls.append((L.copy(order="K"), B.copy(order="K")))
+                return np.ones(len(L))
+
+            return f
+
+        got, want = [], []
+        lambda_k_integral(k, recorder(got), R=R, method="grid", grid_step=step)
+        seed_lambda_k_integral(k, recorder(want), R=R, grid_step=step)
+        assert len(got) == len(want) == 1
+        if k > 1:
+            assert len(want[0][0]) < round(R / step) ** (2 * k - 1)
+        for a, b in zip(got[0], want[0]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k, cells", [(3, 50), (3, 26), (2, 216), (1, 10**7 + 1)])
+    def test_same_grids_refused(self, k, cells):
+        step = 1.0 / cells
+        with pytest.raises(ValueError) as want:
+            seed_lambda_k_integral(k, ones_f, grid_step=step)
+        with pytest.raises(ValueError) as got:
+            lambda_k_integral(k, ones_f, method="grid", grid_step=step)
+        assert str(got.value) == str(want.value)
+
+    def test_largest_k3_grid_runs(self):
+        # 25 cells per axis, 25^5 box points at the limit: the unit
+        # integrand counts the in-region ones, the integer shapes of
+        # heights 1..24 shifted down by one
+        val, _ = lambda_k_integral(3, ones_f, method="grid", grid_step=0.04)
+        assert val == (1.0 / 25) ** 5 * count_shapes(3, 24)

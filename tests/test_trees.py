@@ -88,6 +88,16 @@ class TestBasics:
                     stack.append(v + (i,))
             assert walk == tree.vertices
 
+    def test_leaves_listed_on_first_read(self):
+        for tree in FAMILY:
+            fresh = PlanarTree(dict(tree.degrees))
+            assert not hasattr(fresh, "__dict__") and fresh._leaves is None
+            # equality and hashing do not depend on whether leaves was read
+            assert fresh == tree and hash(fresh) == hash(tree)
+            want = [v for v in tree.vertices if tree.degrees[v] == 0]
+            assert fresh.leaves == want and fresh.leaves is fresh.leaves
+            assert fresh == tree
+
     def test_invalid_trees_rejected(self):
         with pytest.raises(ValueError):
             PlanarTree({})
