@@ -41,10 +41,10 @@ __all__ = [
 
 
 # midpoints per grid, counted over the whole box of n_cells^dim.  The
-# unit-cube grid holds the box, one float64 per point and coordinate plus
-# the stacked copy: 10^7 points in three dimensions peak near 0.5 GB.  The
-# rescaled grid holds only its in-region points, about 13% of the box at
-# k = 3: 25^5 box points peak near 120 MB, where the masked box took 774 MB
+# unit-cube grid holds the box, one float64 per point and coordinate:
+# 10^7 points in three dimensions hold 240 MB of coordinates.  The rescaled
+# grid holds only its in-region points, about 13% of the box at k = 3:
+# 25^5 box points peak near 120 MB, where the masked box took 774 MB
 _GRID_POINT_LIMIT = 10**7
 
 
@@ -67,8 +67,12 @@ def _check_grid(n_cells, dim):
 
 
 def _midpoint_grid(mids, dim):
-    axes = np.meshgrid(*([mids] * dim), indexing="ij")
-    return np.stack([a.reshape(-1) for a in axes], axis=1)
+    """The points of the grid mids^dim in product order, as one
+    (len(mids)^dim, dim) array filled axis by axis by broadcasting."""
+    grid = np.empty((len(mids),) * dim + (dim,))
+    for a in range(dim):
+        grid[..., a] = mids.reshape((-1,) + (1,) * (dim - 1 - a))
+    return grid.reshape(-1, dim)
 
 
 def _grid_total(f, L, B):
@@ -500,7 +504,28 @@ class ConvergenceReport:
     sigma_sq: float
 
 
-REPORT_COLUMNS = ("n", "observed", "limit", "rel_error", "path")
+REPORT_COLUMNS = ("n", "observed", "limit", "rel_error", "path", "order")
+
+
+def _observed_orders(rows):
+    """Set each row's "order", ln(e_prev / e) / ln(n / n_prev) with e the
+    rel_error, against the previous row of the same path; None on the first
+    row of a path, where either error is missing or 0, where either n is 0
+    (survival rows take n = 0) or where the two n are equal."""
+    last = {}
+    for row in rows:
+        prev = last.get(row["path"])
+        row["order"] = None
+        if (
+            prev
+            and prev["rel_error"] and row["rel_error"]
+            and prev["n"] and row["n"] and prev["n"] != row["n"]
+        ):
+            row["order"] = math.log(prev["rel_error"] / row["rel_error"]) / math.log(
+                row["n"] / prev["n"]
+            )
+        last[row["path"]] = row
+    return rows
 
 
 def kolmogorov_rows(model, n_values, x0, eig, sig2):
@@ -508,7 +533,8 @@ def kolmogorov_rows(model, n_values, x0, eig, sig2):
     Kolmogorov limit 2 h(x) / sigma^2, one per (n, type) in increasing n,
     or per n for x0 alone when x0 is not None.  eig and sig2 are the
     model's eigenpair and branching variance; limits are left empty when
-    the model is not critical or sigma^2 vanishes."""
+    the model is not critical or sigma^2 vanishes.  Each type is a path of
+    its own for the observed order."""
     shown = is_critical(eig) and sig2 > 0
     curve = _extinction_curve(model, n_values)
     rows = []
@@ -525,7 +551,7 @@ def kolmogorov_rows(model, n_values, x0, eig, sig2):
                     "path": f"kolmogorov:{x}",
                 }
             )
-    return rows
+    return _observed_orders(rows)
 
 
 def _mark_average(F, types):
@@ -577,9 +603,11 @@ def convergence_report(
     vanish on shapes higher than R.  Through a batched(L, B, lt) form, as
     the functionals of cli.build_functional carry, the limit makes one
     call per leaf-type tuple on every grid point at once.  Kolmogorov
-    survival rows are appended for the given generations.  Off
-    criticality the limit columns are left empty.  An unknown mode, k < 1
-    or an R that is negative or not finite is a ValueError.
+    survival rows are appended for the given generations.  Each row's
+    "order" is its observed convergence order against the previous row of
+    its path (_observed_orders).  Off criticality the limit columns are
+    left empty.  An unknown mode, k < 1 or an R that is negative or not
+    finite is a ValueError.
     """
     if mode not in ("rescaled", "ultrametric"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -616,7 +644,7 @@ def convergence_report(
                 "path": f"{mode}:k={k}",
             }
         )
-    rows += kolmogorov_rows(model, kolmogorov_ns, x0, eig, sig2)
+    rows = _observed_orders(rows) + kolmogorov_rows(model, kolmogorov_ns, x0, eig, sig2)
     return ConvergenceReport(
         rows=rows, critical=critical, perron=eig.perron, sigma_sq=sig2
     )

@@ -56,7 +56,6 @@ class FiniteMmmSpace:
 
     Parameters
     ----------
-    points : sequence of str labels
     root : int index of the root point
     dist : (n, n) array-like, symmetric, zero diagonal, nonnegative.
         Triangle inequality is verified for spaces up to
@@ -65,12 +64,11 @@ class FiniteMmmSpace:
     mark : optional sequence of labels (or None entries).
     """
 
-    def __init__(self, points, root, dist, mass, mark=None):
-        self.points = [str(p) for p in points]
-        n = len(self.points)
+    def __init__(self, root, dist, mass, mark=None):
         dist = np.asarray(dist, dtype=float)
-        if dist.shape != (n, n):
-            raise ValueError("distance matrix shape does not match points")
+        if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+            raise ValueError("distance matrix must be square")
+        n = len(dist)
         if not _is_symmetric(dist):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.abs(np.diag(dist)) > 1e-12):
@@ -90,14 +88,12 @@ class FiniteMmmSpace:
         self.mark = list(mark) if mark is not None else [None] * n
 
     @classmethod
-    def _built(cls, points, root, dist, mass, mark):
-        """A space whose parts are right by construction: str labels, a
-        meet_distances metric (float, symmetric, zero diagonal, a
-        triangle-respecting tree metric), a nonnegative float mass vector
-        and a mark list, all of one length.  Takes ownership; checks none
-        of that."""
+    def _built(cls, root, dist, mass, mark):
+        """A space whose parts are right by construction: a meet_distances
+        metric (float, symmetric, zero diagonal, a triangle-respecting tree
+        metric), a nonnegative float mass vector and a mark list, all of
+        one length.  Takes ownership; checks none of that."""
         space = cls.__new__(cls)
-        space.points = points
         space.root = root
         space.dist = dist
         space.mass = mass
@@ -106,7 +102,7 @@ class FiniteMmmSpace:
 
     @property
     def size(self):
-        return len(self.points)
+        return len(self.mass)
 
     def support(self):
         """Indices of points with positive mass."""
@@ -141,10 +137,9 @@ def tree_to_mmm(marked_tree, edge_scale=1.0, mass_scale=1.0):
     _check_scale("edge_scale", edge_scale)
     _check_scale("mass_scale", mass_scale)
     vs = marked_tree.tree.vertices
-    labels = [".".join(map(str, v)) for v in vs]
     mass = np.full(len(vs), float(mass_scale))
     marks = list(map(marked_tree.marks.__getitem__, vs))
-    return FiniteMmmSpace._built(labels, 0, edge_scale * _word_distances(vs), mass, marks)
+    return FiniteMmmSpace._built(0, edge_scale * _word_distances(vs), mass, marks)
 
 
 def generation_slice(marked_tree, n, mass_scale=1.0):
@@ -158,11 +153,10 @@ def generation_slice(marked_tree, n, mass_scale=1.0):
     _check_scale("mass_scale", mass_scale)
     gen = [v for v in marked_tree.tree.vertices if len(v) == n]
     words = [()] + gen
-    labels = ["root"] + [".".join(map(str, v)) for v in gen]
     mass = np.full(len(words), float(mass_scale))
     mass[0] = 0.0
     marks = list(map(marked_tree.marks.__getitem__, words))
-    return FiniteMmmSpace._built(labels, 0, _word_distances(words) / n, mass, marks)
+    return FiniteMmmSpace._built(0, _word_distances(words) / n, mass, marks)
 
 
 # k-tuples per batched distance build in monomial: bounds its memory

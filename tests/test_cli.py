@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from branchlab import cli, process
-from branchlab.cli import main, read_csv_rows
+from branchlab import cli, limits, process
+from branchlab.cli import build_phi, main, read_csv_rows
 from branchlab.trees import PlanarTree, tree_to_string
 
 CONFIG_DIR = "configs"
@@ -105,7 +106,7 @@ class TestModelCheck:
         meta, rows = read_csv_rows_from_text(out)
         assert set(meta) == {"seed", "git", "config_sha256"}
         assert rows == [
-            {"key": "critical", "value": "False"},
+            {"key": "critical", "value": "false"},
             {"key": "error", "value": "mean matrix must be irreducible and aperiodic"},
         ]
 
@@ -121,6 +122,8 @@ class TestModelCheck:
         assert rc == 0
         meta, rows = read_csv_rows_from_text(out)
         assert {r["key"] for r in rows} >= {"perron", "critical", "sigma_sq"}
+        # booleans are written one way, as convergence writes its meta
+        assert {"key": "critical", "value": "true"} in rows
 
 
 def read_csv_rows_from_text(text):
@@ -781,6 +784,24 @@ class TestSurvival:
         assert last["n"] == 10_000
         assert last["rel_error"] <= 0.01
 
+    def test_orders_per_type_without_x0(self, capsys, tmp_path):
+        # without x0 the rows alternate types; each type's order is taken
+        # against that type's previous row, and its first row has none
+        model = Path(CONFIG_DIR, "two_type_asymmetric.json").resolve()
+        cfg = write_config(tmp_path, "s.json", {"model": str(model), "n_values": [10, 100, 1000]})
+        rc, out, _ = run(capsys, "survival", "--config", str(cfg))
+        assert rc == 0
+        _, rows = read_csv_rows_from_text(out)
+        assert [(r["n"], r["path"]) for r in rows] == [
+            (n, f"kolmogorov:{x}") for n in (10, 100, 1000) for x in "AB"
+        ]
+        for x in "AB":
+            mine = [r for r in rows if r["path"] == f"kolmogorov:{x}"]
+            assert mine[0]["order"] is None
+            for prev, row in zip(mine, mine[1:]):
+                want = math.log(prev["rel_error"] / row["rel_error"]) / math.log(10)
+                assert row["order"] == pytest.approx(want, rel=1e-9)
+
     def test_one_eigenpair_per_run(self, capsys, monkeypatch):
         calls, eigenpair = [], process.eigenpair
         monkeypatch.setattr(process, "eigenpair", lambda m: calls.append(m) or eigenpair(m))
@@ -823,6 +844,8 @@ class TestComb:
             ({"marks": ["A", "B"]}, "config error:"),
             ({"marks": {"A": "0.5", "B": "0.5"}}, "config error:"),
             ({"marks": {"A": 0.5, "B": 0.6}}, "config error:"),
+            # just past LimitQuery's tolerance of 2**-26
+            ({"marks": {"A": 0.5, "B": 0.5 + 2**-25}}, "config error:"),
             ({"marks": {"A": 1.5, "B": -0.5}}, "config error:"),
             ({"marks": {"A": True}}, "config error:"),
         ],
@@ -866,11 +889,14 @@ class TestComb:
         data = json.loads(out)
         assert data["n_samples"] == 2 and data["stderr"] >= 0.0
 
-    def test_marks_within_tolerance_accepted(self, capsys, tmp_path):
-        marks = {"A": 0.3, "B": 0.7 + 5e-10}
+    @pytest.mark.parametrize("marks", [{"A": 0.3, "B": 0.7 + 5e-10}, {"A": 0.5, "B": 0.50000001}])
+    def test_marks_within_tolerance_accepted(self, capsys, tmp_path, marks):
+        # the command takes the law LimitQuery takes, within 2**-26
         cfg = write_config(tmp_path, "cpp.json", {"k": 1, "n_samples": 40, "eps": 0.5, "marks": marks})
-        rc, out, _ = run(capsys, "cpp", "--config", str(cfg))
-        assert rc in (0, 3) and json.loads(out)["k"] == 1
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg))
+        assert rc in (0, 3) and json.loads(out)["k"] == 1 and err == ""
+        query = limits.LimitQuery(k=1, phi=build_phi({"name": "ones"}, 1), mark_probs=marks)
+        assert limits.cpp_moment(query) == 0.5 * sum(marks.values())
 
     def test_tiny_gate_gives_code_3(self, capsys, tmp_path):
         cfg = write_config(

@@ -25,7 +25,7 @@ from branchlab.limits import (
     lambda_tilde_k_integral,
     sample_excursions,
 )
-from branchlab.limits import _depths, _draw_comb, _range_distances
+from branchlab.limits import _depths, _draw_comb, _midpoint_grid, _observed_orders, _range_distances
 from branchlab import limits
 from branchlab.process import eigenpair, sigma_squared
 from branchlab.trees import TreeShape, _per_row, count_shapes
@@ -117,6 +117,19 @@ class TestUnitCubeIntegrals:
         f = lambda L, B: B[:, 0] >= 0.5
         val, err = lambda_tilde_k_integral(2, f, method="mc", n_samples=40_000, rng=5)
         assert abs(val - 0.5) <= 4 * err
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_cells", [1, 2, 7, 10])
+    def test_grid_matches_meshgrid_stack(self, dim, n_cells):
+        # the broadcast grid against a verbatim copy of the meshgrid form
+        mids = (np.arange(n_cells) + 0.5) / n_cells
+        got = _midpoint_grid(mids, dim)
+        want = _seed_midpoint_grid(mids, dim)
+        assert got.shape == want.shape == (n_cells**dim, dim)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert [v.hex() for v in got.reshape(-1).tolist()] == [
+            v.hex() for v in want.reshape(-1).tolist()
+        ]
 
 
 class TestTreeMoment:
@@ -542,8 +555,8 @@ class TestWalkLimit:
 class TestReports:
     def test_report_rows_roundtrip(self, binary):
         rows = [
-            {"n": 5, "observed": 0.5, "limit": 1.0, "rel_error": 0.5, "path": "a:k=1"},
-            {"n": 9, "observed": 0.25, "limit": None, "rel_error": None, "path": "b"},
+            {"n": 5, "observed": 0.5, "limit": 1.0, "rel_error": 0.5, "path": "a:k=1", "order": 0.75},
+            {"n": 9, "observed": 0.25, "limit": None, "rel_error": None, "path": "b", "order": None},
         ]
         text = csv_text({"seed": 3, "critical": "true"}, REPORT_COLUMNS, rows)
         meta, back = read_csv_rows(io.StringIO(text))
@@ -588,6 +601,47 @@ class TestReports:
         row = rep.rows[0]
         assert abs(row["limit"] - 0.25) <= 1e-9
         assert row["rel_error"] <= 1e-12
+
+    def test_observed_orders(self):
+        # per path; empty on a path's first row, on a missing or zero
+        # error at either end, next to n = 0 and between equal n
+        rows = _observed_orders(
+            [
+                {"n": 0, "rel_error": 1.0, "path": "p"},
+                {"n": 10, "rel_error": 0.4, "path": "p"},
+                {"n": 100, "rel_error": 0.5, "path": "q"},
+                {"n": 20, "rel_error": 0.1, "path": "p"},
+                {"n": 1000, "rel_error": 0.05, "path": "q"},
+                {"n": 20, "rel_error": 0.05, "path": "p"},
+                {"n": 40, "rel_error": 0.0, "path": "p"},
+                {"n": 80, "rel_error": 0.01, "path": "p"},
+                {"n": 160, "rel_error": None, "path": "p"},
+                {"n": 320, "rel_error": 0.01, "path": "p"},
+                {"n": 10, "rel_error": 0.5, "path": "q"},
+            ]
+        )
+        orders = [r["order"] for r in rows[1:]]
+        assert rows[0]["order"] is None
+        assert orders[0] is None and orders[1] is None
+        assert orders[2] == math.log(0.4 / 0.1) / math.log(20 / 10) == 2.0
+        assert orders[3] == pytest.approx(1.0, rel=1e-15)
+        assert orders[4:9] == [None] * 5
+        # a smaller n than the row before still gives an order
+        assert orders[9] == pytest.approx(math.log(0.1) / math.log(0.01), rel=1e-15)
+
+    def test_orders_of_the_binary_k2_study(self, binary):
+        # the doubling table n = 10, 20, 40 of configs/convergence_binary_k2.json
+        F = build_functional({"name": "height_indicator", "r": 1.0}, binary, k=2)
+        rep = convergence_report(binary, 2, F, [10, 20, 40], "a", kolmogorov_ns=(100, 1000, 10000))
+        orders = [r["order"] for r in rep.rows]
+        assert orders[0] is None and orders[3] is None
+        assert orders[1] == pytest.approx(0.801220135886, abs=1e-9)
+        assert orders[2] == pytest.approx(0.649382723377, abs=1e-9)
+        assert orders[4] == pytest.approx(0.846235491898, abs=1e-9)
+        assert orders[5] == pytest.approx(0.894858391953, abs=1e-9)
+        for prev, row in zip(rep.rows[:3], rep.rows[1:3]):
+            want = math.log(prev["rel_error"] / row["rel_error"]) / math.log(2)
+            assert row["order"] == pytest.approx(want, rel=1e-12)
 
     def test_survival_rows_appended(self, binary):
         F = lambda shape, lt, bt: float(shape.height <= 1.0)

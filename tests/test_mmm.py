@@ -30,43 +30,68 @@ def cherry_marked():
     return MarkedTree(tree, {(): "A", (1,): "B", (2,): "A"})
 
 
+def word_marked(tree):
+    """The tree with each vertex marked by its own word, so that a space's
+    marks say which vertex each point is."""
+    return MarkedTree(tree, {v: v for v in tree.vertices})
+
+
+def assert_slice_points(mt, n, sl):
+    """The slice's points are the root, then the generation-n vertices in
+    planar order: by their marks and by their distances, which are those of
+    the whole tree's space restricted to these vertices."""
+    vs = mt.tree.vertices
+    idx = [0] + [i for i, v in enumerate(vs) if len(v) == n]
+    assert generation_slice(word_marked(mt.tree), n).mark == [vs[i] for i in idx]
+    assert sl.mark == [mt.marks[vs[i]] for i in idx]
+    whole = tree_to_mmm(mt).dist[np.ix_(idx, idx)] / n
+    assert hex_matrix(sl.dist) == hex_matrix(whole)
+
+
 def line_space():
     # three points on a line, unit masses
     dist = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
-    return FiniteMmmSpace(["p0", "p1", "p2"], 0, dist, [1, 1, 1])
+    return FiniteMmmSpace(0, dist, [1, 1, 1])
 
 
 class TestValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            FiniteMmmSpace(["a", "b"], 0, [[0, 1], [2, 0]], [1, 1])
+            FiniteMmmSpace(0, [[0, 1], [2, 0]], [1, 1])
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError):
-            FiniteMmmSpace(["a", "b"], 0, [[0.1, 1], [1, 0]], [1, 1])
+            FiniteMmmSpace(0, [[0.1, 1], [1, 0]], [1, 1])
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            FiniteMmmSpace(["a", "b"], 0, [[0, -1], [-1, 0]], [1, 1])
+            FiniteMmmSpace(0, [[0, -1], [-1, 0]], [1, 1])
 
     def test_triangle_violation_rejected(self):
         dist = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
         with pytest.raises(ValueError, match="triangle"):
-            FiniteMmmSpace(["a", "b", "c"], 0, dist, [1, 1, 1])
+            FiniteMmmSpace(0, dist, [1, 1, 1])
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
-            FiniteMmmSpace(["a", "b"], 0, [[0, 1], [1, 0]], [1, -1])
+            FiniteMmmSpace(0, [[0, 1], [1, 0]], [1, -1])
+
+    @pytest.mark.parametrize("dist", [0.0, [0.0], [[0, 1]], [[[0.0]]]])
+    def test_non_square_rejected(self, dist):
+        with pytest.raises(ValueError, match="square"):
+            FiniteMmmSpace(0, dist, [1])
 
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
-            FiniteMmmSpace(["a"], 2, [[0]], [1])
+            FiniteMmmSpace(2, [[0]], [1])
 
 
 class TestConstructors:
     def test_cherry_space(self):
         space = tree_to_mmm(cherry_marked())
-        assert space.points == ["", "1", "2"]
+        assert space.size == 3
+        # the points are the vertices in planar order
+        assert tree_to_mmm(word_marked(cherry_marked().tree)).mark == [(), (1,), (2,)]
         want = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]], dtype=float)
         assert np.array_equal(space.dist, want)
         assert np.array_equal(space.mass, [1, 1, 1])
@@ -79,9 +104,9 @@ class TestConstructors:
 
     def test_generation_slice(self):
         tree = PlanarTree({(): 2, (1,): 2, (2,): 0, (1, 1): 0, (1, 2): 0})
-        mt = MarkedTree(tree, {v: "a" for v in tree.vertices})
-        space = generation_slice(mt, 2)
-        assert space.points == ["root", "1.1", "1.2"]
+        space = generation_slice(word_marked(tree), 2)
+        # the root, then the generation-2 vertices in planar order
+        assert space.mark == [(), (1, 1), (1, 2)]
         assert np.array_equal(space.mass, [0, 1, 1])
         # meet at height 1, so the pair distance is 2 (2 - 1) / 2
         assert space.dist[1, 2] == 1.0
@@ -104,7 +129,7 @@ class TestConstructors:
     def test_empty_generation_keeps_root(self):
         mt = MarkedTree(PlanarTree({(): 0}), {(): "a"})
         space = generation_slice(mt, 3)
-        assert space.points == ["root"]
+        assert space.size == 1 and space.mark == ["a"]
         assert space.support().size == 0
         assert monomial(space, 2, lambda D, m: 1.0) == (0.0, 0.0)
 
@@ -134,7 +159,7 @@ class TestMonomials:
         rng = np.random.default_rng(7)
         f = np.concatenate([[0.0], np.abs(np.cumsum(rng.choice([-1.0, 1.0], 40)))])
         d = meet_distances(f, np.minimum(f[:-1], f[1:]))
-        space = FiniteMmmSpace([f"t{i}" for i in range(len(f))], 0, d, np.ones(len(f)))
+        space = FiniteMmmSpace(0, d, np.ones(len(f)))
         for r in (0.0, 1.0, 3.0):
             val, _ = monomial(space, 1, lambda D, m, r=r: float(D[0, 1] <= r))
             assert val == float(np.sum(f <= r))
@@ -173,7 +198,6 @@ class TestRestrictions:
         dist = np.pad(space.dist, ((0, 1), (0, 1)))
         dist[3, :3] = dist[:3, 3] = space.dist[0]
         padded = FiniteMmmSpace(
-            space.points + ["ghost"],
             space.root,
             dist,
             np.concatenate([space.mass, [0.0]]),
@@ -185,7 +209,6 @@ class TestRestrictions:
         space = tree_to_mmm(cherry_marked())
         perm = [0, 2, 1]
         moved = FiniteMmmSpace(
-            [space.points[i] for i in perm],
             0,
             space.dist[np.ix_(perm, perm)],
             space.mass[perm],
@@ -249,13 +272,13 @@ class TestSeedOracle:
             space = tree_to_mmm(mt, edge_scale=0.3, mass_scale=1.5)
             want = seed_tree_to_mmm_dist(mt.tree, 0.3)
             assert hex_matrix(space.dist) == hex_matrix(want)
-            assert space.points == [".".join(map(str, v)) for v in mt.tree.vertices]
+            assert tree_to_mmm(word_marked(mt.tree)).mark == mt.tree.vertices
             assert space.mark == [mt.marks[v] for v in mt.tree.vertices]
             for n in (1, 2, 3, 5):
                 sl = generation_slice(mt, n, mass_scale=0.7)
                 assert hex_matrix(sl.dist) == hex_matrix(seed_generation_slice_dist(mt.tree, n))
                 gen = [v for v in mt.tree.vertices if len(v) == n]
-                assert sl.points == ["root"] + [".".join(map(str, v)) for v in gen]
+                assert_slice_points(mt, n, sl)
                 assert list(sl.mass) == [0.0] + [0.7] * len(gen)
                 empty += not gen
         assert empty > 0
@@ -275,8 +298,7 @@ class TestSeedOracle:
                 sl = generation_slice(mt, n, mass_scale=0.7)
                 gen = [v for v in mt.tree.vertices if len(v) == n]
                 assert hex_matrix(sl.dist) == hex_matrix(seed_generation_slice_dist(mt.tree, n))
-                assert sl.points == ["root"] + [".".join(map(str, v)) for v in gen]
-                assert sl.mark == [mt.marks[v] for v in [()] + gen]
+                assert_slice_points(mt, n, sl)
                 assert [v.hex() for v in sl.mass.tolist()] == [v.hex() for v in [0.0] + [0.7] * len(gen)]
                 seen.add(min(len(gen), 2))
             if mt.tree.size <= 200:
@@ -303,8 +325,8 @@ class TestBuiltSpaces:
             spaces = [tree_to_mmm(mt), tree_to_mmm(mt, edge_scale=0.3, mass_scale=1.5)]
             spaces += [generation_slice(mt, n, mass_scale=0.7) for n in (1, 2, 6)]
             for sp in spaces:
-                public = FiniteMmmSpace(sp.points, sp.root, sp.dist, sp.mass, sp.mark)
-                assert public.points == sp.points and public.root == sp.root
+                public = FiniteMmmSpace(sp.root, sp.dist, sp.mass, sp.mark)
+                assert public.size == sp.size and public.root == sp.root
                 assert hex_matrix(public.dist) == hex_matrix(sp.dist)
                 assert hex_matrix(public.mass) == hex_matrix(sp.mass)
                 assert public.mark == sp.mark
@@ -329,7 +351,7 @@ def seed_space_error(dist):
 
 def space_error(dist):
     try:
-        FiniteMmmSpace([str(i) for i in range(len(dist))], 0, dist, np.ones(len(dist)))
+        FiniteMmmSpace(0, dist, np.ones(len(dist)))
     except ValueError as e:
         return str(e)
     return None
@@ -493,7 +515,7 @@ def skewed_space(n, seed):
     mass = rng.uniform(0.2, 1.7, n)
     mass[n // 2] = 0.0
     marks = [("A", "B", None)[i % 3] for i in range(n)]
-    return FiniteMmmSpace([str(i) for i in range(n)], n // 3, d, mass, marks)
+    return FiniteMmmSpace(n // 3, d, mass, marks)
 
 
 def marked_batched(D, marks):
