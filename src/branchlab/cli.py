@@ -67,8 +67,9 @@ def _load_config(args, required, optional=()):
     return cfg, {"seed": args.seed, "git": _git_describe(), "config_sha256": sha}
 
 
-def _cfg_int(cfg, key, default=None, many=False):
-    """cfg[key] (or default) as an int, or as a list of ints when many.
+def _cfg_int(cfg, key, default=None, many=False, least=None):
+    """cfg[key] (or default) as an int, or as a list of ints when many,
+    each at least `least` when one is given.
 
     Integral numbers pass (3, 3.0, 1e5); anything else (2.5, "3", true,
     null) is a ConfigError naming the key, where int() would truncate or
@@ -84,16 +85,11 @@ def _cfg_int(cfg, key, default=None, many=False):
         if isinstance(v, bool) or not isinstance(v, int):
             kind = "a list of integers" if many else "an integer"
             raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+        if least is not None and v < least:
+            what = " entries" if many else ""
+            raise ConfigError(f"config key {key!r}{what} must be at least {least}, got {value!r}")
         out.append(v)
     return out if many else out[0]
-
-
-def _cfg_count(cfg, key, least, default=None):
-    """cfg[key] (or default) as an integer of at least `least`."""
-    value = _cfg_int(cfg, key, default)
-    if value < least:
-        raise ConfigError(f"config key {key!r} must be at least {least}, got {value!r}")
-    return value
 
 
 def _is_number(v):
@@ -403,8 +399,8 @@ def cmd_verify_m2f(args):
     )
     model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model, model.types[0])
-    ks = _cfg_int(cfg, "ks", [1, 2, 3], many=True)
-    Rs = _cfg_int(cfg, "Rs", [1, 2, 3], many=True)
+    ks = _cfg_int(cfg, "ks", [1, 2, 3], many=True, least=1)
+    Rs = _cfg_int(cfg, "Rs", [1, 2, 3], many=True, least=0)
     psis = cfg.get("psis", ["unit", "harmonic"])
     if not isinstance(psis, list) or not all(isinstance(p, str) for p in psis):
         raise ConfigError(f"config key 'psis' must be a list of weight names, got {psis!r}")
@@ -419,11 +415,13 @@ def cmd_verify_m2f(args):
     bf = moments.BruteForceMoments(model, x0, max(Rs), cap=cap)
     kernels = {psi: spine.build_kernel(model, psi) for psi in psis}
     for k in ks:
-        for R in Rs:
+        # one shape sum per (k, psi) serves every R
+        q = moments.MomentQuery(k=k, x0=x0, F=F, R=max(Rs))
+        shape_sums = {psi: moments.moment_m2f_radii(model, q, Rs, kernels[psi]) for psi in psis}
+        for i, R in enumerate(Rs):
             reference = bf.moment(k, F, R)
             for psi in psis:
-                q = moments.MomentQuery(k=k, x0=x0, F=F, R=R, psi=psi)
-                val = moments.moment_m2f(model, q, kernel=kernels[psi])
+                val = shape_sums[psi][i]
                 diff = abs(val - reference)
                 ok = diff <= tol
                 failed = failed or not ok
@@ -503,7 +501,7 @@ def cmd_convergence(args):
     x0 = _cfg_x0(cfg, model)
     k = _cfg_int(cfg, "k")
     n_values = _cfg_int(cfg, "n_values", many=True)
-    kolmogorov_ns = tuple(_cfg_int(cfg, "kolmogorov_ns", (), many=True))
+    kolmogorov_ns = tuple(_cfg_int(cfg, "kolmogorov_ns", (), many=True, least=1))
     F = build_functional(
         cfg.get("functional", {"name": "height_indicator", "r": 1.0}), model, k=k
     )
@@ -537,7 +535,7 @@ def cmd_survival(args):
     cfg, meta = _load_config(args, required=("model", "n_values"), optional=("x0",))
     model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model) if cfg.get("x0") is not None else None
-    n_values = _cfg_int(cfg, "n_values", many=True)
+    n_values = _cfg_int(cfg, "n_values", many=True, least=1)
     eig = process.eigenpair(model)
     rows = limits.kolmogorov_rows(model, n_values, x0, eig, process.sigma_squared(model, eig))
     payload = {"critical": process.is_critical(eig), "rows": rows}
@@ -551,7 +549,7 @@ def cmd_cpp(args):
         required=("k",),
         optional=("sigma_sq", "phi", "n_samples", "eps", "n_inner", "marks", "grid_step", "z_max"),
     )
-    k = _cfg_count(cfg, "k", 1)
+    k = _cfg_int(cfg, "k", least=1)
     sigma_sq = _cfg_float(cfg, "sigma_sq", 1.0)
     phi = build_phi(cfg.get("phi", {"name": "ones"}), k)
     marks = _cfg_marks(cfg)
@@ -560,9 +558,9 @@ def cmd_cpp(args):
     except ValueError as e:
         raise ConfigError(f"config key 'marks': {e}") from None
     # the stderr needs two samples
-    n_samples = _cfg_count(cfg, "n_samples", 2, 100_000)
+    n_samples = _cfg_int(cfg, "n_samples", 100_000, least=2)
     eps = _cfg_float(cfg, "eps", 1e-3)
-    n_inner = _cfg_count(cfg, "n_inner", 1, 8)
+    n_inner = _cfg_int(cfg, "n_inner", 8, least=1)
     z_max = _cfg_float(cfg, "z_max", 3.0)
     formula = limits.cpp_moment(query, grid_step=_cfg_float(cfg, "grid_step", 1e-3))
     # samples are drawn in fixed blocks, each from its own spawned seed

@@ -61,7 +61,7 @@ class FiniteMmmSpace:
         Triangle inequality is verified for spaces up to
         300 points and trusted beyond that.
     mass : (n,) nonnegative weights; the root may carry zero mass.
-    mark : optional sequence of labels (or None entries).
+    mark : optional sequence of labels (or None entries), one per point.
     """
 
     def __init__(self, root, dist, mass, mark=None):
@@ -82,10 +82,12 @@ class FiniteMmmSpace:
             raise ValueError("mass must be a nonnegative vector over points")
         if not 0 <= root < n:
             raise ValueError("root index out of range")
+        self.mark = list(mark) if mark is not None else [None] * n
+        if len(self.mark) != n:
+            raise ValueError("mark must have one label per point")
         self.root = int(root)
         self.dist = dist
         self.mass = mass
-        self.mark = list(mark) if mark is not None else [None] * n
 
     @classmethod
     def _built(cls, root, dist, mass, mark):

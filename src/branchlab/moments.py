@@ -31,6 +31,7 @@ __all__ = [
     "BruteForceMoments",
     "moment_bruteforce",
     "moment_m2f",
+    "moment_m2f_radii",
     "many_to_one",
     "PathFunctional",
     "BranchFunctional",
@@ -83,9 +84,10 @@ class BruteForceMoments:
     (i, j >= end[i]) are listed once, each with its meet: the ancestor
     of j one level above the shallowest vertex of [end[i], j].  Longer
     tuples chain the pair blocks of their last vertex.  Each tuple's key
-    is an integer code, mapped to its key tuple in first-seen order, and
-    its outcome's probability is added to its key one tuple at a time
-    (np.add.at) in lexicographic order, so the table's key order and
+    is an integer code, found in a sorted array of the codes seen; only
+    new codes are sorted and mapped to their key tuple, in first-seen
+    order.  Its outcome's probability is added to its key one tuple at a
+    time (np.add.at) in lexicographic order, so the table's key order and
     every float are those of filtering all vertex k-subsets in that
     order.
     """
@@ -106,23 +108,30 @@ class BruteForceMoments:
         labels = np.array(self.model.types, dtype=object)
         prob, outcome, depth, mark = self._population
         vprob = prob.astype(float)[outcome]
+        D = int(depth.max()) + 1
         slots = {}  # key -> its entry of acc, in first-seen order
         acc = np.zeros(0)
+        # the codes seen, sorted, and their slots, then a code past them all
+        seen, seen_slot = np.array([2**63 - 1]), np.array([-1])
         for group in _outcome_groups(outcome, len(prob)):
-            walk = _PlanarWalk(depth[group], mark[group], vprob[group], len(labels), k)
+            walk = _PlanarWalk(depth[group], mark[group], vprob[group], len(labels), D, k)
             for cols, code in walk.tuple_chunks():
-                _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-                order = np.argsort(first)
-                slot = np.empty(len(first), dtype=np.intp)
-                slot[order] = [
-                    slots.setdefault(key, len(slots))
-                    for key in walk.keys(cols, first[order], labels)
-                ]
-                if len(slots) > len(acc):
+                if not walk.shared:
+                    seen, seen_slot = seen[-1:], seen_slot[-1:]
+                at = np.searchsorted(seen, code)
+                new = np.flatnonzero(seen[at] != code)
+                if len(new):
+                    # the codes not seen yet, keyed in the order they first occur
+                    new = new[np.sort(np.unique(code[new], return_index=True)[1])]
+                    fresh = [slots.setdefault(key, len(slots)) for key in walk.keys(cols, new, labels)]
+                    order = np.argsort(np.append(seen, code[new]))
+                    seen = np.append(seen, code[new])[order]
+                    seen_slot = np.append(seen_slot, fresh)[order]
+                    at = np.searchsorted(seen, code)
                     acc = np.concatenate([acc, np.zeros(len(slots) - len(acc))])
                 # adds one at a time in index order: each key's float is
                 # 0.0 + p_1 + p_2 + ... over its tuples in lexicographic order
-                np.add.at(acc, slot[inv], walk.prob[cols[0]])
+                np.add.at(acc, seen_slot[at], walk.prob[cols[0]])
         tab = self._tables[k] = dict(zip(slots, acc.tolist()))
         return tab
 
@@ -163,19 +172,27 @@ class _PlanarWalk:
     enumerate_arrays's per-vertex arrays in planar order: depth, mark index
     and its outcome's float probability.
 
-    Derived per vertex: subtree end `end` (the next vertex at the same
-    depth or shallower) and outcome end `stop` (the next root).  For
-    k >= 2, per pair (i, j) with end[i] <= j < stop[i], listed by i, then
-    j: the last vertex J and the meet vertex `meet`.  Roots have depth 0,
-    so no interval crosses into the next outcome.
+    Codes take depth digits below D.  Derived for k >= 2, per vertex:
+    subtree end `end` (the next vertex at the same depth or shallower) and
+    outcome end `stop` (the next root); per pair (i, j) with end[i] <= j <
+    stop[i], listed by i, then j: the last vertex J and the meet vertex
+    `meet`.  Roots have depth 0, so no interval crosses into the next
+    outcome.
     """
 
-    def __init__(self, depth, mark, prob, nt, k):
+    def __init__(self, depth, mark, prob, nt, D, k):
         self.k = k
         self.depth = depth = depth.astype(np.int64)
         self.mark = mark = mark.astype(np.int64)
         self.prob = prob
-        n, D = len(depth), int(depth.max()) + 1
+        # the digits (depth, mark) of a vertex as one code, and a pair's radix
+        self.vcode, self.vradix, self.pradix = depth * nt + mark, D * nt, D * D * nt * nt
+        # a code names one key in every chunk of every walk with this D and
+        # nt; past int64, _tuples renumbers them chunk by chunk
+        self.shared = self.vradix * self.pradix ** (k - 1) <= 2**62
+        if k == 1:
+            return
+        n = len(depth)
         pos = np.arange(n)
         at = depth == np.arange(D)[:, None]
         # after[t, i]: the first vertex after i at depth t or shallower
@@ -184,10 +201,6 @@ class _PlanarWalk:
         after = np.concatenate([after[:, 1:], np.full((D, 1), n)], axis=1)
         self.end = after[depth, pos]
         self.stop = after[0]
-        # the digits (depth, mark) of a vertex as one code
-        self.vcode, self.vradix = depth * nt + mark, D * nt
-        if k == 1:
-            return
         self.cnt = self.stop - self.end
         self.off = np.cumsum(self.cnt) - self.cnt
         I = np.repeat(pos, self.cnt)
@@ -202,7 +215,6 @@ class _PlanarWalk:
         self.meet = w = up[low - 1, J]
         # the digits (depth j, depth w, mark j, mark w) of a pair
         self.pcode = ((depth[J] * D + depth[w]) * nt + mark[J]) * nt + mark[w]
-        self.pradix = D * D * nt * nt
 
     def tuple_chunks(self):
         """(columns, codes) of the tuples in lexicographic order, split by
@@ -227,18 +239,15 @@ class _PlanarWalk:
             a = b
 
     def _tuples(self, first):
-        cols, last = [first], first
-        code, radix = self.vcode[first], self.vradix
+        cols, last, code = [first], first, self.vcode[first]
         for _ in range(self.k - 1):
             c = self.cnt[last]
             rep = np.repeat(np.arange(len(last)), c)
             p = np.arange(len(rep)) + np.repeat(self.off[last] - np.cumsum(c) + c, c)
-            if radix * self.pradix > 2**62:
+            if not self.shared:
                 # keep codes inside int64: renumber the distinct prefixes
-                uniq, code = np.unique(code, return_inverse=True)
-                radix = len(uniq)
+                code = np.unique(code, return_inverse=True)[1]
             code = code[rep] * self.pradix + self.pcode[p]
-            radix *= self.pradix
             cols = [col[rep] for col in cols] + [p]
             last = self.J[p]
         return cols, code
@@ -268,13 +277,21 @@ def moment_m2f(model, query, kernel=None):
     Equals the brute-force value for every psi; the shape sum runs over
     leaf heights up to R, which covers the support of F.
     """
+    return moment_m2f_radii(model, query, [query.R], kernel)[0]
+
+
+def moment_m2f_radii(model, query, Rs, kernel=None):
+    """moment_m2f at query.R = R for each R in Rs, with the bits of one
+    call per R, from one shape sum over leaf heights up to max(Rs): the
+    shapes up to R are those rows, in the same order."""
     if kernel is None:
         kernel = build_kernel(model, query.psi)
     psi_x = float(kernel.psi[model.index[query.x0]])
-    total = shape_sum(
-        kernel, shape_batches(query.k, int(query.R)), query.F, query.x0
-    )
-    return psi_x * total
+    Rs = [int(R) for R in Rs]
+    if min(Rs) < 0:
+        raise ValueError("R must be nonnegative")
+    batches = shape_batches(query.k, max(Rs))
+    return [psi_x * t for t in shape_sum(kernel, batches, query.F, query.x0, radii=Rs)]
 
 
 def many_to_one(kernel, x0, n, F):

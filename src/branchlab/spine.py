@@ -312,7 +312,7 @@ def _row_values(kernel, L, B, F, i0, biased, scale):
     return out
 
 
-def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None):
+def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None, radii=None):
     """Sum over shapes of the expectation of F over their typed skeletons,
     for shapes given as batches of (N, k) integer leaf heights and (N, k-1)
     meet heights, added from 0.0 in row order.
@@ -333,12 +333,16 @@ def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None):
     rows x start types) would pass trees.SHAPE_TABLE_FLOATS floats is a
     ValueError naming n_types, k and the size; many types at k >= 3 reach
     it first, since a row has up to n_types^(2k-1) typed keys.
+    With radii, one such sum per radius over the rows with every leaf
+    height at most it, from one evaluation of each row.
     """
     i0 = kernel.model.index[x0]
-    total = 0.0
+    totals = np.zeros(1 if radii is None else len(radii))
     for L, B in batches:
         if len(L):
-            for v in _row_values(kernel, L, B, F, i0, with_bias, scale).tolist():
-                total += v
-    return total
-
+            vals = _row_values(kernel, L, B, F, i0, with_bias, scale)
+            keep = [...] if radii is None else [L.max(axis=1) <= R for R in radii]
+            for i, rows in enumerate(keep):
+                # a running sum adds one row at a time, in row order
+                totals[i] = np.concatenate([totals[i : i + 1], vals[rows]]).cumsum()[-1]
+    return float(totals[0]) if radii is None else totals.tolist()

@@ -245,6 +245,29 @@ class TestConfigIntegers:
         assert err.startswith("config error:") and repr(key) in err
 
     @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("verify-m2f", {"Rs": [2, -1]}, "Rs"),
+            ("verify-m2f", {"ks": [2, 0]}, "ks"),
+            ("survival", {"n_values": [0, 10]}, "n_values"),
+            ("convergence", {"x0": "a", "k": 1, "n_values": [4], "kolmogorov_ns": [8, 0]}, "kolmogorov_ns"),
+        ],
+    )
+    def test_counts_below_their_least_rejected_by_name(
+        self, capsys, monkeypatch, tmp_path, command, payload, key
+    ):
+        # refused before any enumeration or eigenpair runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past the config check")
+
+        monkeypatch.setattr(cli.moments, "BruteForceMoments", refuse)
+        monkeypatch.setattr(process, "eigenpair", refuse)
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(tmp_path, "c.json", {"model": "m.json", **payload})
+        rc, out, err = run(capsys, command, "--config", str(cfg))
+        only_config_error(rc, out, err, repr(key), "must be at least")
+
+    @pytest.mark.parametrize(
         "payload, key",
         [({"k": 2, "n_samples": 10.5}, "n_samples"), ({"k": 2, "n_inner": "8"}, "n_inner")],
     )
@@ -526,6 +549,30 @@ class TestVerify:
         cfg = write_config(tmp_path, "c.json", {"model": "m.json", key: []})
         rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", fmt)
         only_config_error(rc, out, err, repr(key), "empty")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unsorted_repeated_radii_golden_bytes(self, capsys, tmp_path, fmt):
+        # recorded before one shape sum per (k, psi) served every R: the
+        # float model of the conftest, ks and Rs unsorted, Rs repeated and 0
+        nondyadic = {
+            "A": [(0.3, ("A", "B")), (0.2, ("B",)), (0.5, ())],
+            "B": [(1 / 3, ("A", "A")), (2 / 3, ())],
+        }
+        write_model(tmp_path, "m.json", ["A", "B"], nondyadic)
+        cfg = write_config(
+            tmp_path,
+            "v.json",
+            {
+                "model": "m.json",
+                "x0": "B",
+                "ks": [3, 1, 2],
+                "Rs": [3, 0, 2, 2, 1],
+                "functional": {"name": "count", "weights": {"A": 0.7, "B": 1.3}},
+            },
+        )
+        rc, out, _ = run(capsys, "verify-m2f", "--config", str(cfg), "--format", fmt)
+        assert rc == 0
+        assert mask_git(out) == mask_git((GOLDEN_DIR / f"verify_radii.{fmt}").read_text())
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_enumeration_past_the_cap_is_an_error(self, capsys, tmp_path, fmt):

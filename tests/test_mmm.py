@@ -85,6 +85,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             FiniteMmmSpace(2, [[0]], [1])
 
+    @pytest.mark.parametrize("mark", [["a"], ["a", "b", "c"], []])
+    def test_mark_length_checked(self, mark):
+        with pytest.raises(ValueError, match="one label per point"):
+            FiniteMmmSpace(0, [[0, 1], [1, 0]], [1, 1], mark=mark)
+
 
 class TestConstructors:
     def test_cherry_space(self):

@@ -84,6 +84,27 @@ class TestShapeSumVsEnumeration:
         v3 = moment_m2f(binary, MomentQuery(k=2, x0="a", F=F, R=3))
         assert v1 == v3
 
+    @pytest.mark.parametrize("name", ["binary", "symmetric", "asymmetric", "subcritical", "nondyadic"])
+    def test_radii_match_one_call_per_radius(self, request, name):
+        # unsorted, repeated and zero radii; a plain and a batched F
+        model = request.getfixturevalue(name)
+        Rs = [3, 0, 2, 2, 1]
+        weighted = build_functional({"name": "count", "weights": {model.types[0]: 0.7}}, model)
+        nonzero = 0
+        for k, psi, F in itertools.product((1, 2, 3), ("unit", "harmonic"), (typed_F, weighted)):
+            kernel = build_kernel(model, psi)
+            q = MomentQuery(k=k, x0=model.types[-1], F=F, R=max(Rs), psi=psi)
+            got = moments.moment_m2f_radii(model, q, Rs, kernel)
+            want = [moment_m2f(model, MomentQuery(k, q.x0, F, R, psi), kernel) for R in Rs]
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (k, psi)
+            nonzero += sum(v != 0.0 for v in got)
+        assert nonzero >= 20
+
+    def test_negative_radius_refused(self, binary):
+        q = MomentQuery(k=2, x0="a", F=count_F, R=2)
+        with pytest.raises(ValueError, match="R must be nonnegative"):
+            moments.moment_m2f_radii(binary, q, [2, -1])
+
     def test_horizon_guard(self, binary):
         bf = BruteForceMoments(binary, "a", horizon=2)
         with pytest.raises(ValueError):
