@@ -447,11 +447,11 @@ def cmd_moments(args):
         required=("model", "x0", "k", "R"),
         optional=("psi", "functional", "route", "cap"),
     )
+    k = _cfg_int(cfg, "k", least=1)
+    R = _cfg_int(cfg, "R", least=0)
+    cap = _cfg_int(cfg, "cap", process.OUTCOME_CAP)
     model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model)
-    k = _cfg_int(cfg, "k")
-    R = _cfg_int(cfg, "R")
-    cap = _cfg_int(cfg, "cap", process.OUTCOME_CAP)
     psi = cfg.get("psi", "unit")
     routes = cfg.get("route", "both")
     if routes == "both":
@@ -497,11 +497,11 @@ def cmd_convergence(args):
         required=("model", "x0", "k", "n_values"),
         optional=("mode", "R", "functional", "kolmogorov_ns", "grid_step"),
     )
+    k = _cfg_int(cfg, "k", least=1)
+    n_values = _cfg_int(cfg, "n_values", many=True, least=1)
+    kolmogorov_ns = tuple(_cfg_int(cfg, "kolmogorov_ns", (), many=True, least=1))
     model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model)
-    k = _cfg_int(cfg, "k")
-    n_values = _cfg_int(cfg, "n_values", many=True)
-    kolmogorov_ns = tuple(_cfg_int(cfg, "kolmogorov_ns", (), many=True, least=1))
     F = build_functional(
         cfg.get("functional", {"name": "height_indicator", "r": 1.0}), model, k=k
     )

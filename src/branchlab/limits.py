@@ -21,7 +21,7 @@ import numpy as np
 from . import moments, spine
 from .mmm import phi_values
 from .process import _extinction_curve, eigenpair, is_critical, sigma_squared
-from .trees import _expand_meets, _per_row, meet_distances, shape_values
+from .trees import _expand_meets, _per_row, fold, meet_distances, shape_values
 
 __all__ = [
     "lambda_k_integral",
@@ -75,12 +75,6 @@ def _midpoint_grid(mids, dim):
     return grid.reshape(-1, dim)
 
 
-def _grid_total(f, L, B):
-    # builtin sum over Python floats in index order, as a per-point loop
-    # would add them
-    return sum(map(float, _per_row(f, L, B))) if len(L) else 0.0
-
-
 def lambda_k_integral(
     k,
     f,
@@ -125,7 +119,7 @@ def lambda_k_integral(
         I = np.indices((n_cells,) * k).reshape(k, -1).T
         L, B = _expand_meets(mids[I], below[np.minimum(I[:, :-1], I[:, 1:])])
         cell = (R / n_cells) ** dim
-        return cell * _grid_total(f, L, mids[B]), 0.0
+        return cell * fold(_per_row(f, L, mids[B])), 0.0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -155,7 +149,7 @@ def lambda_tilde_k_integral(
         _check_grid(n_cells, dim)
         B = _midpoint_grid((np.arange(n_cells) + 0.5) / n_cells, dim)
         ones = np.broadcast_to(np.ones(k), (len(B), k))
-        return _grid_total(f, ones, B) / n_cells**dim, 0.0
+        return fold(_per_row(f, ones, B)) / n_cells**dim, 0.0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -222,14 +216,12 @@ def _symmetrized_integrand(query):
             n = len(out[chunk])
             root = np.zeros((n, 1))  # height 0, meets leaf 1 at 0
             D = meet_distances(np.hstack([root, L[chunk]]), np.hstack([root, B[chunk]]))
-            # every point gets p * phi added from 0.0, leaf order by leaf
-            # order and mark tuple by mark tuple, as a per-point loop would
-            acc = np.zeros(n)
-            for perm in perms:
-                Dp = D[:, perm[:, None], perm]
-                for mk, p in marks:
-                    acc += p * phi_values(query.phi, Dp, [mk] * n)
-            out[chunk] = acc
+            # leaf order by leaf order, mark tuple by mark tuple
+            out[chunk] = fold(
+                p * phi_values(query.phi, Dp, [mk] * n)
+                for Dp in (D[:, perm[:, None], perm] for perm in perms)
+                for mk, p in marks
+            )
         return out
 
     return g
@@ -395,11 +387,7 @@ def _comb_chunk(query, rng, a, n_inner, most):
     D[:, 0, 1:] = D[:, 1:, 0] = 1.0
     D[:, I + 1, J + 1] = D[:, J + 1, I + 1] = d.reshape(m * n_inner, len(I))
     vals = phi_values(query.phi, D, mks).reshape(m, n_inner)
-    # inner values summed one index at a time, as a scalar acc += would
-    acc = np.zeros(m)
-    for t in range(n_inner):
-        acc += vals[:, t]
-    return np.array(scales) * (acc / n_inner)
+    return np.array(scales) * (fold(vals.T) / n_inner)
 
 
 def cpp_monomial_mc(query, n_samples=100_000, eps=1e-3, n_inner=8, rng=None):
@@ -555,16 +543,13 @@ def kolmogorov_rows(model, n_values, x0, eig, sig2):
 
 
 def _mark_average(F, types):
-    """Batched integrand: F summed over leaf-type tuples with their
-    probabilities, adding p * F from 0.0 in the order of types.  Each
-    tuple is evaluated on its own by trees.shape_values, so memory holds
-    a few arrays over the grid points at a time, not one per tuple."""
+    """Batched integrand: p * F folded over the leaf-type tuples of types,
+    in order.  Each tuple is evaluated on its own by trees.shape_values, so
+    memory holds a few arrays over the grid points at a time, not one per
+    tuple."""
 
     def mark_avg(L, B):
-        total = 0.0
-        for lt, p in types:
-            total += p * shape_values(F, L, B, [(lt, None)])[0]
-        return total
+        return fold(p * shape_values(F, L, B, [(lt, None)])[0] for lt, p in types)
 
     return mark_avg
 

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .trees import _per_row, meet_distances
+from .trees import _per_row, fold, meet_distances
 
 __all__ = [
     "FiniteMmmSpace",
@@ -251,11 +251,8 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
             for a in range(1, k):
                 w = w * mass[ids[:, a]]
             D = _tuple_matrices(dist, root, ids)
-            terms = w * phi_values(phi, D, _mark_tuples(mark, ids))
-            # add.accumulate is sequential: the bits of adding the terms
-            # one by one to the running total
-            total = np.cumsum(np.concatenate([[total], terms]))[-1]
-        return float(total), 0.0
+            total = fold(w * phi_values(phi, D, _mark_tuples(mark, ids)), total)
+        return total, 0.0
 
     if n_sub < 2:
         raise ValueError(f"n_sub must be at least 2, got {n_sub!r}")

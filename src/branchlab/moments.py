@@ -24,7 +24,7 @@ import numpy as np
 
 from .process import OUTCOME_CAP, enumerate_arrays
 from .spine import build_kernel, shape_sum
-from .trees import product_batches, shape_batches, shape_values
+from .trees import fold, product_batches, shape_batches, shape_values
 
 __all__ = [
     "MomentQuery",
@@ -136,8 +136,8 @@ class BruteForceMoments:
         return tab
 
     def moment(self, k, F, R):
-        """The sum of w * F over the table rows with leaf heights <= R, from
-        0.0 in table order; one shape_values call evaluates F on the rows'
+        """The fold of w * F over the table rows with leaf heights <= R, in
+        table order; one shape_values call evaluates F on the rows'
         distinct shapes, each row's (key, shape) entry wanted once."""
         if R > self.horizon:
             raise ValueError("support radius exceeds the enumeration horizon")
@@ -150,10 +150,7 @@ class BruteForceMoments:
         live = np.zeros((len(slots), len(shapes)), dtype=bool)
         live[j, r] = True
         vals = np.array(shape_values(F, L, B, list(slots), live)).reshape(live.shape)[j, r]
-        total = 0.0
-        for (_, w), v in zip(rows, vals.tolist()):
-            total += w * v
-        return total
+        return fold(np.array([w for _, w in rows]) * vals)
 
 
 def _outcome_groups(outcome, n):

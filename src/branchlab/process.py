@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import PlanarTree
+from .trees import PlanarTree, fold
 
 __all__ = [
     "Model",
@@ -437,16 +437,16 @@ def sigma_squared(model, eig=None):
     """Branching variance sum_x pi(x) E_x[sum over ordered child pairs of h(c_i) h(c_j)]."""
     if eig is None:
         eig = eigenpair(model)
-    total = 0.0
-    for i, x in enumerate(model.types):
-        acc = 0.0
-        for p, cs in model.offspring[x]:
-            hs = [float(eig.h[model.index[c]]) for c in cs]
-            s1 = sum(hs)
-            s2 = sum(v * v for v in hs)
-            acc += float(p) * (s1 * s1 - s2)
-        total += float(eig.pi[i]) * acc
-    return total
+
+    def pairs(cs):
+        hs = [float(eig.h[model.index[c]]) for c in cs]
+        s1 = fold(hs)
+        return s1 * s1 - fold(v * v for v in hs)
+
+    return fold(
+        float(eig.pi[i]) * fold(float(p) * pairs(cs) for p, cs in model.offspring[x])
+        for i, x in enumerate(model.types)
+    )
 
 
 def _extinction_curve(model, n_values):
@@ -459,7 +459,7 @@ def _extinction_curve(model, n_values):
         out[0] = dict(s)
     for n in range(1, max(want, default=0) + 1):
         s = {
-            x: sum(
+            x: fold(
                 float(p) * math.prod(s[c] for c in cs)
                 for p, cs in model.offspring[x]
             )

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .process import eigenpair
-from .trees import SHAPE_TABLE_FLOATS, shape_values
+from .trees import SHAPE_TABLE_FLOATS, fold, shape_values
 
 __all__ = [
     "SpineKernel",
@@ -68,7 +68,7 @@ class SpineKernel:
         m[0] = 1.0
         for i, x in enumerate(model.types):
             for d in range(1, dmax + 1):
-                m[d, i] = sum(
+                m[d, i] = fold(
                     float(p)
                     * math.factorial(d)
                     * elementary_symmetric(
@@ -282,7 +282,7 @@ def _key_count(kernel, pattern):
 
 def _row_values(kernel, L, B, F, i0, biased, scale):
     """Expectation of F over the typed skeletons of every row's shape: per
-    row, the sum over typed keys in key order of w * F, skipping keys of
+    row, the fold over typed keys in key order of w * F, skipping keys of
     weight zero.
 
     F sees heights times `scale` (unscaled when None), through
@@ -305,17 +305,14 @@ def _row_values(kernel, L, B, F, i0, biased, scale):
         vals = shape_values(F, Lf[rows], Bf[rows], keys, live)
         with np.errstate(invalid="ignore", over="ignore"):
             terms = np.where(live, W * vals, 0.0)
-        # each row's terms added in key order; the + 0.0 makes the sum one
-        # started from 0.0, which no term turns into -0.0, so the zeros of
-        # skipped keys change no bit
-        out[rows] = terms.cumsum(axis=0)[-1] + 0.0
+        out[rows] = fold(terms)
     return out
 
 
 def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None, radii=None):
     """Sum over shapes of the expectation of F over their typed skeletons,
     for shapes given as batches of (N, k) integer leaf heights and (N, k-1)
-    meet heights, added from 0.0 in row order.
+    meet heights, folded (trees.fold) in row order.
 
     F is called as F(shape, leaf_types, branch_types) with type labels in
     planar order; branch_types[i] is the type at the meet of leaves i and
@@ -343,6 +340,5 @@ def shape_sum(kernel, batches, F, x0, with_bias=True, scale=None, radii=None):
             vals = _row_values(kernel, L, B, F, i0, with_bias, scale)
             keep = [...] if radii is None else [L.max(axis=1) <= R for R in radii]
             for i, rows in enumerate(keep):
-                # a running sum adds one row at a time, in row order
-                totals[i] = np.concatenate([totals[i : i + 1], vals[rows]]).cumsum()[-1]
+                totals[i] = fold(vals[rows], totals[i])
     return float(totals[0]) if radii is None else totals.tolist()

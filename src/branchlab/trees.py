@@ -13,7 +13,9 @@ i+1.  Such a pair comes from a tree exactly when b[i] < min(l[i], l[i+1]),
 and the correspondence is a bijection.
 """
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "count_deficient_tuples",
     "generate_trees",
     "tree_to_string",
+    "fold",
 ]
 
 
@@ -161,6 +164,23 @@ class TreeShape:
             isinstance(x, (int, np.integer))
             for x in self.leaf_heights + self.branch_heights
         )
+
+
+def fold(values, start=0.0):
+    """The left fold start + v0 + v1 + ... over the first axis of values.
+
+    This is the package's one summation rule: every sum whose bits reach an
+    output adds its terms one at a time, in a fixed order, through here.  An
+    ndarray is folded by a sequential cumsum seeded with start (np.sum adds
+    pairwise), giving one float per column; any other iterable by a plain
+    left reduce (builtin sum compensates from Python 3.12 on).  A fold from
+    0.0 never ends in -0.0, so terms of -0.0 change no bit.
+    """
+    if isinstance(values, np.ndarray):
+        acc = np.concatenate([np.full((1,) + values.shape[1:], start), values])
+        total = np.cumsum(acc, axis=0, out=acc)[-1]
+        return float(total) if total.ndim == 0 else total
+    return functools.reduce(operator.add, values, start)
 
 
 def _per_row(f, L, *args):

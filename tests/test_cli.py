@@ -647,6 +647,15 @@ class TestMoments:
         )
         only_config_error(*run(capsys, "moments", "--config", str(cfg)), "unknown route 'bogus'")
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [({"k": 0}, "config key 'k' must be at least 1, got 0"), ({"R": -1}, "config key 'R' must be at least 0, got -1")],
+    )
+    def test_bad_k_or_R_is_a_config_error(self, capsys, tmp_path, payload, message):
+        # the model file does not exist: k and R are checked before it loads
+        cfg = write_config(tmp_path, "c.json", {"model": "missing.json", "x0": "a", "k": 2, "R": 3, **payload})
+        only_config_error(*run(capsys, "moments", "--config", str(cfg)), message)
+
     def test_bruteforce_past_the_cap_refused_before_enumerating(self, capsys, tmp_path):
         # the exact count of generation 5 shows it was counted, not enumerated
         cfg = write_config(
@@ -721,8 +730,8 @@ class TestConvergence:
             ({"grid_step": -0.5}, "error:"),
             ({"grid_step": "0.05"}, "config error:"),
             ({"grid_step": None}, "config error:"),
-            ({"n_values": [4, 0]}, "error:"),
-            ({"n_values": [-2]}, "error:"),
+            ({"n_values": [4, 0]}, "config error:"),
+            ({"n_values": [-2]}, "config error:"),
         ],
     )
     def test_bad_grid_step_or_n_exits_1(self, capsys, tmp_path, payload, prefix):
@@ -736,16 +745,21 @@ class TestConvergence:
             rc, out, err = run(capsys, "convergence", "--config", str(cfg))
             assert rc == 1 and out == ""
             assert err.startswith(prefix) and err.count("\n") == 1
-            assert ("grid_step" if "grid_step" in payload else "n must be at least 1") in err
+            want = "grid_step" if "grid_step" in payload else "config key 'n_values' entries must be at least 1"
+            assert want in err
 
     @pytest.mark.parametrize(
         "config, payload, message",
         [
-            ("convergence_subcritical.json", {"mode": "diagonal"}, "unknown mode 'diagonal'"),
-            ("convergence_binary_k2.json", {"mode": "diagonal"}, "unknown mode 'diagonal'"),
-            ("convergence_binary_k2.json", {"k": 0}, "k must be at least 1"),
-            ("convergence_sym_ultra.json", {"k": 0, "functional": {"name": "count"}}, "k must be at least 1"),
-            ("convergence_subcritical.json", {"k": 0}, "k must be at least 1"),
+            ("convergence_subcritical.json", {"mode": "diagonal"}, "error: unknown mode 'diagonal'"),
+            ("convergence_binary_k2.json", {"mode": "diagonal"}, "error: unknown mode 'diagonal'"),
+            ("convergence_binary_k2.json", {"k": 0}, "config error: config key 'k' must be at least 1"),
+            (
+                "convergence_sym_ultra.json",
+                {"k": 0, "functional": {"name": "count"}},
+                "config error: config key 'k' must be at least 1",
+            ),
+            ("convergence_subcritical.json", {"k": 0}, "config error: config key 'k' must be at least 1"),
         ],
     )
     def test_bad_mode_or_k_exits_1(self, capsys, tmp_path, config, payload, message):
@@ -755,7 +769,7 @@ class TestConvergence:
         rc, out, err = run(capsys, "convergence", "--config", str(path))
         assert rc == 1 and out == ""
         # one line: rejected before eigenpair, so no criticality warning
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "raw, prefix, message",

@@ -42,6 +42,26 @@ class TestShapeIntegrals:
         assert err == 0.0
         assert abs(val - 1 / 3) <= 5e-3
 
+    def test_grid_total_is_the_left_fold_of_its_values(self, asymmetric):
+        # builtin sum compensates from Python 3.12 on, and on these values
+        # it ends in other bits (0x1.6976666666666p+10) than this loop
+        spec = {"name": "height_indicator", "r": 0.9, "weights": {"A": 0.7, "B": 1.3}}
+        F = build_functional(spec, asymmetric, k=2)
+        eig = eigenpair(asymmetric)
+        pi = {x: float(eig.pi[i]) for i, x in enumerate(asymmetric.types)}
+        f = limits._mark_average(F, limits._type_tuples(asymmetric.types, pi, 2))
+        seen = []
+
+        def g(L, B):
+            seen.append(_per_row(f, L, B))
+            return seen[-1]
+
+        got, _ = lambda_k_integral(2, g, method="grid", grid_step=0.05)
+        total = _left_sum(seen[0].tolist())
+        assert len(seen[0]) == 2470
+        assert total.hex() == "0x1.6976666666558p+10"
+        assert got.hex() == ((1.0 / 20) ** 3 * total).hex()
+
     def test_huge_grids_rejected(self):
         with pytest.raises(ValueError, match="grid_step"):
             lambda_k_integral(3, ones_f, method="grid", grid_step=0.02)
@@ -712,6 +732,15 @@ class TestReports:
 # the batched integrators must reproduce their float bits.
 
 
+def _left_sum(values):
+    # the seed's builtin sum as it adds on Python 3.10 and 3.11; from 3.12
+    # on builtin sum compensates
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _reference_lambda_k(k, f, R=1.0, method="mc", n_samples=100_000, grid_step=0.01, rng=None):
     dim = 2 * k - 1
     if method == "mc":
@@ -732,7 +761,7 @@ def _reference_lambda_k(k, f, R=1.0, method="mc", n_samples=100_000, grid_step=0
     B = pts[:, k:]
     ok = np.all(B < np.minimum(L[:, :-1], L[:, 1:]), axis=1)
     cell = (R / n_cells) ** dim
-    return cell * sum(float(f(L[i], B[i])) for i in np.flatnonzero(ok)), 0.0
+    return cell * _left_sum(float(f(L[i], B[i])) for i in np.flatnonzero(ok)), 0.0
 
 
 def _reference_lambda_tilde(k, f, method="mc", n_samples=100_000, grid_step=0.001, rng=None):
@@ -749,7 +778,7 @@ def _reference_lambda_tilde(k, f, method="mc", n_samples=100_000, grid_step=0.00
     mids = (np.arange(n_cells) + 0.5) / n_cells
     axes = np.meshgrid(*([mids] * dim), indexing="ij")
     B = np.stack([a.reshape(-1) for a in axes], axis=1)
-    return sum(float(f(ones, B[i])) for i in range(B.shape[0])) / n_cells**dim, 0.0
+    return _left_sum(float(f(ones, B[i])) for i in range(B.shape[0])) / n_cells**dim, 0.0
 
 
 def _reference_symmetrized(query):
@@ -1087,7 +1116,7 @@ def _seed_midpoint_grid(mids, dim):
 
 
 def _seed_grid_total(f, L, B):
-    return sum(map(float, _per_row(f, L, B))) if len(L) else 0.0
+    return _left_sum(map(float, _per_row(f, L, B))) if len(L) else 0.0
 
 
 def seed_lambda_k_integral(k, f, R=1.0, grid_step=0.01):

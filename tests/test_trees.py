@@ -17,6 +17,7 @@ from branchlab.trees import (
     decode_heights,
     distance_matrix,
     encode_heights,
+    fold,
     generate_trees,
     is_ancestor,
     meet,
@@ -127,6 +128,47 @@ class TestBasics:
         assert t.leaf_heights == (1.0, 1.5)
         assert not t.is_discrete
         assert TreeShape((2, 3), (1,)).is_discrete
+
+
+class TestFold:
+    # builtin sum compensates from Python 3.12 on; fold never does
+    def test_tenths_fold_below_one(self):
+        assert fold([0.1] * 10).hex() == "0x1.fffffffffffffp-1"
+        assert fold(np.full(10, 0.1)).hex() == "0x1.fffffffffffffp-1"
+
+    def test_cancellation_loses_the_small_term(self):
+        assert fold([1e16, 1.0, -1e16]) == 0.0
+        assert fold(np.array([1e16, 1.0, -1e16])) == 0.0
+
+    def test_negative_zero_folds_to_positive_zero(self):
+        assert not np.signbit(fold([-0.0]))
+        assert not np.signbit(fold(np.array([-0.0, -0.0])))
+        assert np.signbit(fold(np.array([[-0.0, -1.0]]))).tolist() == [False, True]
+
+    def test_start_is_the_first_term(self):
+        assert fold([1.0, -1e16], 1e16).hex() == fold([1e16, 1.0, -1e16]).hex()
+        assert fold(np.array([1.0, -1e16]), 1e16) == 0.0
+        assert fold([], 2.5) == fold(np.array([]), 2.5) == 2.5
+
+    def test_columns_fold_separately_in_row_order(self):
+        a = np.array([[1e16, 0.1], [1.0, 0.1], [-1e16, 0.1]])
+        got = fold(a)
+        assert got.shape == (2,)
+        assert got[0] == 0.0 and got[1].hex() == (0.1 + 0.1 + 0.1).hex()
+        assert fold(a, np.array([1.0, 0.0]))[0] == 0.0
+        assert fold(np.zeros((0, 3)), 1.5).tolist() == [1.5] * 3
+
+    def test_generator_is_folded_left(self):
+        assert fold(x / 10 for x in [1] * 10).hex() == "0x1.fffffffffffffp-1"
+        vecs = (np.array([v, 1.0]) for v in [1e16, 1.0, -1e16])
+        assert fold(vecs).tolist() == [0.0, 3.0]
+
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=30))
+    def test_fold_is_the_plain_loop(self, values):
+        total = 0.0
+        for v in values:
+            total += v
+        assert fold(values).hex() == fold(np.array(values, dtype=float)).hex() == total.hex()
 
 
 class TestHeightEncoding:
