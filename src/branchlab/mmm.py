@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .trees import _per_row, fold, meet_distances
+from .trees import _per_row, fold, meet_distances, product_batches
 
 __all__ = [
     "FiniteMmmSpace",
@@ -241,12 +241,9 @@ def monomial(space, k, phi, cap=2_000_000, n_sub=64, rng=None):
 
     if ns**k <= cap:
         total = 0.0
-        # tuples in product order, chunk by chunk: digit a of flat index f
-        # picks support[(f // ns^(k-1-a)) % ns]
-        radix = ns ** np.arange(k - 1, -1, -1)
-        for s in range(0, ns**k, _MONOMIAL_CHUNK):
-            flat = np.arange(s, min(s + _MONOMIAL_CHUNK, ns**k))
-            ids = support[(flat[:, None] // radix) % ns]
+        # tuples in product order, chunk by chunk
+        for t in product_batches(0, ns, k, _MONOMIAL_CHUNK):
+            ids = support[t]
             w = mass[ids[:, 0]]
             for a in range(1, k):
                 w = w * mass[ids[:, a]]

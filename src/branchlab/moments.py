@@ -139,6 +139,7 @@ class BruteForceMoments:
         """The fold of w * F over the table rows with leaf heights <= R, in
         table order; one shape_values call evaluates F on the rows'
         distinct shapes, each row's (key, shape) entry wanted once."""
+        _check_radius(R)
         if R > self.horizon:
             raise ValueError("support radius exceeds the enumeration horizon")
         rows = [(key, w) for key, w in self.table(k).items() if max(key[0]) <= R]
@@ -151,6 +152,12 @@ class BruteForceMoments:
         live[j, r] = True
         vals = np.array(shape_values(F, L, B, list(slots), live)).reshape(live.shape)[j, r]
         return fold(np.array([w for _, w in rows]) * vals)
+
+
+def _check_radius(R):
+    """The one refusal of a negative support radius, for every route."""
+    if R < 0:
+        raise ValueError("R must be nonnegative")
 
 
 def _outcome_groups(outcome, n):
@@ -264,8 +271,9 @@ class _PlanarWalk:
 
 def moment_bruteforce(model, query, cap=OUTCOME_CAP):
     """k-point moment via full population enumeration to horizon R (the reference route)."""
-    bf = BruteForceMoments(model, query.x0, int(query.R), cap=cap)
-    return bf.moment(query.k, query.F, int(query.R))
+    R = int(query.R)
+    _check_radius(R)
+    return BruteForceMoments(model, query.x0, R, cap=cap).moment(query.k, query.F, R)
 
 
 def moment_m2f(model, query, kernel=None):
@@ -285,8 +293,7 @@ def moment_m2f_radii(model, query, Rs, kernel=None):
         kernel = build_kernel(model, query.psi)
     psi_x = float(kernel.psi[model.index[query.x0]])
     Rs = [int(R) for R in Rs]
-    if min(Rs) < 0:
-        raise ValueError("R must be nonnegative")
+    _check_radius(min(Rs))
     batches = shape_batches(query.k, max(Rs))
     return [psi_x * t for t in shape_sum(kernel, batches, query.F, query.x0, radii=Rs)]
 

@@ -194,6 +194,14 @@ class Eigenpair:
 _SIMULATE_VERTEX_LIMIT = 10**5
 
 
+def _check_start(model, x0, n_gen):
+    """ValueError for a negative n_gen or an x0 that is not a model type."""
+    if n_gen < 0:
+        raise ValueError(f"n_gen must be nonnegative, got {n_gen!r}")
+    if x0 not in model.types:
+        raise ValueError(f"unknown start type {x0!r}")
+
+
 def simulate(model, x0, n_gen, rng=None):
     """Sample a population tree run for n_gen generations from one x0 ancestor.
 
@@ -206,10 +214,7 @@ def simulate(model, x0, n_gen, rng=None):
     negative n_gen or an unknown x0, and as soon as a generation takes the
     tree past _SIMULATE_VERTEX_LIMIT vertices.
     """
-    if n_gen < 0:
-        raise ValueError(f"n_gen must be nonnegative, got {n_gen!r}")
-    if x0 not in model.types:
-        raise ValueError(f"unknown start type {x0!r}")
+    _check_start(model, x0, n_gen)
     rng = np.random.default_rng(rng)
     draws = model._draws
     degrees = {}
@@ -253,8 +258,9 @@ def enumerate_arrays(model, x0, n_gen, cap=OUTCOME_CAP):
     puts the children right after their frontier parent.  Raises
     ValueError first when a generation has more than `cap` outcomes, or
     when the vertex arrays of all generations would hold more than
-    _ENUMERATE_VERTEX_LIMIT entries.
+    _ENUMERATE_VERTEX_LIMIT entries; refuses n_gen and x0 as simulate does.
     """
+    _check_start(model, x0, n_gen)
     _check_outcome_count(model, x0, n_gen, cap)
     atoms = [a for x in model.types for a in model.offspring[x]]
     exact = not all(isinstance(p, float) for p, _ in atoms)
@@ -428,9 +434,12 @@ def eigenpair(model):
     return eig
 
 
-def is_critical(eig, tol=1e-9):
-    """Whether the Perron root of an eigenpair is within tol of one."""
-    return abs(eig.perron - 1.0) <= tol
+CRITICAL_TOL = 1e-9  # the one criticality threshold, read through is_critical
+
+
+def is_critical(eig):
+    """Whether the Perron root of an eigenpair is within CRITICAL_TOL of one."""
+    return abs(eig.perron - 1.0) <= CRITICAL_TOL
 
 
 def sigma_squared(model, eig=None):

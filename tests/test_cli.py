@@ -72,6 +72,31 @@ class TestModelCheck:
         assert rc == 2
         assert json.loads(out)["critical"] is False
 
+    def test_near_critical_agrees_with_convergence(self, capsys, tmp_path):
+        # Perron root 1.0000001: off criticality for every command, one test
+        near = {"a": [(0.49999995, ()), (0.50000005, ("a", "a"))]}
+        write_model(tmp_path, "m.json", ["a"], near)
+        warning = "warning: model is not critical: perron root 1.0000001\n"
+        cfg = write_config(tmp_path, "check.json", {"model": "m.json"})
+        rc, out, err = run(capsys, "model-check", "--config", str(cfg))
+        assert rc == 2 and err == warning
+        data = json.loads(out)
+        assert data["critical"] is False and data["perron"] == 1.0000001
+        cfg = write_config(
+            tmp_path, "conv.json", {"model": "m.json", "x0": "a", "k": 2, "n_values": [4, 8]}
+        )
+        rc, out, err = run(capsys, "convergence", "--config", str(cfg))
+        assert rc == 0 and err == warning
+        meta, rows = read_csv_rows_from_text(out)
+        assert meta["critical"] == "false"
+        assert rows and all(r["limit"] is None for r in rows)
+
+    def test_tol_is_an_unknown_key(self, capsys, tmp_path):
+        # there is one criticality threshold; a config that sets its own fails
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        cfg = write_config(tmp_path, "check.json", {"model": "m.json", "tol": 1e-6})
+        only_config_error(*run(capsys, "model-check", "--config", str(cfg)), "unknown config keys: ['tol']")
+
     def _periodic_config(self, tmp_path):
         write_model(
             tmp_path,
@@ -336,14 +361,13 @@ class TestConfigFloats:
                 "r",
             ),
             ("verify-m2f", lambda v: {"functional": {"name": "count", "weights": {"a": v}}}, "weights"),
-            ("model-check", lambda v: {"tol": v}, "tol"),
             ("verify-m2f", lambda v: {"tol": v}, "tol"),
             ("cpp", lambda v: {"k": 2, "phi": {"name": "pair_indicator", "r": v}}, "r"),
             ("cpp", lambda v: {"k": 1, "sigma_sq": v}, "sigma_sq"),
             ("cpp", lambda v: {"k": 1, "eps": v}, "eps"),
             ("cpp", lambda v: {"k": 1, "z_max": v}, "z_max"),
         ],
-        ids=["functional-r", "pair-r", "weights", "model-check-tol", "verify-tol",
+        ids=["functional-r", "pair-r", "weights", "verify-tol",
              "phi-r", "sigma_sq", "eps", "z_max"],
     )
     def test_non_number_rejected_by_name(self, capsys, tmp_path, command, payload, key, bad):
@@ -585,6 +609,16 @@ class TestVerify:
             "error: enumeration would exceed cap=200000: generation 5 has 458330 "
             "outcomes; raise the cap or lower the horizon\n"
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_psi_fails_before_enumeration(self, capsys, tmp_path, fmt):
+        # the kernels are built first: past the cap the bad name is reported,
+        # not the cap, and brute force never runs
+        model = str(Path(CONFIG_DIR, "binary_gw.json").resolve())
+        cfg = write_config(tmp_path, "c.json", {"model": model, "Rs": [5], "psis": ["bogus"]})
+        rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", fmt)
+        assert rc == 1 and out == ""
+        assert err == "error: unknown weight preset 'bogus'\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", ["binary", "two_type", "asymmetric_weighted"])
@@ -886,6 +920,39 @@ class TestComb:
         assert abs(data["formula"] - 0.5) <= 1e-12
         assert abs(data["z"]) <= 3.0
 
+    @pytest.mark.parametrize("sigma_sq", [1.0, 1.3, 0.7])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_phi_blind_to_the_comb_is_exact(self, capsys, tmp_path, k, sigma_sq):
+        # the default phi is one on every comb: the size-biased length makes
+        # every sample (sigma^2/2)^k k!, so the estimate is exact, the
+        # stderr 0 and z 0, where a 0/0 used to read as infinite
+        cfg = write_config(
+            tmp_path, "cpp.json", {"k": k, "sigma_sq": sigma_sq, "n_samples": 50, "eps": 0.5, "grid_step": 0.02}
+        )
+        rc, out, _ = run(capsys, "cpp", "--config", str(cfg), "--seed", "0")
+        data = json.loads(out)
+        assert rc == 0 and data["stderr"] == 0.0 and data["z"] == 0.0
+        assert data["estimate"] == (sigma_sq / 2.0) ** k * math.factorial(k) == data["formula"]
+
+    @pytest.mark.parametrize("name", ["cpp_pair", "cpp_marks_k3"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_estimate_is_the_library_estimate(self, capsys, name, seed):
+        # one stream seeded by --seed, through limits.cpp_monomial_mc
+        cfg = json.loads(Path(CONFIG_DIR, f"{name}.json").read_text())
+        rc, out, _ = run(capsys, "cpp", "--config", f"{CONFIG_DIR}/{name}.json", "--seed", str(seed))
+        assert rc == 0
+        data = json.loads(out)
+        query = limits.LimitQuery(
+            k=cfg["k"], phi=build_phi(cfg["phi"], cfg["k"]), sigma_sq=cfg["sigma_sq"],
+            mark_probs=cfg.get("marks"),
+        )
+        estimate, stderr = limits.cpp_monomial_mc(
+            query, n_samples=cfg["n_samples"], eps=cfg["eps"], n_inner=cfg["n_inner"], rng=seed
+        )
+        assert float.hex(data["estimate"]) == float.hex(estimate)
+        assert float.hex(data["stderr"]) == float.hex(stderr)
+        assert data["z"] == (estimate - data["formula"]) / stderr
+
     def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):
         cfg = self.small_config(tmp_path)
         _, out1, _ = run(
@@ -943,7 +1010,7 @@ class TestComb:
         assert err == "config error: pair_indicator needs k >= 2\n"
 
     def test_two_samples_suffice(self, capsys, tmp_path):
-        # blocks of 0 and 2 samples: the 16 blocks still give one estimate
+        # the fewest samples that give a stderr
         cfg = write_config(tmp_path, "cpp.json", {"k": 1, "n_samples": 2, "eps": 0.5})
         rc, out, _ = run(capsys, "cpp", "--config", str(cfg))
         assert rc in (0, 3)
@@ -964,15 +1031,17 @@ class TestComb:
             tmp_path,
             "cpp_strict.json",
             {
-                "k": 1,
+                # a phi that reads the comb: the default one has stderr 0
+                "k": 2,
+                "phi": {"name": "pair_indicator", "r": 1.0},
                 "n_samples": 4000,
-                "eps": 0.5,
+                "eps": 0.1,
                 "n_inner": 4,
                 "z_max": 1e-6,
             },
         )
         rc, out, _ = run(capsys, "cpp", "--config", str(cfg), "--seed", "0")
-        assert rc == 3
+        assert rc == 3 and json.loads(out)["stderr"] > 0
 
 
 class TestParser:
@@ -1006,7 +1075,7 @@ class TestGoldenBytes:
             ("simulate", "simulate_binary", ("--seed", "7")),
             ("moments", "moments_binary", ()),
             ("survival", "survival_binary", ()),
-            # recorded before phi was evaluated in batches
+            # recorded when cpp first drew size-biased combs from one stream
             ("cpp", "cpp_pair", ("--seed", "5")),
             ("cpp", "cpp_marks_k3", ("--seed", "5")),
         ],

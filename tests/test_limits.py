@@ -206,13 +206,14 @@ class TestCombMoment:
             assert abs(cpp_moment(q) - want) <= 1e-12
 
 
-def seed_comb(rng, eps):
-    """One comb drawn from the Generator as the seed drew it: Z exponential
-    of rate one, a Poisson atom count of mean Z (1/eps - 1), uniform
-    positions on [0, Z], then one uniform per atom mapped to a depth of
-    intensity ds / s^2 on (eps, 1]; atoms sorted by position."""
+def seed_comb(rng, eps, k):
+    """One comb drawn from the Generator one draw at a time: Z Gamma(k + 1)
+    (the exponential length size-biased by Z^k), a Poisson atom count of
+    mean Z (1/eps - 1), uniform positions on [0, Z], then one uniform per
+    atom mapped to a depth of intensity ds / s^2 on (eps, 1]; atoms sorted
+    by position."""
     a = 1.0 / eps
-    Z = float(rng.exponential())
+    Z = float(rng.standard_gamma(k + 1))
     count = rng.poisson(Z * (a - 1.0))
     pos = rng.uniform(0.0, Z, size=count)
     u = rng.random(count)
@@ -252,7 +253,7 @@ class TestCombSampler:
             cpp_monomial_samples(q, n_samples=2, eps=1.5, rng=0)
 
     def test_sample_layout(self):
-        Z, pos, u = _draw_comb(np.random.default_rng(4), 1.0 / 0.05)
+        Z, pos, u = _draw_comb(np.random.default_rng(4), 1.0 / 0.05, 2)
         depths = _depths(u, 1.0 / 0.05)
         assert len(pos) > 0
         assert np.all(np.diff(pos) >= 0)
@@ -265,10 +266,21 @@ class TestCombSampler:
         a = 1.0 / 0.2
         resid = []
         for _ in range(3000):
-            Z, pos, _ = _draw_comb(rng, a)
+            Z, pos, _ = _draw_comb(rng, a, 1)
             resid.append(len(pos) - Z * (a - 1.0))
         resid = np.array(resid)
         assert abs(resid.mean()) <= 4 * resid.std(ddof=1) / np.sqrt(len(resid))
+
+    def test_length_size_biased(self):
+        # Z is Gamma(k + 1), carrying the weight Z^k, so a constant phi
+        # gives every sample exactly (sigma^2/2)^k k!
+        rng = np.random.default_rng(8)
+        for k in (1, 2, 3):
+            Z = np.array([_draw_comb(rng, 5.0, k)[0] for _ in range(4000)])
+            assert abs(Z.mean() - (k + 1)) <= 4 * Z.std(ddof=1) / np.sqrt(len(Z))
+            q = LimitQuery(k=k, phi=lambda D, m: 1.0, sigma_sq=1.3)
+            got = cpp_monomial_samples(q, n_samples=50, eps=0.2, n_inner=3, rng=k)
+            assert set(got.tolist()) == {(1.3 / 2.0) ** k * math.factorial(k)}
 
     def test_distance_hand_case(self):
         s = SimpleNamespace(positions=np.array([1.0, 2.0, 3.0]), depths=np.array([0.3, 0.9, 0.5]))
@@ -284,7 +296,7 @@ class TestCombSampler:
         assert comb_distances(s, np.array([0.1, 0.5]), np.array([0.9, 0.5])).tolist() == [0.0, 0.0]
 
     def test_batch_distances_match_scalar(self):
-        s = seed_comb(np.random.default_rng(13), 0.1)
+        s = seed_comb(np.random.default_rng(13), 0.1, 2)
         rng = np.random.default_rng(14)
         us = rng.uniform(0, s.Z, 40)
         vs = rng.uniform(0, s.Z, 40)
@@ -295,10 +307,12 @@ class TestCombSampler:
     def test_monomial_estimates_match_formula(self):
         q1 = LimitQuery(k=1, phi=lambda D, m: float(D[0, 1] <= 1.0))
         est, err = cpp_monomial_mc(q1, n_samples=20_000, eps=0.5, rng=0)
-        assert 0 < err < 0.01
-        assert abs(est - 0.5) <= 4 * err
+        # the root distance is always 1, so phi is one, and the size-biased
+        # length leaves no variance: every sample is the formula
+        assert (est, err) == (0.5, 0.0)
         q2 = LimitQuery(k=2, phi=lambda D, m: float(D[1, 2] <= 1.0))
         est2, err2 = cpp_monomial_mc(q2, n_samples=20_000, eps=0.1, rng=0)
+        assert 0 < err2 < 0.01
         assert abs(est2 - 0.25) <= 4 * err2
 
     def test_estimates_stable_in_eps(self):
@@ -315,15 +329,16 @@ class TestCombSampler:
 
 
 def seed_cpp_monomial_samples(query, n_samples, eps, n_inner, rng):
-    """The seed's comb estimates, one matrix per inner tuple, with distances
-    from the scalar reference; kept as the oracle of the batched sampler."""
+    """The comb estimates one sample and one matrix per inner tuple at a
+    time, with distances from the scalar reference; kept as the oracle of
+    the batched sampler."""
     k = query.k
     if query.mark_probs is not None:
         labels = sorted(query.mark_probs)
         probs = np.array([query.mark_probs[c] for c in labels])
     ests = np.empty(n_samples)
     for s in range(n_samples):
-        sample = seed_comb(rng, eps)
+        sample = seed_comb(rng, eps, k)
         us = rng.uniform(0.0, sample.Z, size=(n_inner, k))
         if query.mark_probs is not None:
             marks = rng.choice(len(labels), size=(n_inner, k), p=probs)
@@ -338,7 +353,7 @@ def seed_cpp_monomial_samples(query, n_samples, eps, n_inner, rng):
             else:
                 mk = tuple(labels[m] for m in marks[t])
             acc += query.phi(D, mk)
-        ests[s] = (query.sigma_sq / 2.0 * sample.Z) ** k * (acc / n_inner)
+        ests[s] = (query.sigma_sq / 2.0) ** k * math.factorial(k) * (acc / n_inner)
     return ests
 
 
@@ -387,7 +402,10 @@ class TestCombOracle:
         want = seed_cpp_monomial_samples(replace(q, phi=seed), 120, 0.05, 8, ref)
         assert _hex_matrix(got) == _hex_matrix(want)
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert len(set(got.tolist())) > 10
+        # an indicator's mean over eight inner tuples, times the constant
+        # (sigma^2/2)^k k!, takes at most nine values; most of them occur
+        scale = (q.sigma_sq / 2.0) ** k * math.factorial(k)
+        assert 5 < len(set(got.tolist())) and set(got.tolist()) <= {scale * (j / 8) for j in range(9)}
 
     @pytest.mark.parametrize(
         "marks",
@@ -455,14 +473,17 @@ class TestCombOracle:
         assert 0 < np.count_nonzero(got) < len(got)
 
     @pytest.mark.parametrize(
-        "eps, n_samples, chunk",
-        [(1e-3, 12, None), (0.5, 300, None), (0.1, 300, 64), (1e-3, 6, 64)],
+        "eps, n_samples, chunk, split",
+        [(1e-3, 12, None, True), (0.5, 300, None, False), (0.1, 300, 64, True), (1e-3, 6, 64, True)],
         ids=["eps-1e-3", "eps-0.5", "small-chunks-eps-0.1", "small-chunks-eps-1e-3"],
     )
-    def test_eps_range_and_chunks(self, monkeypatch, eps, n_samples, chunk):
-        # eps 1e-3 gives about a thousand atoms per comb, eps 0.5 none in
-        # half of them; a chunk of 64 closes after at most eight samples of
-        # eight inner points, and after nearly every comb at eps 1e-3
+    def test_eps_range_and_chunks(self, monkeypatch, eps, n_samples, chunk, split):
+        # eps 1e-3 gives about four thousand atoms per comb at k = 3, so
+        # twelve combs pass the default chunk of 2^12 atoms; eps 0.5 gives
+        # four on average and none in one comb of sixteen, and 300 samples
+        # of eight inner points stay below it; a
+        # chunk of 64 closes after at most eight samples of eight inner
+        # points, and after nearly every comb at eps 1e-3
         if chunk is not None:
             monkeypatch.setattr(limits, "_COMB_CHUNK", chunk)
         chunks = []
@@ -481,7 +502,7 @@ class TestCombOracle:
         assert _hex_matrix(got) == _hex_matrix(want)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert sum(map(len, chunks)) == n_samples
-        assert (len(chunks) > 1) == (chunk is not None)
+        assert (len(chunks) > 1) == split
 
     def test_bad_sizes_rejected(self):
         q = LimitQuery(k=2, phi=lambda D, m: 1.0)

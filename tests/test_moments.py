@@ -316,6 +316,19 @@ class TestMomentEvaluation:
             assert sorted(seen) == sorted(rows)
             assert len(rows) < len(bf.table(k))
 
+    def test_negative_R_refused(self, monkeypatch, binary):
+        # as moment_m2f refuses it, where both returned 0.0
+        bf = BruteForceMoments(binary, "a", horizon=2)
+        # moment_bruteforce refuses before it enumerates
+        monkeypatch.setattr(moments, "enumerate_arrays", None)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="^R must be nonnegative$"):
+                bf.moment(k, count_F, -1)
+            q = MomentQuery(k=k, x0="a", F=count_F, R=-1)
+            for route in (moment_bruteforce, moment_m2f):
+                with pytest.raises(ValueError, match="^R must be nonnegative$"):
+                    route(binary, q)
+
     def test_no_row_up_to_R(self, binary):
         bf = BruteForceMoments(binary, "a", horizon=3)
         assert bf.table(3) and bf.moment(3, count_F, 1) == 0.0

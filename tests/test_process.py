@@ -181,7 +181,7 @@ class TestPerronData:
 
         assert is_critical(at(1.0 + 5e-10))
         assert not is_critical(at(1.0 + 5e-9))
-        assert is_critical(at(1.0 + 5e-9), tol=1e-8)
+        assert is_critical(at(1.0 - 5e-10)) and not is_critical(at(1.0 - 5e-9))
         assert not is_critical(at(float("nan")))
         # the eigenpair warning uses the same test
         with pytest.warns(UserWarning, match="not critical"):
@@ -244,6 +244,15 @@ class TestEnumeration:
     def test_no_vertex_past_the_horizon(self, symmetric):
         _, _, depth, mark = enumerate_arrays(symmetric, "A", 2)
         assert depth.max() == 2 and mark.max() == 1
+
+    def test_bad_start_refused_as_simulate_refuses_it(self, binary):
+        # the messages of simulate, not the root alone or a bare KeyError
+        with pytest.raises(ValueError, match="^n_gen must be nonnegative, got -1$"):
+            enumerate_arrays(binary, "a", -1)
+        with pytest.raises(ValueError, match="^unknown start type 'z'$"):
+            enumerate_arrays(binary, "z", 2)
+        with pytest.raises(ValueError, match="unknown start type"):
+            enumerate_arrays(binary, ["a"], 2)
 
     def test_cap_refusal_mentions_estimate(self, binary, asymmetric):
         with pytest.raises(ValueError, match="cap"):
