@@ -549,7 +549,8 @@ def cmd_cpp(args):
     )
     k = _cfg_int(cfg, "k", least=1)
     sigma_sq = _cfg_float(cfg, "sigma_sq", 1.0)
-    phi = build_phi(cfg.get("phi", {"name": "ones"}), k)
+    spec = cfg.get("phi", {"name": "ones"})
+    phi = build_phi(spec, k)
     marks = _cfg_marks(cfg)
     try:
         query = limits.LimitQuery(k=k, phi=phi, sigma_sq=sigma_sq, mark_probs=marks)
@@ -558,6 +559,11 @@ def cmd_cpp(args):
     # the stderr needs two samples
     n_samples = _cfg_int(cfg, "n_samples", 100_000, least=2)
     eps = _cfg_float(cfg, "eps", 1e-3)
+    # the comb has no atoms below depth eps, so it misplaces distances below 2 eps
+    if spec.get("name") == "pair_indicator" and not eps < spec["r"] / 2:
+        raise ConfigError(
+            f"config key 'eps' must be below pair_indicator's r/2 = {spec['r'] / 2!r}, got {eps!r}"
+        )
     n_inner = _cfg_int(cfg, "n_inner", 8, least=1)
     z_max = _cfg_float(cfg, "z_max", 3.0)
     formula = limits.cpp_moment(query, grid_step=_cfg_float(cfg, "grid_step", 1e-3))

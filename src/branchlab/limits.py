@@ -264,17 +264,20 @@ def cpp_moment(query, grid_step=0.001):
     return (query.sigma_sq / 2.0) ** query.k * val
 
 
-def _draw_comb(rng, a, k):
-    """One comb's draws, in this order: its length Z, the atom count, the
-    positions, one uniform per atom for its depth.  Z is Gamma(k + 1): the
-    exponential length size-biased by Z^k.  Returns Z, the sorted
-    positions and the depth uniforms in position order."""
-    Z = float(rng.standard_gamma(k + 1))
-    count = rng.poisson(Z * (a - 1.0))
-    pos = rng.uniform(0.0, Z, size=count)
-    u = rng.random(count)
-    order = pos.argsort()
-    return Z, pos[order], u[order]
+def _position_keys(combs, t):
+    # exact: rng.random's t is a multiple of 2^-53; combs below 1023 keep keys below 2^63
+    return (combs << 53) | (t * 2.0**53).astype(np.int64)
+
+
+def _draw_combs(rng, a, k, m):
+    """m combs' lengths Z, Gamma(k + 1) (the exponential length size-biased
+    by Z^k), then their atom counts, position fractions and depth uniforms.
+    Returns Z, the sorted atom keys and their depths: the uniforms are
+    i.i.d., so they go to the sorted atoms as drawn."""
+    Z = rng.standard_gamma(k + 1, size=m)
+    combs = np.arange(m, dtype=np.int64).repeat(rng.poisson(Z * (a - 1.0)))
+    keys = np.sort(_position_keys(combs, rng.random(len(combs))))
+    return Z, keys, _depths(rng.random(len(keys)), a)
 
 
 def _depths(u, a):
@@ -293,11 +296,8 @@ def _range_distances(depths, lo, hi):
     return np.where(hi > lo, 2.0 * top, 0.0)
 
 
-# inner points and atoms per chunk of the batched comb: a chunk closes
-# once either count reaches this, so its arrays hold O(_COMB_CHUNK) floats
-# plus one comb's atoms and one sample's inner points.  2^14 bought no speed:
-# k = 3, 3,000 samples, eps 0.1, n_inner 8 took 76.8 ms CPU at 2^12 against
-# 78.8 at 2^14 (medians of 40 alternating calls, 2 cores, Python 3.11)
+# a chunk holds _COMB_CHUNK / max(a comb's expected atoms, its inner
+# tuples) combs, 1 to 1023, so O(_COMB_CHUNK) floats on average
 _COMB_CHUNK = 2**12
 
 
@@ -321,17 +321,21 @@ def cpp_monomial_samples(
     depth eps is cut off).  D may be a view into a batch of matrices, so
     phi must not keep it.
 
-    The draws are one sample after another, each in _draw_comb's order
-    (Gamma(k + 1) Z, Poisson atom count, atom positions, depth uniforms),
-    then its (n_inner, k) inner positions, then its marks.  phi is
-    evaluated through mmm.phi_values on a chunk's inner tuples in sample
+    The draws come a block of m combs at a time, in this order: m
+    Gamma(k + 1) lengths Z, their Poisson atom counts, a uniform per atom
+    for its position as a fraction t of its Z, a uniform per atom for its
+    depth, (m, n_inner, k) inner positions as fractions of Z, then (m,
+    n_inner, k) marks.  Each atom and point has the exact int64 key
+    (comb << 53) | t 2^53; one sort and one searchsorted place every point
+    among its comb's atoms.  m is min(samples left, 1023, _COMB_CHUNK over
+    the larger of (k + 1)(1/eps - 1) and n_inner), at least one, so the
+    bits follow from (query, n_samples, eps, n_inner, rng) and _COMB_CHUNK;
+    another _COMB_CHUNK draws other blocks and other bits.  phi is
+    evaluated through mmm.phi_values on a block's inner tuples in sample
     order (a plain phi once per tuple, a batched one once per distinct
-    mark tuple), and each sample's inner values are summed in order, so
-    the bits do not depend on the chunking below.
-    Distances and matrices are built for a chunk of samples at a time; a
-    chunk closes once it holds _COMB_CHUNK inner points or atoms, so
-    memory is O(_COMB_CHUNK) plus one sample's atoms and inner points,
-    whatever n_samples and eps are.
+    mark tuple), and each sample's inner values are summed in order.
+    Memory is O(_COMB_CHUNK) floats on average, or one comb's atoms and
+    inner points when that is more, whatever n_samples and eps are.
     """
     k = query.k
     if k < 1:
@@ -351,42 +355,31 @@ def cpp_monomial_samples(
 
 
 def _comb_chunk(query, rng, a, n_inner, most):
-    """The estimates of up to `most` samples, drawn until the chunk holds
-    _COMB_CHUNK inner points or atoms."""
+    """The estimates of the next block of samples, at most `most`."""
     k = query.k
-    if query.mark_probs is not None:
-        labels = sorted(query.mark_probs)
-        # Generator.choice's cdf and draw, once per chunk instead of per
-        # sample; LimitQuery made its checks
-        cdf = np.array([query.mark_probs[c] for c in labels], dtype=float).cumsum()
-        cdf /= cdf[-1]
-    uniforms, idx, marks = [], [], []
-    atoms = 0
-    while len(uniforms) < most and atoms < _COMB_CHUNK and len(uniforms) * n_inner < _COMB_CHUNK:
-        Z, pos, u = _draw_comb(rng, a, k)
-        points = rng.uniform(0.0, Z, size=(n_inner, k))
-        if query.mark_probs is not None:
-            marks.append(cdf.searchsorted(rng.random((n_inner, k)), side="right"))
-        # atoms lo < position <= hi lie in [index(lo), index(hi))
-        idx.append(pos.searchsorted(points, side="right"))
-        uniforms.append(u)
-        atoms += len(u)
-    m = len(uniforms)
+    m = min(most, 1023, max(1, int(_COMB_CHUNK / max((k + 1) * (a - 1.0), n_inner))))
+    _, keys, depths = _draw_combs(rng, a, k, m)
+    combs = np.arange(m, dtype=np.int64)[:, None, None]
+    # atoms lo < position <= hi lie in [index(lo), index(hi))
+    idx = keys.searchsorted(_position_keys(combs, rng.random((m, n_inner, k))), side="right")
+    idx = idx.reshape(m * n_inner, k)
     if query.mark_probs is None:
         mks = [(None,) * k] * (m * n_inner)
     else:
+        labels = sorted(query.mark_probs)
+        # Generator.choice's cdf and draw, once per block; LimitQuery
+        # made its checks
+        cdf = np.array([query.mark_probs[c] for c in labels], dtype=float).cumsum()
+        cdf /= cdf[-1]
+        marks = cdf.searchsorted(rng.random((m * n_inner, k)), side="right")
         # a row of label indices, read as a number in base len(labels), is
         # the place of its tuple in product order
         table = list(itertools.product(labels, repeat=k))
-        codes = np.concatenate(marks) @ len(labels) ** np.arange(k - 1, -1, -1)
+        codes = marks @ len(labels) ** np.arange(k - 1, -1, -1)
         mks = list(map(table.__getitem__, codes.tolist()))
-    # each sample's indices shifted to its atoms' place in the concatenation
-    starts = np.cumsum([0] + [len(u) for u in uniforms[:-1]])
-    idx = np.stack(idx) + starts[:, None, None]
     # leaf pairs i < j; D holds leaf i in row i + 1, the root in row 0
     I, J = np.triu_indices(k, 1)
-    left, right = idx[..., I].reshape(-1), idx[..., J].reshape(-1)
-    depths = _depths(np.concatenate(uniforms), a)
+    left, right = idx[:, I].reshape(-1), idx[:, J].reshape(-1)
     d = _range_distances(depths, np.minimum(left, right), np.maximum(left, right))
     D = np.zeros((m * n_inner, k + 1, k + 1))
     D[:, 0, 1:] = D[:, 1:, 0] = 1.0

@@ -64,7 +64,7 @@ class SpineKernel:
         self.psi = psi
         nt = len(model.types)
         dmax = model.max_brood
-        m = np.zeros((dmax + 1, nt))
+        m = np.zeros((max(dmax, 1) + 1, nt))
         m[0] = 1.0
         for i, x in enumerate(model.types):
             for d in range(1, dmax + 1):

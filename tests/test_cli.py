@@ -565,6 +565,23 @@ class TestVerify:
         _, rows = read_csv_rows_from_text(out)
         assert all(r["status"] == "FAIL" for r in rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_childless_model(self, capsys, tmp_path, fmt):
+        # no type has children: the unit-weight shape sum gives brute
+        # force's 1.0, where building its kernel used to raise IndexError
+        write_model(tmp_path, "m.json", ["a"], {"a": [(1.0, ())]})
+        body = {"model": "m.json", "ks": [1], "Rs": [2], "functional": {"name": "count"}}
+        cfg = write_config(tmp_path, "v.json", {**body, "psis": ["unit"]})
+        rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", "csv")
+        assert rc == 0 and err == ""
+        _, rows = read_csv_rows_from_text(out)
+        assert [(r["bruteforce"], r["shape_sum"], r["status"]) for r in rows] == [(1.0, 1.0, "ok")]
+        # the harmonic weight needs a primitive mean matrix, which [[0]] is not
+        cfg = write_config(tmp_path, "v.json", body)
+        rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", fmt)
+        assert rc == 1 and out == ""
+        assert err == "error: mean matrix must be irreducible and aperiodic\n"
+
     @pytest.mark.parametrize("key", ["ks", "Rs", "psis"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_list_rejected_by_name(self, capsys, tmp_path, key, fmt):
@@ -1009,6 +1026,30 @@ class TestComb:
         assert rc == 1 and out == ""
         assert err == "config error: pair_indicator needs k >= 2\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("r, eps", [(0.4, 0.3), (0.4, 0.2), (1.0, 0.5), (0.0, 1e-3)])
+    def test_eps_at_half_the_radius_or_above_exits_1(self, capsys, tmp_path, monkeypatch, fmt, r, eps):
+        # the comb has no atoms below depth eps, so the pair indicator
+        # needs eps < r/2; at r 0.4, eps 0.3 the estimate read z = 56.8.
+        # Refused before any sampling
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(limits, "cpp_monomial_mc", sampled)
+        phi = {"name": "pair_indicator", "r": r}
+        cfg = write_config(tmp_path, "cpp.json", {"k": 2, "phi": phi, "eps": eps, "n_samples": 20000})
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg), "--seed", "1", "--format", fmt)
+        assert rc == 1 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "'eps'" in err and repr(r / 2) in err and repr(eps) in err
+
+    def test_eps_just_below_half_the_radius_runs(self, capsys, tmp_path):
+        phi = {"name": "pair_indicator", "r": 0.4}
+        cfg = write_config(tmp_path, "cpp.json", {"k": 2, "phi": phi, "eps": 0.19, "n_samples": 4000})
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg), "--seed", "1")
+        assert rc == 0 and err == ""
+        assert abs(json.loads(out)["z"]) <= 3.0
+
     def test_two_samples_suffice(self, capsys, tmp_path):
         # the fewest samples that give a stderr
         cfg = write_config(tmp_path, "cpp.json", {"k": 1, "n_samples": 2, "eps": 0.5})
@@ -1075,7 +1116,7 @@ class TestGoldenBytes:
             ("simulate", "simulate_binary", ("--seed", "7")),
             ("moments", "moments_binary", ()),
             ("survival", "survival_binary", ()),
-            # recorded when cpp first drew size-biased combs from one stream
+            # recorded when the comb sampler first drew a block of combs at a time
             ("cpp", "cpp_pair", ("--seed", "5")),
             ("cpp", "cpp_marks_k3", ("--seed", "5")),
         ],

@@ -25,10 +25,10 @@ from branchlab.limits import (
     lambda_tilde_k_integral,
     sample_excursions,
 )
-from branchlab.limits import _depths, _draw_comb, _midpoint_grid, _observed_orders, _range_distances
+from branchlab.limits import _draw_combs, _midpoint_grid, _observed_orders, _range_distances
 from branchlab import limits
 from branchlab.process import eigenpair, sigma_squared
-from branchlab.trees import TreeShape, _per_row, count_shapes
+from branchlab.trees import TreeShape, _per_row, count_shapes, fold
 
 
 def ones_f(L, B):
@@ -206,19 +206,32 @@ class TestCombMoment:
             assert abs(cpp_moment(q) - want) <= 1e-12
 
 
-def seed_comb(rng, eps, k):
-    """One comb drawn from the Generator one draw at a time: Z Gamma(k + 1)
-    (the exponential length size-biased by Z^k), a Poisson atom count of
-    mean Z (1/eps - 1), uniform positions on [0, Z], then one uniform per
-    atom mapped to a depth of intensity ds / s^2 on (eps, 1]; atoms sorted
-    by position."""
+def seed_combs(rng, eps, k, m):
+    """A block of m combs, drawn in the batched comb's order: m lengths Z
+    Gamma(k + 1) (the exponential length size-biased by Z^k), their
+    Poisson atom counts of mean Z (1/eps - 1), one uniform per atom for its
+    position as a fraction of its Z, then one uniform per atom mapped to a
+    depth of intensity ds / s^2 on (eps, 1].  Each comb's positions are
+    sorted and its depths kept in draw order: the depth uniforms are
+    i.i.d. and independent of position."""
     a = 1.0 / eps
-    Z = float(rng.standard_gamma(k + 1))
-    count = rng.poisson(Z * (a - 1.0))
-    pos = rng.uniform(0.0, Z, size=count)
-    u = rng.random(count)
-    order = pos.argsort()
-    return SimpleNamespace(Z=Z, positions=pos[order], depths=1.0 / (a - u[order] * (a - 1.0)))
+    Z = rng.standard_gamma(k + 1, size=m)
+    counts = rng.poisson(Z * (a - 1.0))
+    t = rng.random(counts.sum())
+    u = rng.random(counts.sum())
+    combs = []
+    for z, stop, count in zip(Z, np.cumsum(counts), counts):
+        depths = 1.0 / (a - u[stop - count : stop] * (a - 1.0))
+        combs.append(SimpleNamespace(Z=float(z), positions=np.sort(t[stop - count : stop]), depths=depths))
+    return combs
+
+
+def seed_blocks(k, eps, n_inner, n_samples):
+    """The block sizes of the batched comb: each min(samples left, 1023,
+    _COMB_CHUNK over the larger of a comb's expected atoms
+    (k + 1)(1/eps - 1) and its n_inner inner tuples), at least one."""
+    full = min(1023, max(1, int(limits._COMB_CHUNK / max((k + 1) * (1.0 / eps - 1.0), n_inner))))
+    return [min(full, n_samples - done) for done in range(0, n_samples, full)]
 
 
 def comb_distances(comb, us, vs):
@@ -253,22 +266,25 @@ class TestCombSampler:
             cpp_monomial_samples(q, n_samples=2, eps=1.5, rng=0)
 
     def test_sample_layout(self):
-        Z, pos, u = _draw_comb(np.random.default_rng(4), 1.0 / 0.05, 2)
-        depths = _depths(u, 1.0 / 0.05)
-        assert len(pos) > 0
-        assert np.all(np.diff(pos) >= 0)
+        # keys (comb << 53) | t 2^53, sorted: by comb, then by position
+        Z, keys, depths = _draw_combs(np.random.default_rng(4), 1.0 / 0.05, 2, 50)
+        combs, t = keys >> 53, (keys & (2**53 - 1)) / 2.0**53
+        assert len(Z) == 50 and np.all(Z > 0)
+        assert len(keys) > 0 and len(depths) == len(keys)
+        assert np.all(np.diff(keys) >= 0)
         assert np.all((depths > 0.05) & (depths <= 1.0))
-        assert np.all((pos >= 0) & (pos <= Z))
+        assert np.all((combs >= 0) & (combs < 50))
+        assert np.all((t >= 0) & (t < 1))
 
     def test_atom_count_intensity(self):
         # E[count | Z] = Z (1/eps - 1)
         rng = np.random.default_rng(6)
         a = 1.0 / 0.2
         resid = []
-        for _ in range(3000):
-            Z, pos, _ = _draw_comb(rng, a, 1)
-            resid.append(len(pos) - Z * (a - 1.0))
-        resid = np.array(resid)
+        for _ in range(3):
+            Z, keys, _ = _draw_combs(rng, a, 1, 1000)
+            resid.append(np.bincount(keys >> 53, minlength=1000) - Z * (a - 1.0))
+        resid = np.concatenate(resid)
         assert abs(resid.mean()) <= 4 * resid.std(ddof=1) / np.sqrt(len(resid))
 
     def test_length_size_biased(self):
@@ -276,7 +292,7 @@ class TestCombSampler:
         # gives every sample exactly (sigma^2/2)^k k!
         rng = np.random.default_rng(8)
         for k in (1, 2, 3):
-            Z = np.array([_draw_comb(rng, 5.0, k)[0] for _ in range(4000)])
+            Z = np.concatenate([_draw_combs(rng, 5.0, k, 1000)[0] for _ in range(4)])
             assert abs(Z.mean() - (k + 1)) <= 4 * Z.std(ddof=1) / np.sqrt(len(Z))
             q = LimitQuery(k=k, phi=lambda D, m: 1.0, sigma_sq=1.3)
             got = cpp_monomial_samples(q, n_samples=50, eps=0.2, n_inner=3, rng=k)
@@ -296,10 +312,11 @@ class TestCombSampler:
         assert comb_distances(s, np.array([0.1, 0.5]), np.array([0.9, 0.5])).tolist() == [0.0, 0.0]
 
     def test_batch_distances_match_scalar(self):
-        s = seed_comb(np.random.default_rng(13), 0.1, 2)
+        s = seed_combs(np.random.default_rng(13), 0.1, 2, 1)[0]
         rng = np.random.default_rng(14)
-        us = rng.uniform(0, s.Z, 40)
-        vs = rng.uniform(0, s.Z, 40)
+        # positions are fractions of the comb's length
+        us = rng.random(40)
+        vs = rng.random(40)
         batch = comb_distances(s, us, vs)
         for i in range(40):
             assert batch[i] == scalar_cpp_distance(s, us[i], vs[i])
@@ -329,32 +346,35 @@ class TestCombSampler:
 
 
 def seed_cpp_monomial_samples(query, n_samples, eps, n_inner, rng):
-    """The comb estimates one sample and one matrix per inner tuple at a
-    time, with distances from the scalar reference; kept as the oracle of
-    the batched sampler."""
+    """The comb draws a block of seed_blocks at a time, then estimates one
+    sample and one matrix per inner tuple at a time, with distances from
+    the scalar reference; kept as the oracle of the batched sampler."""
     k = query.k
     if query.mark_probs is not None:
         labels = sorted(query.mark_probs)
         probs = np.array([query.mark_probs[c] for c in labels])
-    ests = np.empty(n_samples)
-    for s in range(n_samples):
-        sample = seed_comb(rng, eps, k)
-        us = rng.uniform(0.0, sample.Z, size=(n_inner, k))
+    ests = []
+    for m in seed_blocks(k, eps, n_inner, n_samples):
+        combs = seed_combs(rng, eps, k, m)
+        us = rng.random((m, n_inner, k))
         if query.mark_probs is not None:
-            marks = rng.choice(len(labels), size=(n_inner, k), p=probs)
-        acc = 0.0
-        for t in range(n_inner):
-            D = np.zeros((k + 1, k + 1))
-            D[0, 1:] = D[1:, 0] = 1.0
-            for i, j in itertools.combinations(range(k), 2):
-                D[i + 1, j + 1] = D[j + 1, i + 1] = scalar_cpp_distance(sample, us[t, i], us[t, j])
-            if query.mark_probs is None:
-                mk = (None,) * k
-            else:
-                mk = tuple(labels[m] for m in marks[t])
-            acc += query.phi(D, mk)
-        ests[s] = (query.sigma_sq / 2.0) ** k * math.factorial(k) * (acc / n_inner)
-    return ests
+            marks = rng.choice(len(labels), size=(m, n_inner, k), p=probs)
+        for c, sample in enumerate(combs):
+            acc = 0.0
+            for t in range(n_inner):
+                D = np.zeros((k + 1, k + 1))
+                D[0, 1:] = D[1:, 0] = 1.0
+                for i, j in itertools.combinations(range(k), 2):
+                    D[i + 1, j + 1] = D[j + 1, i + 1] = scalar_cpp_distance(
+                        sample, us[c, t, i], us[c, t, j]
+                    )
+                if query.mark_probs is None:
+                    mk = (None,) * k
+                else:
+                    mk = tuple(labels[x] for x in marks[c, t])
+                acc += query.phi(D, mk)
+            ests.append((query.sigma_sq / 2.0) ** k * math.factorial(k) * (acc / n_inner))
+    return np.array(ests)
 
 
 def _every_comb_entry(D, marks):
@@ -419,8 +439,8 @@ class TestCombOracle:
         ],
     )
     def test_mark_draws_are_choice_draws(self, marks):
-        # the comb draws marks with Generator.choice's cdf and searchsorted
-        # once per chunk; the seed calls rng.choice per sample: every mark
+        # the comb draws a block's marks with Generator.choice's cdf and
+        # searchsorted; the seed calls rng.choice on the block: every mark
         # tuple and the stream after must be the same
         def recording(seen):
             def phi(D, m):
@@ -474,16 +494,23 @@ class TestCombOracle:
 
     @pytest.mark.parametrize(
         "eps, n_samples, chunk, split",
-        [(1e-3, 12, None, True), (0.5, 300, None, False), (0.1, 300, 64, True), (1e-3, 6, 64, True)],
-        ids=["eps-1e-3", "eps-0.5", "small-chunks-eps-0.1", "small-chunks-eps-1e-3"],
+        [
+            (1e-3, 12, None, True),
+            (0.5, 300, None, False),
+            (0.1, 300, 64, True),
+            (1e-3, 6, 64, True),
+            (0.1, 300, 512, True),
+        ],
+        ids=["eps-1e-3", "eps-0.5", "small-chunks-eps-0.1", "small-chunks-eps-1e-3", "blocks-eps-0.1"],
     )
     def test_eps_range_and_chunks(self, monkeypatch, eps, n_samples, chunk, split):
         # eps 1e-3 gives about four thousand atoms per comb at k = 3, so
-        # twelve combs pass the default chunk of 2^12 atoms; eps 0.5 gives
-        # four on average and none in one comb of sixteen, and 300 samples
-        # of eight inner points stay below it; a
-        # chunk of 64 closes after at most eight samples of eight inner
-        # points, and after nearly every comb at eps 1e-3
+        # each of twelve combs is a block of its own at the default 2^12;
+        # eps 0.5 gives four on average and none in one comb of sixteen, so
+        # eight inner tuples set the block at 2^12 / 8 = 512 combs and 300
+        # samples are one block; at a chunk of 64 the 36 atoms a comb
+        # carries at eps 0.1 make every comb a block, and at 512 the blocks
+        # hold 14 combs, the last six
         if chunk is not None:
             monkeypatch.setattr(limits, "_COMB_CHUNK", chunk)
         chunks = []
@@ -503,6 +530,7 @@ class TestCombOracle:
         assert rng.bit_generator.state == ref.bit_generator.state
         assert sum(map(len, chunks)) == n_samples
         assert (len(chunks) > 1) == split
+        assert list(map(len, chunks)) == seed_blocks(3, eps, 8, n_samples)
 
     def test_bad_sizes_rejected(self):
         q = LimitQuery(k=2, phi=lambda D, m: 1.0)
@@ -517,6 +545,78 @@ class TestCombOracle:
         # per-realization samples may be few; only the stderr needs two
         assert limits.cpp_monomial_samples(q, n_samples=0, rng=0).shape == (0,)
         assert limits.cpp_monomial_samples(q, n_samples=1, rng=0).shape == (1,)
+
+
+def pair_indicator_closed_form(k, r, sigma_sq):
+    """The comb's k-th monomial of the pair indicator, r <= 2: leaves i < j
+    sit within r with probability (r/2)^(j - i), and the k! leaf orders
+    place the first two sampled points d apart in 2 (k - d) (k - 2)! of
+    them."""
+    pairs = fold(2 * (k - d) * (r / 2.0) ** d for d in range(1, k))
+    return (sigma_sq / 2.0) ** k * math.factorial(k - 2) * pairs
+
+
+class TestCombPastK3:
+    """The batched comb at k = 2 to 6 against closed forms, and its block
+    sizes and keys at their bounds."""
+
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_closed_form_is_the_grid_value(self, k, r):
+        # at step 0.05 the threshold 1 - r/2 falls on a cell edge, where
+        # the midpoint rule is exact for an indicator of min(b) >= 1 - r/2
+        q = LimitQuery(k=k, phi=build_phi({"name": "pair_indicator", "r": r}, k), sigma_sq=1.3)
+        want = pair_indicator_closed_form(k, r, 1.3)
+        assert abs(cpp_moment(q, grid_step=0.05) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_pair_indicator_z_gate(self, k, r):
+        q = LimitQuery(k=k, phi=build_phi({"name": "pair_indicator", "r": r}, k), sigma_sq=1.3)
+        est, err = cpp_monomial_mc(q, n_samples=3000, eps=0.1, n_inner=8, rng=k)
+        assert err > 0
+        assert abs(est - pair_indicator_closed_form(k, r, 1.3)) <= 4 * err
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_ones_is_exact(self, k):
+        q = LimitQuery(k=k, phi=build_phi({"name": "ones"}, k), sigma_sq=1.3)
+        est, err = cpp_monomial_mc(q, n_samples=500, eps=0.1, n_inner=8, rng=k)
+        assert (est, err) == ((1.3 / 2.0) ** k * math.factorial(k), 0.0)
+
+    def test_blocks_stop_at_1023_combs_and_keys_below_2_63(self, monkeypatch):
+        # at eps 0.5 a k = 2 comb carries three atoms on average and one
+        # inner tuple, so 2^12 / 3 = 1365 combs would fit a chunk; the
+        # block stops at 1023, whose keys (comb << 53) | t 2^53 stay below
+        # 2^63 with no wrap
+        chunks, calls = [], []
+        chunk_estimates, position_keys = limits._comb_chunk, limits._position_keys
+
+        def counted(*args):
+            chunks.append(chunk_estimates(*args))
+            return chunks[-1]
+
+        def recorded(combs, t):
+            calls.append((combs, t, position_keys(combs, t)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(limits, "_comb_chunk", counted)
+        monkeypatch.setattr(limits, "_position_keys", recorded)
+        q = LimitQuery(k=2, phi=_every_comb_entry, sigma_sq=1.3)
+        rng = np.random.default_rng(7)
+        ref = np.random.default_rng(7)
+        got = limits.cpp_monomial_samples(q, n_samples=2500, eps=0.5, n_inner=1, rng=rng)
+        want = seed_cpp_monomial_samples(q, 2500, 0.5, 1, ref)
+        assert _hex_matrix(got) == _hex_matrix(want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert list(map(len, chunks)) == [1023, 1023, 454]
+        # atoms and inner points of each block
+        assert len(calls) == 6
+        for combs, t, keys in calls:
+            assert keys.dtype == np.int64
+            assert keys.min() >= 0 and keys.max() < 1023 * 2**53 < 2**63
+            combs, t = np.broadcast_arrays(combs, t)
+            exact = [(c << 53) + int(x * 2**53) for c, x in zip(combs.ravel().tolist(), t.ravel().tolist())]
+            assert keys.ravel().tolist() == exact
 
 
 def seed_sample_excursions(n_excursions, n_steps, rng):

@@ -67,6 +67,22 @@ class TestKernelTables:
         assert abs(row[(1, 0)] - 0.4) <= 1e-14
         assert ker.chi[2][1] == {}
 
+    def test_childless_model(self):
+        # no type has children, so max_brood is 0; m still has the rows m_0
+        # and m_1 = 0 that lam and the transition read, and the shape sum
+        # gives brute force's moments: 1 at k = 1, 0 above
+        model = Model(("a",), {"a": [(1, ())]})
+        ker = build_kernel(model, "unit")
+        assert ker.m.tolist() == [[1.0], [0.0]]
+        assert ker.lam.tolist() == [0.0] and ker.transition.tolist() == [[0.0]]
+        assert ker.chi == {}
+        F = build_functional({"name": "count"}, model)
+        bf = moments.BruteForceMoments(model, "a", 3)
+        for k in (1, 2, 3):
+            q = moments.MomentQuery(k=k, x0="a", F=F, R=3)
+            got = moments.moment_m2f_radii(model, q, [0, 1, 2, 3], ker)
+            assert list(got) == [bf.moment(k, F, R) for R in range(4)] == [float(k == 1)] * 4
+
     def test_chi_rows_are_exchangeable_laws(self, asymmetric):
         ker = build_kernel(asymmetric, "harmonic")
         for d, rows in ker.chi.items():
