@@ -178,8 +178,7 @@ def _fmt(v):
 
 def csv_text(meta, header, rows):
     """CSV with one "# key=value" comment line per meta entry, in order,
-    then the header and one line per row dict; read back by read_csv_rows.
-    """
+    then the header and one line per row dict, None as an empty cell."""
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(header))
     for row in rows:
@@ -207,50 +206,6 @@ def _emit(args, meta, payload, table=None, csv_meta=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def read_csv_rows(path_or_fh):
-    """Read back a CSV written by this tool: (meta, list of row dicts).
-
-    Numeric-looking cells are converted to int or float; empty cells to
-    None.
-    """
-    fh = open(path_or_fh) if isinstance(path_or_fh, (str, os.PathLike)) else path_or_fh
-    try:
-        meta = {}
-        header = None
-        rows = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, val = line[2:].partition("=")
-                meta[key] = val
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            row = {}
-            for name, cell in zip(header, cells):
-                if cell == "":
-                    row[name] = None
-                else:
-                    try:
-                        row[name] = int(cell)
-                    except ValueError:
-                        try:
-                            row[name] = float(cell)
-                        except ValueError:
-                            row[name] = cell
-            rows.append(row)
-        if header is None:
-            raise ValueError("no CSV header found")
-        return meta, rows
-    finally:
-        if isinstance(path_or_fh, (str, os.PathLike)):
-            fh.close()
 
 
 def _leaf_weights(spec, model):
@@ -549,6 +504,8 @@ def cmd_cpp(args):
     )
     k = _cfg_int(cfg, "k", least=1)
     sigma_sq = _cfg_float(cfg, "sigma_sq", 1.0)
+    if not 0 < sigma_sq < math.inf:
+        raise ConfigError(f"config key 'sigma_sq' must be a positive finite number, got {sigma_sq!r}")
     spec = cfg.get("phi", {"name": "ones"})
     phi = build_phi(spec, k)
     marks = _cfg_marks(cfg)
@@ -566,6 +523,9 @@ def cmd_cpp(args):
         )
     n_inner = _cfg_int(cfg, "n_inner", 8, least=1)
     z_max = _cfg_float(cfg, "z_max", 3.0)
+    # a nan would fail every z, as a verification failure
+    if not z_max > 0:
+        raise ConfigError(f"config key 'z_max' must be a positive number, got {z_max!r}")
     formula = limits.cpp_moment(query, grid_step=_cfg_float(cfg, "grid_step", 1e-3))
     estimate, stderr = limits.cpp_monomial_mc(
         query, n_samples=n_samples, eps=eps, n_inner=n_inner, rng=args.seed

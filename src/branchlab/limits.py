@@ -21,7 +21,7 @@ import numpy as np
 from . import moments, spine
 from .mmm import phi_values
 from .process import _extinction_curve, eigenpair, is_critical, sigma_squared
-from .trees import _expand_meets, _per_row, fold, meet_distances, shape_values
+from .trees import _expand_meets, _per_row, fold, meet_distances, product_batches, shape_values
 
 __all__ = [
     "lambda_k_integral",
@@ -40,11 +40,9 @@ __all__ = [
 ]
 
 
-# midpoints per grid, counted over the whole box of n_cells^dim.  The
-# unit-cube grid holds the box, one float64 per point and coordinate:
-# 10^7 points in three dimensions hold 240 MB of coordinates.  The rescaled
-# grid holds only its in-region points, about 13% of the box at k = 3:
-# 25^5 box points peak near 120 MB, where the masked box took 774 MB
+# midpoints per grid, counted over the whole box of n_cells^dim: a bound
+# on time only, since both grids are walked a batch of leaf (or meet)
+# cells at a time and never hold the box
 _GRID_POINT_LIMIT = 10**7
 
 
@@ -66,15 +64,6 @@ def _check_grid(n_cells, dim):
         )
 
 
-def _midpoint_grid(mids, dim):
-    """The points of the grid mids^dim in product order, as one
-    (len(mids)^dim, dim) array filled axis by axis by broadcasting."""
-    grid = np.empty((len(mids),) * dim + (dim,))
-    for a in range(dim):
-        grid[..., a] = mids.reshape((-1,) + (1,) * (dim - 1 - a))
-    return grid.reshape(-1, dim)
-
-
 def lambda_k_integral(
     k,
     f,
@@ -89,7 +78,8 @@ def lambda_k_integral(
     f(L, B) is batched: it takes (N, k) leaf heights and (N, k-1) meet
     heights and returns N values.
     method "mc" returns (estimate, stderr) from uniform sampling of the
-    bounding box; "grid" returns (midpoint-rule value, 0.0).
+    bounding box; "grid" returns (midpoint-rule value, 0.0), calling f
+    once per trees.product_batches batch of leaf cells.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -116,10 +106,11 @@ def lambda_k_integral(
         # exactly when b < below[min(l_i, l_i+1)]: the walk yields the
         # points, in the order, that masking the whole box keeps
         below = np.searchsorted(mids, mids)
-        I = np.indices((n_cells,) * k).reshape(k, -1).T
-        L, B = _expand_meets(mids[I], below[np.minimum(I[:, :-1], I[:, 1:])])
-        cell = (R / n_cells) ** dim
-        return cell * fold(_per_row(f, L, mids[B])), 0.0
+        total = 0.0
+        for I in product_batches(0, n_cells, k):
+            L, B = _expand_meets(mids[I], below[np.minimum(I[:, :-1], I[:, 1:])])
+            total = fold(_per_row(f, L, mids[B]), total)
+        return (R / n_cells) ** dim * total, 0.0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -134,7 +125,8 @@ def lambda_tilde_k_integral(
     """Integral of f(ones, b) over meet heights b in the unit cube.
 
     Same batched integrand as lambda_k_integral, with every leaf height
-    one; for k = 1 the value is exactly f at the single shape.
+    one, called once per batch of meet cells on the grid; for k = 1 the
+    value is exactly f at the single shape.
     """
     _check_step(grid_step)
     if k == 1:
@@ -147,9 +139,12 @@ def lambda_tilde_k_integral(
     if method == "grid":
         n_cells = max(1, int(round(1.0 / grid_step)))
         _check_grid(n_cells, dim)
-        B = _midpoint_grid((np.arange(n_cells) + 0.5) / n_cells, dim)
-        ones = np.broadcast_to(np.ones(k), (len(B), k))
-        return fold(_per_row(f, ones, B)) / n_cells**dim, 0.0
+        mids = (np.arange(n_cells) + 0.5) / n_cells
+        total = 0.0
+        for I in product_batches(0, n_cells, dim):
+            ones = np.broadcast_to(np.ones(k), (len(I), k))
+            total = fold(_per_row(f, ones, mids[I]), total)
+        return total / n_cells**dim, 0.0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -546,8 +541,8 @@ def kolmogorov_rows(model, n_values, x0, eig, sig2):
 def _mark_average(F, types):
     """Batched integrand: p * F folded over the leaf-type tuples of types,
     in order.  Each tuple is evaluated on its own by trees.shape_values, so
-    memory holds a few arrays over the grid points at a time, not one per
-    tuple."""
+    memory holds a few arrays over a batch of grid points at a time, not
+    one per tuple."""
 
     def mark_avg(L, B):
         return fold(p * shape_values(F, L, B, [(lt, None)])[0] for lt, p in types)
@@ -588,7 +583,7 @@ def convergence_report(
     branch types (the limit passes None), and for "rescaled" it must
     vanish on shapes higher than R.  Through a batched(L, B, lt) form, as
     the functionals of cli.build_functional carry, the limit makes one
-    call per leaf-type tuple on every grid point at once.  Kolmogorov
+    call per leaf-type tuple on each batch of grid points.  Kolmogorov
     survival rows are appended for the given generations.  Each row's
     "order" is its observed convergence order against the previous row of
     its path (_observed_orders).  Off criticality the limit columns are

@@ -24,7 +24,7 @@ import numpy as np
 
 from .process import OUTCOME_CAP, enumerate_arrays
 from .spine import build_kernel, shape_sum
-from .trees import fold, product_batches, shape_batches, shape_values
+from .trees import _check_shape_box, fold, product_batches, shape_batches, shape_values
 
 __all__ = [
     "MomentQuery",
@@ -487,6 +487,7 @@ def ultrametric_moment(model, k, F, n, x0, kernel=None):
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    _check_shape_box(n, k - 1)
     if kernel is None:
         kernel = build_kernel(model, "harmonic")
     psi_x = float(kernel.psi[model.index[x0]])

@@ -147,8 +147,8 @@ def build_kernel(model, psi="unit"):
     """SpineKernel for a named or explicit weight.
 
     psi may be "unit", "harmonic" (the Perron right eigenvector normalised
-    against the left one), a mapping from labels to positive numbers, or a
-    positive vector in type order.
+    against the left one), a mapping from each type label, and no other,
+    to a positive number, or a positive vector in type order.
     """
     if isinstance(psi, str):
         if psi == "unit":
@@ -158,6 +158,13 @@ def build_kernel(model, psi="unit"):
         else:
             raise ValueError(f"unknown weight preset {psi!r}")
     elif isinstance(psi, dict):
+        missing = [x for x in model.types if x not in psi]
+        unknown = [x for x in psi if x not in model.index]
+        if missing or unknown:
+            raise ValueError(
+                f"psi must map every model type to a weight: missing {missing}, "
+                f"unknown {unknown}"
+            )
         vals = np.array([float(psi[x]) for x in model.types])
     else:
         vals = np.asarray(psi, dtype=float)

@@ -335,6 +335,20 @@ SHAPE_BATCH_ROWS = 2048
 # floats in one tie pattern's weight table (typed keys x rows x start
 # types), above which the shape sum refuses instead of exhausting memory
 SHAPE_TABLE_FLOATS = 2**24
+# height tuples in the box of an exact shape sum, R^(2k-1) for
+# shape_batches and n^(k-1) for the meets of one generation, above which
+# it refuses instead of running for hours: the largest allowed boxes at
+# k = 2, 3 and 4 sum in 2.5 to 6 minutes
+SHAPE_BOX_LIMIT = 10**9
+
+
+def _check_shape_box(side, dim):
+    """A ValueError unless side^dim height tuples are within SHAPE_BOX_LIMIT."""
+    if side**dim > SHAPE_BOX_LIMIT:
+        raise ValueError(
+            f"an exact shape sum over {side}^{dim} = {side**dim:.3g} height tuples "
+            f"is above the limit of {SHAPE_BOX_LIMIT:.0e}; use a smaller R, n or k"
+        )
 
 
 def product_batches(lo, hi, width, rows=SHAPE_BATCH_ROWS):
@@ -351,7 +365,8 @@ def product_batches(lo, hi, width, rows=SHAPE_BATCH_ROWS):
 def shape_batches(k, R):
     """All integer k-leaf shapes with every leaf height <= R, in order, as
     int arrays of leaf heights (N, k) and meet heights (N, k-1), in batches
-    of at most max(SHAPE_BATCH_ROWS, R^(k-1)) rows.
+    of at most max(SHAPE_BATCH_ROWS, R^(k-1)) rows.  A box R^(2k-1) above
+    SHAPE_BOX_LIMIT is a ValueError.
 
     For k = 1 the heights 0..R each give one shape.  For k >= 2 every leaf
     height ranges over 1..R and each meet height over 0..min-1, so the
@@ -365,6 +380,7 @@ def shape_batches(k, R):
         raise ValueError("k must be at least 1")
     if R < 0:
         raise ValueError("R must be nonnegative")
+    _check_shape_box(R, 2 * k - 1)
     rows = SHAPE_BATCH_ROWS
     if k == 1:
         for L in product_batches(0, R + 1, 1, rows):

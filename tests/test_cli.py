@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from branchlab import cli, limits, process
-from branchlab.cli import build_phi, main, read_csv_rows
+from branchlab.cli import build_phi, main
 from branchlab.trees import PlanarTree, tree_to_string
 
 CONFIG_DIR = "configs"
@@ -85,11 +85,11 @@ class TestModelCheck:
         cfg = write_config(
             tmp_path, "conv.json", {"model": "m.json", "x0": "a", "k": 2, "n_values": [4, 8]}
         )
-        rc, out, err = run(capsys, "convergence", "--config", str(cfg))
+        rc, out, err = run(capsys, "convergence", "--config", str(cfg), "--format", "json")
         assert rc == 0 and err == warning
-        meta, rows = read_csv_rows_from_text(out)
-        assert meta["critical"] == "false"
-        assert rows and all(r["limit"] is None for r in rows)
+        data = json.loads(out)
+        assert data["critical"] is False
+        assert data["rows"] and all(r["limit"] is None for r in data["rows"])
 
     def test_tol_is_an_unknown_key(self, capsys, tmp_path):
         # there is one criticality threshold; a config that sets its own fails
@@ -128,12 +128,15 @@ class TestModelCheck:
         cfg = self._periodic_config(tmp_path)
         rc, out, err = run(capsys, "model-check", "--config", str(cfg), "--format", "csv")
         assert rc == 2 and err == ""
-        meta, rows = read_csv_rows_from_text(out)
-        assert set(meta) == {"seed", "git", "config_sha256"}
-        assert rows == [
-            {"key": "critical", "value": "false"},
-            {"key": "error", "value": "mean matrix must be irreducible and aperiodic"},
-        ]
+        sha = hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert mask_git(out) == (
+            "# seed=0\n"
+            "# git=<masked>\n"
+            f"# config_sha256={sha}\n"
+            "key,value\n"
+            "critical,false\n"
+            "error,mean matrix must be irreducible and aperiodic\n"
+        )
 
     def test_csv_format(self, capsys):
         rc, out, _ = run(
@@ -145,16 +148,12 @@ class TestModelCheck:
             "csv",
         )
         assert rc == 0
-        meta, rows = read_csv_rows_from_text(out)
-        assert {r["key"] for r in rows} >= {"perron", "critical", "sigma_sq"}
+        lines = out.splitlines()
+        assert [l.split("=")[0] for l in lines[:3]] == ["# seed", "# git", "# config_sha256"]
+        assert lines[3] == "key,value"
+        assert {l.split(",")[0] for l in lines[4:]} >= {"perron", "critical", "sigma_sq"}
         # booleans are written one way, as convergence writes its meta
-        assert {"key": "critical", "value": "true"} in rows
-
-
-def read_csv_rows_from_text(text):
-    import io
-
-    return read_csv_rows(io.StringIO(text))
+        assert "critical,true" in lines[4:]
 
 
 class TestConfigHandling:
@@ -506,9 +505,8 @@ class TestSimulate:
         assert rc == rc_json == 0
         data = json.loads(out_json)
         assert set(data) == {"meta", "tree", "rows"}
-        meta, _ = read_csv_rows_from_text(out_csv)
-        assert meta["tree"] == data["tree"]
-        assert meta["config_sha256"] == data["meta"]["config_sha256"]
+        assert f"# tree={data['tree']}" in out_csv.splitlines()
+        assert f"# config_sha256={data['meta']['config_sha256']}" in out_csv.splitlines()
         assert data["meta"]["seed"] == 3
         lines = [l for l in out_csv.splitlines() if not l.startswith("#")]
         assert lines[0] == "vertex,type"
@@ -540,10 +538,10 @@ class TestSimulate:
 class TestVerify:
     def test_binary_grid_all_ok(self, capsys):
         rc, out, _ = run(
-            capsys, "verify-m2f", "--config", f"{CONFIG_DIR}/verify_binary.json"
+            capsys, "verify-m2f", "--config", f"{CONFIG_DIR}/verify_binary.json", "--format", "json"
         )
         assert rc == 0
-        meta, rows = read_csv_rows_from_text(out)
+        rows = json.loads(out)["rows"]
         assert len(rows) == 18
         assert all(r["status"] == "ok" for r in rows)
         assert all(r["abs_diff"] <= 1e-9 for r in rows)
@@ -560,10 +558,10 @@ class TestVerify:
             "v.json",
             {"model": "m.json", "ks": [1], "Rs": [1], "tol": -1.0},
         )
-        rc, out, _ = run(capsys, "verify-m2f", "--config", str(cfg))
+        rc, out, _ = run(capsys, "verify-m2f", "--config", str(cfg), "--format", "json")
         assert rc == 3
-        _, rows = read_csv_rows_from_text(out)
-        assert all(r["status"] == "FAIL" for r in rows)
+        rows = json.loads(out)["rows"]
+        assert rows and all(r["status"] == "FAIL" for r in rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_childless_model(self, capsys, tmp_path, fmt):
@@ -574,8 +572,10 @@ class TestVerify:
         cfg = write_config(tmp_path, "v.json", {**body, "psis": ["unit"]})
         rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", "csv")
         assert rc == 0 and err == ""
-        _, rows = read_csv_rows_from_text(out)
-        assert [(r["bruteforce"], r["shape_sum"], r["status"]) for r in rows] == [(1.0, 1.0, "ok")]
+        assert out.splitlines()[3:] == [
+            "k,R,psi,bruteforce,shape_sum,abs_diff,status",
+            "1,2,unit,1,1,0,ok",
+        ]
         # the harmonic weight needs a primitive mean matrix, which [[0]] is not
         cfg = write_config(tmp_path, "v.json", body)
         rc, out, err = run(capsys, "verify-m2f", "--config", str(cfg), "--format", fmt)
@@ -722,6 +722,31 @@ class TestMoments:
             "outcomes; raise the cap or lower the horizon\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "psi, needle",
+        [({"A": 1.0}, "missing ['B'], unknown []"), ({"A": 1, "B": 1, "C": 2}, "missing [], unknown ['C']")],
+    )
+    def test_psi_mapping_must_name_the_model_types(self, capsys, tmp_path, fmt, psi, needle):
+        # a missing type printed a bare "error: 'B'"; an unknown one was ignored
+        model = str(Path(CONFIG_DIR, "two_type_asymmetric.json").resolve())
+        cfg = write_config(tmp_path, "c.json", {"model": model, "x0": "A", "k": 2, "R": 3, "psi": psi})
+        rc, out, err = run(capsys, "moments", "--config", str(cfg), "--format", fmt)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: psi must map every model type") and err.count("\n") == 1
+        assert needle in err
+
+    def test_hopeless_shape_sum_refused(self, capsys, tmp_path):
+        # k = 4 at R = 40 would sum 9.6e9 shapes, about 17 h
+        model = str(Path(CONFIG_DIR, "binary_gw.json").resolve())
+        cfg = write_config(tmp_path, "c.json", {"model": model, "x0": "a", "k": 4, "R": 40, "route": "m2f"})
+        rc, out, err = run(capsys, "moments", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err == (
+            "error: an exact shape sum over 40^7 = 1.64e+11 height tuples is above "
+            "the limit of 1e+09; use a smaller R, n or k\n"
+        )
+
     def test_out_file_silences_stdout(self, capsys, tmp_path):
         path = tmp_path / "o.json"
         main(
@@ -751,11 +776,22 @@ class TestConvergence:
         rc2, out2, _ = run(capsys, *args)
         assert rc1 == rc2 == 0
         assert out1 == out2
-        meta, rows = read_csv_rows_from_text(out1)
-        assert meta["critical"] == "true"
+        assert "# critical=true" in out1.splitlines()
+        rows = json.loads(run(capsys, *args, "--format", "json")[1])["rows"]
         slice_rows = [r for r in rows if r["path"] == "ultrametric:k=2"]
         # even generation counts align with the threshold exactly
         assert any(r["rel_error"] == 0 for r in slice_rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode", ["rescaled", "ultrametric"])
+    def test_hopeless_shape_sum_exits_1(self, capsys, tmp_path, fmt, mode):
+        # rescaled k = 2 at n = 10^4 would sum 3.3e11 shapes, about 40 h
+        model = str(Path(CONFIG_DIR, "binary_gw.json").resolve())
+        n = 10**4 if mode == "rescaled" else 10**9 + 1
+        cfg = write_config(tmp_path, "c.json", {"model": model, "x0": "a", "k": 2, "n_values": [n], "mode": mode})
+        rc, out, err = run(capsys, "convergence", "--config", str(cfg), "--format", fmt)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: an exact shape sum over") and "above the limit of 1e+09" in err
 
     def test_oversized_limit_grid_exits_1(self, capsys, tmp_path):
         write_model(
@@ -862,11 +898,13 @@ class TestConvergence:
             "convergence",
             "--config",
             f"{CONFIG_DIR}/convergence_subcritical.json",
+            "--format",
+            "json",
         )
         assert rc == 0
-        meta, rows = read_csv_rows_from_text(out)
-        assert meta["critical"] == "false"
-        assert all(r["limit"] is None for r in rows)
+        data = json.loads(out)
+        assert data["critical"] is False
+        assert data["rows"] and all(r["limit"] is None for r in data["rows"])
 
     def test_subcritical_warning_goes_to_stderr(self, capsys):
         args = ("convergence", "--config", f"{CONFIG_DIR}/convergence_subcritical.json")
@@ -890,7 +928,7 @@ class TestSurvival:
         rc2, out2, _ = run(capsys, *args)
         assert rc == rc2 == 0
         assert out == out2
-        _, rows = read_csv_rows_from_text(out)
+        rows = json.loads(run(capsys, *args, "--format", "json")[1])["rows"]
         assert all(r["limit"] == 2 for r in rows)
         last = max(rows, key=lambda r: r["n"])
         assert last["n"] == 10_000
@@ -901,9 +939,9 @@ class TestSurvival:
         # against that type's previous row, and its first row has none
         model = Path(CONFIG_DIR, "two_type_asymmetric.json").resolve()
         cfg = write_config(tmp_path, "s.json", {"model": str(model), "n_values": [10, 100, 1000]})
-        rc, out, _ = run(capsys, "survival", "--config", str(cfg))
+        rc, out, _ = run(capsys, "survival", "--config", str(cfg), "--format", "json")
         assert rc == 0
-        _, rows = read_csv_rows_from_text(out)
+        rows = json.loads(out)["rows"]
         assert [(r["n"], r["path"]) for r in rows] == [
             (n, f"kolmogorov:{x}") for n in (10, 100, 1000) for x in "AB"
         ]
@@ -1042,6 +1080,37 @@ class TestComb:
         assert rc == 1 and out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "'eps'" in err and repr(r / 2) in err and repr(eps) in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("sigma_sq", -1, "a positive finite number"),
+            ("sigma_sq", 0, "a positive finite number"),
+            ("sigma_sq", math.nan, "a positive finite number"),
+            ("sigma_sq", math.inf, "a positive finite number"),
+            ("z_max", math.nan, "a positive number"),
+            ("z_max", 0, "a positive number"),
+            ("z_max", -3.0, "a positive number"),
+        ],
+    )
+    def test_sigma_sq_and_z_max_out_of_range_exit_1(self, capsys, tmp_path, monkeypatch, fmt, key, value, rule):
+        # sigma_sq -1 at k = 3 printed estimate = formula = -0.75 and exited
+        # 0; a nan sigma_sq or z_max exited 3, a verification failure.
+        # Refused before the formula and before any sampling
+        def computed(*args, **kwargs):
+            raise AssertionError("computed")
+
+        monkeypatch.setattr(limits, "cpp_moment", computed)
+        monkeypatch.setattr(limits, "cpp_monomial_mc", computed)
+        cfg = write_config(tmp_path, "cpp.json", {"k": 3, "eps": 0.1, "n_samples": 2000, key: value})
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg), "--format", fmt)
+        only_config_error(rc, out, err, f"config key {key!r} must be {rule}, got {float(value)!r}")
+
+    def test_infinite_z_max_never_fails(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "cpp.json", {"k": 1, "n_samples": 40, "eps": 0.5, "z_max": math.inf})
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg))
+        assert rc == 0 and err == "" and json.loads(out)["k"] == 1
 
     def test_eps_just_below_half_the_radius_runs(self, capsys, tmp_path):
         phi = {"name": "pair_indicator", "r": 0.4}

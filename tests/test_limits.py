@@ -1,7 +1,6 @@
 """Continuum limits: shape integrals, the Poisson comb, walk excursions."""
 
 import contextlib
-import io
 import itertools
 import math
 from collections import Counter
@@ -11,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from branchlab.cli import ConfigError, build_functional, build_phi, csv_text, read_csv_rows
+from branchlab.cli import ConfigError, build_functional, build_phi, csv_text
 from branchlab.limits import (
     REPORT_COLUMNS,
     LimitQuery,
@@ -25,7 +24,7 @@ from branchlab.limits import (
     lambda_tilde_k_integral,
     sample_excursions,
 )
-from branchlab.limits import _draw_combs, _midpoint_grid, _observed_orders, _range_distances
+from branchlab.limits import _draw_combs, _observed_orders, _range_distances
 from branchlab import limits
 from branchlab.process import eigenpair, sigma_squared
 from branchlab.trees import TreeShape, _per_row, count_shapes, fold
@@ -137,19 +136,6 @@ class TestUnitCubeIntegrals:
         f = lambda L, B: B[:, 0] >= 0.5
         val, err = lambda_tilde_k_integral(2, f, method="mc", n_samples=40_000, rng=5)
         assert abs(val - 0.5) <= 4 * err
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n_cells", [1, 2, 7, 10])
-    def test_grid_matches_meshgrid_stack(self, dim, n_cells):
-        # the broadcast grid against a verbatim copy of the meshgrid form
-        mids = (np.arange(n_cells) + 0.5) / n_cells
-        got = _midpoint_grid(mids, dim)
-        want = _seed_midpoint_grid(mids, dim)
-        assert got.shape == want.shape == (n_cells**dim, dim)
-        assert got.dtype == want.dtype and got.flags.c_contiguous
-        assert [v.hex() for v in got.reshape(-1).tolist()] == [
-            v.hex() for v in want.reshape(-1).tolist()
-        ]
 
 
 class TestTreeMoment:
@@ -699,27 +685,26 @@ class TestReports:
             {"n": 5, "observed": 0.5, "limit": 1.0, "rel_error": 0.5, "path": "a:k=1", "order": 0.75},
             {"n": 9, "observed": 0.25, "limit": None, "rel_error": None, "path": "b", "order": None},
         ]
-        text = csv_text({"seed": 3, "critical": "true"}, REPORT_COLUMNS, rows)
-        meta, back = read_csv_rows(io.StringIO(text))
-        assert meta == {"seed": "3", "critical": "true"}
-        assert back == rows
+        assert csv_text({"seed": 3, "critical": "true"}, REPORT_COLUMNS, rows) == (
+            "# seed=3\n"
+            "# critical=true\n"
+            "n,observed,limit,rel_error,path,order\n"
+            "5,0.5,1,0.5,a:k=1,0.75\n"
+            "9,0.25,,,b,\n"
+        )
         # a real report: twelve significant digits survive the round trip
         F = lambda shape, lt, bt: float(shape.height <= 1.0)
         rep = convergence_report(binary, 1, F, [30], "a", kolmogorov_ns=(100,))
-        meta, back = read_csv_rows(io.StringIO(csv_text({}, REPORT_COLUMNS, rep.rows)))
-        assert meta == {}
-        assert len(back) == len(rep.rows) == 2
-        for got, want in zip(back, rep.rows):
-            assert set(got) == set(REPORT_COLUMNS)
-            for c in REPORT_COLUMNS:
+        lines = csv_text({}, REPORT_COLUMNS, rep.rows).splitlines()
+        assert lines == [
+            "n,observed,limit,rel_error,path,order",
+            "30,1.03333333333,1,0.0333333333333,rescaled:k=1,",
+            "100,1.87915597412,2,0.0604220129385,kolmogorov:a,",
+        ]
+        for line, want in zip(lines[1:], rep.rows):
+            for c, cell in zip(REPORT_COLUMNS, line.split(",")):
                 if isinstance(want[c], float):
-                    assert got[c] == pytest.approx(want[c], rel=1e-11)
-                else:
-                    assert got[c] == want[c]
-
-    def test_csv_without_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            read_csv_rows(io.StringIO("# seed=0\n"))
+                    assert float(cell) == pytest.approx(want[c], rel=1e-11)
 
     def test_rescaled_single_leaf(self, binary):
         F = lambda shape, lt, bt: float(shape.height <= 1.0)
@@ -1258,6 +1243,21 @@ def _nowhere_zero(L, B):
     return 2.0 + np.sin(L.sum(axis=1)) * np.cos(0.5 + B.sum(axis=1))
 
 
+def _polynomial(L, B):
+    # at least three on unit-cube meets; no transcendental, so each row's
+    # bits do not depend on the length of the batch it arrives in
+    return 3.0 + L.sum(axis=1) * (1.0 - 0.5 * B.sum(axis=1))
+
+
+def _recorded(calls, f=ones_f):
+    # f, keeping a contiguous copy of the rows of every call
+    def g(L, B):
+        calls.append((L.copy(order="K"), B.copy(order="K")))
+        return f(L, B)
+
+    return g
+
+
 class TestInRegionGrid:
     """The in-region walk against the seed's masked box grid, bit for bit."""
 
@@ -1283,16 +1283,9 @@ class TestInRegionGrid:
     )
     def test_integrand_gets_the_box_grids_kept_rows(self, k, R, step):
         # one call, on the rows the mask kept, in order, as contiguous arrays
-        def recorder(calls):
-            def f(L, B):
-                calls.append((L.copy(order="K"), B.copy(order="K")))
-                return np.ones(len(L))
-
-            return f
-
         got, want = [], []
-        lambda_k_integral(k, recorder(got), R=R, method="grid", grid_step=step)
-        seed_lambda_k_integral(k, recorder(want), R=R, grid_step=step)
+        lambda_k_integral(k, _recorded(got), R=R, method="grid", grid_step=step)
+        seed_lambda_k_integral(k, _recorded(want), R=R, grid_step=step)
         assert len(got) == len(want) == 1
         if k > 1:
             assert len(want[0][0]) < round(R / step) ** (2 * k - 1)
@@ -1316,3 +1309,30 @@ class TestInRegionGrid:
         # heights 1..24 shifted down by one
         val, _ = lambda_k_integral(3, ones_f, method="grid", grid_step=0.04)
         assert val == (1.0 / 25) ** 5 * count_shapes(3, 24)
+
+    def test_grid_of_several_batches(self):
+        # 25^3 leaf cells, walked 2048 at a time: eight calls whose rows,
+        # joined, are the box grid's kept rows, folded to the same bits
+        got, want = [], []
+        val = lambda_k_integral(3, _recorded(got, _polynomial), method="grid", grid_step=0.04)
+        ref = seed_lambda_k_integral(3, _recorded(want, _polynomial), grid_step=0.04)
+        assert len(got) == 8 and len(want) == 1
+        assert _bits(val) == _bits(ref)
+        for joined, whole in zip(map(np.concatenate, zip(*got)), want[0]):
+            assert joined.shape == whole.shape and joined.tobytes() == whole.tobytes()
+
+    def test_unit_cube_grid_of_several_batches(self):
+        # 100^2 meet cells, walked 2048 at a time: five calls on the
+        # reference's points, in its order, folded to the same bits
+        got, want = [], []
+
+        def per_point(l, b):
+            want.append(np.concatenate([l, b]))
+            return float(_polynomial(l[None], b[None])[0])
+
+        val = lambda_tilde_k_integral(3, _recorded(got, _polynomial), method="grid", grid_step=0.01)
+        ref = _reference_lambda_tilde(3, per_point, method="grid", grid_step=0.01)
+        assert len(got) == 5
+        assert _bits(val) == _bits(ref)
+        rows = np.concatenate([np.hstack(call) for call in got])
+        assert rows.shape == (10**4, 5) and rows.tobytes() == np.array(want).tobytes()

@@ -474,6 +474,15 @@ class TestRescaledMoments:
         got = n * ultrametric_moment(asymmetric, 1, F, n, "A")
         assert abs(got - want) <= 1e-10
 
+    def test_hopeless_sizes_refused_before_summing(self, binary):
+        # k = 2 at n = 10^4 sums 3.3e11 shapes, about 40 h at 2.2e6 a second
+        with pytest.raises(ValueError, match=r"10000\^3 = 1e\+12 height tuples"):
+            rescaled_moment(binary, 2, count_F, 10**4, "a")
+        with pytest.raises(ValueError, match=r"1000000001\^1 = 1e\+09 height tuples"):
+            ultrametric_moment(binary, 2, count_F, 10**9 + 1, "a")
+        with pytest.raises(ValueError, match=r"40\^7 = 1.64e\+11 height tuples"):
+            moment_m2f(binary, MomentQuery(k=4, x0="a", F=count_F, R=40))
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_n_below_one_rejected(self, binary, n):
         with pytest.raises(ValueError, match="n must be at least 1"):

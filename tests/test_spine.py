@@ -118,6 +118,20 @@ class TestKernelTables:
         by_vec = build_kernel(asymmetric, [0.75, 1.5])
         assert np.allclose(by_dict.step, by_vec.step, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "psi, needle",
+        [
+            ({"A": 1.0}, "missing ['B'], unknown []"),
+            ({"A": 1, "B": 1, "C": 2}, "missing [], unknown ['C']"),
+            ({"B": 1, "C": 2}, "missing ['A'], unknown ['C']"),
+        ],
+    )
+    def test_psi_mapping_names_missing_and_unknown_types(self, asymmetric, psi, needle):
+        # a missing type was a bare KeyError; an unknown one was ignored
+        with pytest.raises(ValueError, match="psi must map every model type") as e:
+            build_kernel(asymmetric, psi)
+        assert needle in str(e.value)
+
     def test_psi_validation(self, binary):
         with pytest.raises(ValueError):
             SpineKernel(binary, np.array([0.0]))

@@ -214,6 +214,14 @@ class TestHeightEncoding:
                 got = [tuple(r) for A in product_batches(2, 2 + n, width, 4) for r in A.tolist()]
                 assert got == list(itertools.product(range(2, 2 + n), repeat=width))
 
+    @pytest.mark.parametrize("k, R", [(1, 10**9), (2, 1000), (3, 63), (4, 19)])
+    def test_largest_allowed_boxes_start(self, k, R):
+        assert R ** (2 * k - 1) <= trees.SHAPE_BOX_LIMIT < (R + 1) ** (2 * k - 1)
+        L, B = next(shape_batches(k, R))
+        assert len(L) and L.shape[1] == k and B.shape[1] == k - 1
+        with pytest.raises(ValueError, match="above the limit of 1e"):
+            next(shape_batches(k, R + 1))
+
     def test_enumeration_has_no_duplicates(self):
         seen = set(batch_shapes(3, 3))
         assert len(seen) == count_shapes(3, 3)
