@@ -504,15 +504,16 @@ def cmd_cpp(args):
     )
     k = _cfg_int(cfg, "k", least=1)
     sigma_sq = _cfg_float(cfg, "sigma_sq", 1.0)
-    if not 0 < sigma_sq < math.inf:
-        raise ConfigError(f"config key 'sigma_sq' must be a positive finite number, got {sigma_sq!r}")
     spec = cfg.get("phi", {"name": "ones"})
     phi = build_phi(spec, k)
     marks = _cfg_marks(cfg)
     try:
         query = limits.LimitQuery(k=k, phi=phi, sigma_sq=sigma_sq, mark_probs=marks)
     except ValueError as e:
-        raise ConfigError(f"config key 'marks': {e}") from None
+        # LimitQuery's message starts with the field it refuses
+        field, rule = str(e).split(" ", 1)
+        key = "marks" if field == "mark_probs" else field
+        raise ConfigError(f"config key {key!r} {rule}") from None
     # the stderr needs two samples
     n_samples = _cfg_int(cfg, "n_samples", 100_000, least=2)
     eps = _cfg_float(cfg, "eps", 1e-3)

@@ -128,6 +128,8 @@ def lambda_tilde_k_integral(
     one, called once per batch of meet cells on the grid; for k = 1 the
     value is exactly f at the single shape.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     _check_step(grid_step)
     if k == 1:
         return float(_per_row(f, np.ones((1, 1)), np.zeros((1, 0)))[0]), 0.0
@@ -159,7 +161,10 @@ class LimitQuery:
     with a batched(D, marks) form, as cli.build_phi's carry, is called on
     a stack of matrices at a time.  mark_probs maps labels to
     probabilities; None means a single unmarked class.  A mark law that is
-    not finite, nonnegative and summing to 1 within 2**-26 is a ValueError.
+    not finite, nonnegative and summing to 1 within 2**-26 is a ValueError,
+    as are a k that is not an integer of at least 1, a sigma_sq that is
+    not positive and finite and an R that is not finite and nonnegative;
+    each message starts with the field's name.
     """
 
     k: int
@@ -169,6 +174,14 @@ class LimitQuery:
     R: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k!r}")
+        if not 0 < self.sigma_sq < math.inf:
+            raise ValueError(f"sigma_sq must be a positive finite number, got {self.sigma_sq!r}")
+        if not 0 <= self.R < math.inf:
+            raise ValueError(f"R must be a finite nonnegative number, got {self.R!r}")
         # Generator.choice's checks, at its tolerance sqrt(eps) = 2**-26,
         # once for every route that reads the mark law; a nan fails the
         # first test, an infinity the second
@@ -333,8 +346,6 @@ def cpp_monomial_samples(
     inner points when that is more, whatever n_samples and eps are.
     """
     k = query.k
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k!r}")
     if n_inner < 1:
         raise ValueError(f"n_inner must be at least 1, got {n_inner!r}")
     if not 0 < eps < 1:

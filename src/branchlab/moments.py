@@ -8,8 +8,10 @@ subtree.  Routes:
   * brute force: enumerate every population outcome up to a horizon and
     sum over vertex tuples;
   * shape sum: weighted spine expectations summed over k-leaf shapes;
-  * recursion: for product-form functionals, a stem sum feeding a branch
-    point whose subtree moments are computed recursively.
+  * recursion: for product functionals (BranchFunctional nodes), a stem
+    sum feeding a leaf or a branch point whose blocks' moments are
+    computed recursively.  A node is itself a shape functional, so the
+    other routes take the same object and call it.
 
 The rescaled variants divide heights by n and renormalise, so that the
 values can be compared against continuum limits.
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .process import OUTCOME_CAP, enumerate_arrays
+from .process import OUTCOME_CAP, _check_start, enumerate_arrays
 from .spine import build_kernel, shape_sum
 from .trees import _check_shape_box, fold, product_batches, shape_batches, shape_values
 
@@ -47,7 +49,8 @@ class MomentQuery:
     """What to compute: tuple size k, start type, weight choice, functional, support radius.
 
     F is called as F(shape, leaf_types, branch_types) and must vanish on
-    shapes with a leaf height above R.
+    shapes with a leaf height above R; a BranchFunctional node is such an
+    F, and the one F that moment_recursive takes.
     """
 
     k: int
@@ -289,6 +292,7 @@ def moment_m2f_radii(model, query, Rs, kernel=None):
     """moment_m2f at query.R = R for each R in Rs, with the bits of one
     call per R, from one shape sum over leaf heights up to max(Rs): the
     shapes up to R are those rows, in the same order."""
+    _check_start(model, query.x0)
     if kernel is None:
         kernel = build_kernel(model, query.psi)
     psi_x = float(kernel.psi[model.index[query.x0]])
@@ -325,23 +329,15 @@ def many_to_one(kernel, x0, n, F):
 
 
 @dataclass(frozen=True)
-class PathFunctional:
-    """Single-leaf functional f(leaf height, leaf type)."""
-
-    f: Callable[[int, str], float]
-
-    @property
-    def k(self):
-        return 1
-
-
-@dataclass(frozen=True)
 class BranchFunctional:
-    """Product functional: stem part times one functional per block.
+    """Product functional: a stem part times one functional per block.
 
-    stem(stem_height, branch_type) weighs the lowest meet of all leaves;
-    blocks (two or more, each a PathFunctional or BranchFunctional) weigh
-    the subtrees above it, left to right.
+    With no blocks the node is a leaf: stem(leaf_height, leaf_type) weighs
+    its one leaf.  Otherwise stem(stem_height, branch_type) weighs the
+    lowest meet of all leaves, and the blocks (two or more nodes) weigh
+    the subtrees above it, left to right.  A node is itself a shape
+    functional, F(shape, leaf_types, branch_types): zero on shapes whose
+    branch structure does not match its nesting.
     """
 
     stem: Callable[[int, str], float]
@@ -349,21 +345,26 @@ class BranchFunctional:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        if len(self.blocks) < 2:
-            raise ValueError("a branch functional needs at least two blocks")
+        if len(self.blocks) == 1:
+            raise ValueError("a branch functional needs no blocks or at least two")
 
     @property
     def k(self):
-        return sum(blk.k for blk in self.blocks)
+        return sum(blk.k for blk in self.blocks) or 1
+
+    def __call__(self, shape, lt, bt):
+        return _eval_product(self, shape.leaf_heights, shape.branch_heights, lt, bt)
+
+
+def PathFunctional(f):
+    """The one-leaf node: f(leaf height, leaf type) weighs the leaf."""
+    return BranchFunctional(f)
 
 
 def _eval_product(func, l, b, lt, bt):
-    if isinstance(func, PathFunctional):
-        if len(l) != 1:
-            return 0.0
-        return func.f(l[0], lt[0])
-    if len(l) < 2:
-        return 0.0
+    if not b:
+        # one leaf: the stem runs up to it
+        return 0.0 if func.blocks else func.stem(l[0], lt[0])
     s = min(b)
     cuts = [j for j, bj in enumerate(b) if bj == s]
     if len(cuts) + 1 != len(func.blocks):
@@ -385,56 +386,39 @@ def _eval_product(func, l, b, lt, bt):
 
 
 def as_functional(func):
-    """Adapt a Path/BranchFunctional to the F(shape, lt, bt) interface.
-
-    The value is zero on shapes whose first-branch block structure does
-    not match the functional's nesting.
-    """
-
-    def F(shape, lt, bt):
-        return _eval_product(
-            func, shape.leaf_heights, shape.branch_heights, lt, bt
-        )
-
-    return F
+    """The F(shape, lt, bt) form of a product functional: the node itself."""
+    return func
 
 
 def _recursive_vector(kernel, func, R):
     """Vector over start types of the k-point moment of a product functional.
 
-    A path functional is a stem sum; a branch functional takes a stem sum
-    into a branch point whose distinct-children assignments are weighted
-    by the block moments, computed recursively.
+    A stem sum into the node's end vertex: a leaf ends there (inner weight
+    one), a branch point weighs its distinct-children assignments by the
+    block moments, computed recursively.
     """
     model = kernel.model
     nt = len(model.types)
-    out = np.zeros(nt)
-    if isinstance(func, PathFunctional):
-        for n in range(R + 1):
-            Bn = kernel.matrix_power(n, biased=True)
-            for y in range(nt):
-                val = func.f(n, model.types[y])
-                if val:
-                    out += Bn[:, y] * (val / kernel.psi[y])
-        return kernel.psi * out
     d = len(func.blocks)
     vecs = [_recursive_vector(kernel, blk, R) for blk in func.blocks]
-    inner = np.zeros(nt)
-    for y, x in enumerate(model.types):
-        acc = 0.0
-        for p, cs in model.offspring[x]:
-            if len(cs) < d:
-                continue
-            ids = [model.index[c] for c in cs]
-            for pick in itertools.permutations(ids, d):
-                term = float(p)
-                for vec_i, zi in zip(vecs, pick):
-                    term *= vec_i[zi]
-                    if term == 0.0:
-                        break
-                acc += term
-        inner[y] = acc
+    inner = np.ones(nt)
+    if d:
+        for y, x in enumerate(model.types):
+            acc = 0.0
+            for p, cs in model.offspring[x]:
+                if len(cs) < d:
+                    continue
+                ids = [model.index[c] for c in cs]
+                for pick in itertools.permutations(ids, d):
+                    term = float(p)
+                    for vec_i, zi in zip(vecs, pick):
+                        term *= vec_i[zi]
+                        if term == 0.0:
+                            break
+                    acc += term
+            inner[y] = acc
     fact = math.factorial(d)
+    out = np.zeros(nt)
     for n in range(R + 1):
         Bn = kernel.matrix_power(n, biased=True)
         for y in range(nt):
@@ -447,15 +431,18 @@ def _recursive_vector(kernel, func, R):
 def moment_recursive(model, query):
     """k-point moment of a product-form functional by branch recursion.
 
-    query.F must be a PathFunctional or BranchFunctional; stems are summed
-    up to height R, so the functional has to vanish beyond that.  Agrees
-    with moment_m2f applied to as_functional(query.F) whenever the
-    functional's total support fits under R.
+    query.F must be a BranchFunctional node, whose nesting the recursion
+    reads; stems are summed up to height R, so the functional has to
+    vanish beyond that.  Agrees with moment_m2f on the same query whenever
+    the functional's total support fits under R.
     """
-    if not isinstance(query.F, (PathFunctional, BranchFunctional)):
+    if not isinstance(query.F, BranchFunctional):
         raise TypeError("moment_recursive needs a product-form functional")
+    _check_start(model, query.x0)
+    R = int(query.R)
+    _check_radius(R)
     kernel = build_kernel(model, query.psi)
-    vec = _recursive_vector(kernel, query.F, int(query.R))
+    vec = _recursive_vector(kernel, query.F, R)
     return float(vec[model.index[query.x0]])
 
 
@@ -469,6 +456,7 @@ def rescaled_moment(model, k, F, n, x0, R=1.0, kernel=None):
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    _check_start(model, x0)
     if kernel is None:
         kernel = build_kernel(model, "harmonic")
     R_disc = int(math.floor(R * n + 1e-9))
@@ -485,8 +473,11 @@ def ultrametric_moment(model, k, F, n, x0, kernel=None):
     approaches h(x0) (sigma^2 / 2)^{k-1} times the integral of F over
     uniform meet heights in [0, 1]^{k-1}.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    _check_start(model, x0)
     _check_shape_box(n, k - 1)
     if kernel is None:
         kernel = build_kernel(model, "harmonic")

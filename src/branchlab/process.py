@@ -194,7 +194,7 @@ class Eigenpair:
 _SIMULATE_VERTEX_LIMIT = 10**5
 
 
-def _check_start(model, x0, n_gen):
+def _check_start(model, x0, n_gen=0):
     """ValueError for a negative n_gen or an x0 that is not a model type."""
     if n_gen < 0:
         raise ValueError(f"n_gen must be nonnegative, got {n_gen!r}")

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -1107,6 +1110,22 @@ class TestComb:
         rc, out, err = run(capsys, "cpp", "--config", str(cfg), "--format", fmt)
         only_config_error(rc, out, err, f"config key {key!r} must be {rule}, got {float(value)!r}")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "body, key, rule",
+        [
+            ({"sigma_sq": -1}, "sigma_sq", "must be a positive finite number, got -1.0"),
+            ({"marks": {"A": 0.5, "B": 0.6}}, "marks", "must be finite, nonnegative and sum to 1"),
+        ],
+    )
+    def test_limit_query_errors_name_their_key(self, capsys, tmp_path, fmt, body, key, rule):
+        # LimitQuery holds both rules; every refusal of it used to be
+        # reported as config key 'marks'
+        cfg = write_config(tmp_path, "cpp.json", {"k": 3, "eps": 0.1, "n_samples": 2000, **body})
+        rc, out, err = run(capsys, "cpp", "--config", str(cfg), "--format", fmt)
+        only_config_error(rc, out, err, f"config key {key!r} {rule}")
+        assert err.count("config key") == 1 and "mark_probs" not in err
+
     def test_infinite_z_max_never_fails(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "cpp.json", {"k": 1, "n_samples": 40, "eps": 0.5, "z_max": math.inf})
         rc, out, err = run(capsys, "cpp", "--config", str(cfg))
@@ -1173,6 +1192,16 @@ class TestParser:
         _, out, _ = run(capsys, "survival", "--config", config, "--format", "json")
         _, out2, _ = run(capsys, "survival", "--config", config)
         assert out.startswith("{") and out2.startswith("# seed=0")
+
+    def test_module_entry_point(self):
+        # python -m branchlab runs __main__.py, which nothing else reaches
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "branchlab", "--help"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith("usage: branchlab")
 
 
 class TestGoldenBytes:

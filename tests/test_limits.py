@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -136,6 +137,45 @@ class TestUnitCubeIntegrals:
         f = lambda L, B: B[:, 0] >= 0.5
         val, err = lambda_tilde_k_integral(2, f, method="mc", n_samples=40_000, rng=5)
         assert abs(val - 0.5) <= 4 * err
+
+    @pytest.mark.parametrize("method", ["grid", "mc"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k, method):
+        # a TypeError from the grid's dimension k - 1, before
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            lambda_tilde_k_integral(k, ones_f, method=method)
+
+
+class TestLimitQueryRefusals:
+    """Inputs that gave silently wrong limits are refused where the query
+    is built, each message starting with the field's name."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma_sq", -1.0, "sigma_sq must be a positive finite number, got -1.0"),
+            ("sigma_sq", 0.0, "sigma_sq must be a positive finite number, got 0.0"),
+            ("sigma_sq", math.nan, "sigma_sq must be a positive finite number, got nan"),
+            ("sigma_sq", math.inf, "sigma_sq must be a positive finite number, got inf"),
+            ("R", -1.0, "R must be a finite nonnegative number, got -1.0"),
+            ("R", math.nan, "R must be a finite nonnegative number, got nan"),
+            ("R", math.inf, "R must be a finite nonnegative number, got inf"),
+            ("k", 0, "k must be at least 1, got 0"),
+            ("k", -2, "k must be at least 1, got -2"),
+            ("k", 2.0, "k must be an integer, got 2.0"),
+        ],
+    )
+    def test_refused(self, field, value, message):
+        # sigma_sq -1 at k = 3 gave cpp_moment -0.75 and crt_moment 0.155;
+        # a nan sigma_sq gave crt_moment (nan, nan), R -1 gave -0.0, a nan
+        # R failed in int() and k 0 raised a TypeError in cpp_moment
+        args = {"k": 3, "phi": lambda D, m: 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LimitQuery(**args)
+
+    def test_edges_accepted(self):
+        q = LimitQuery(k=np.int64(2), phi=lambda D, m: 1.0, sigma_sq=5e-324, R=0.0)
+        assert crt_moment(q, grid_step=0.5) == (0.0, 0.0)
 
 
 class TestTreeMoment:

@@ -436,6 +436,130 @@ class TestProductRecursion:
             BranchFunctional(lambda s, t: 1.0, (PathFunctional(lambda l, t: 1.0),))
 
 
+def _leaf(r, w):
+    return PathFunctional(lambda h, y: (w if y == "A" else 1.0) * (1.0 + 0.25 * h) if h <= r else 0.0)
+
+
+def pinned_functionals():
+    """k -> (product functional, R covering its support)."""
+    pair = BranchFunctional(lambda s, y: (0.5 + 0.125 * s) * (s <= 1), (_leaf(1, 1.3), _leaf(1, 0.45)))
+    inner = BranchFunctional(lambda s, y: 1.0 if s <= 0 else 0.0, (_leaf(1, 1.3), _leaf(0, 0.45)))
+    triple = BranchFunctional(
+        lambda s, y: 0.75 if s <= 0 and y == "B" else float(s <= 0), (_leaf(1, 0.7), inner)
+    )
+    return {1: (_leaf(2, 1.3), 2), 2: (pair, 3), 3: (triple, 3)}
+
+
+# (model, k, x0) -> hex of (moment_recursive, moment_m2f, brute force),
+# recorded while leaves and branch points were two classes and the shape
+# routes called a closure of as_functional.  Brute force differs where the
+# functional weighs its leaves unequally: the README's convention trap
+PINNED_PRODUCT_BITS = {
+    ("asymmetric", 1, "A"): ("0x1.e333333333333p+1", "0x1.e333333333333p+1", "0x1.e333333333333p+1"),
+    ("asymmetric", 1, "B"): ("0x1.7cccccccccccdp+2", "0x1.7cccccccccccdp+2", "0x1.7cccccccccccdp+2"),
+    ("asymmetric", 2, "A"): ("0x1.642d1eb851eb8p+0", "0x1.642d1eb851eb8p+0", "0x1.8a6d1eb851eb8p+0"),
+    ("asymmetric", 2, "B"): ("0x1.3d3cf5c28f5c2p+2", "0x1.3d3cf5c28f5c2p+2", "0x1.6ef68f5c28f5cp+2"),
+    ("asymmetric", 3, "A"): ("0x1.95126e978d4fcp-4", "0x1.95126e978d4fep-4", "0x1.95126e978d4fep-4"),
+    ("asymmetric", 3, "B"): ("0x1.c1f8b43958104p+0", "0x1.c1f8b43958104p+0", "0x1.b07fae147ae14p+1"),
+    ("nondyadic", 1, "A"): ("0x1.bb4395810624fp+1", "0x1.bb4395810624ep+1", "0x1.bb4395810624dp+1"),
+    ("nondyadic", 1, "B"): ("0x1.7c962fc962fc9p+1", "0x1.7c962fc962fc9p+1", "0x1.7c962fc962fc9p+1"),
+    ("nondyadic", 2, "A"): ("0x1.d7fd3a06d3a06p-1", "0x1.d7fd3a06d3a07p-1", "0x1.fe52fc962fc95p-1"),
+    ("nondyadic", 2, "B"): ("0x1.bd1d0369d036ap-1", "0x1.bd1d0369d0369p-1", "0x1.d458bf258bf23p-1"),
+    ("nondyadic", 3, "A"): ("0x1.a4e52bd3c3610p-3", "0x1.a4e52bd3c3610p-3", "0x1.60f559b3d07c9p-3"),
+    ("nondyadic", 3, "B"): ("0x1.986e978d4fdf1p-3", "0x1.986e978d4fdf2p-3", "0x1.2621cac083126p-2"),
+}
+
+
+class TestProductNode:
+    """Leaves and branch points are one node type, itself a shape functional."""
+
+    def test_as_functional_is_the_identity(self):
+        for func, _ in pinned_functionals().values():
+            assert as_functional(func) is func
+
+    def test_no_blocks_is_a_leaf(self):
+        f = lambda h, y: 2.0 + h
+        node = BranchFunctional(f)
+        assert node.blocks == () and node.k == 1
+        assert node == PathFunctional(f)
+        assert node(TreeShape((3,), ()), ("a",), ()) == 5.0
+        # a leaf sees one-leaf shapes only
+        assert node(TreeShape((1, 1), (0,)), ("a", "a"), ("a",)) == 0.0
+        with pytest.raises(ValueError, match="no blocks or at least two"):
+            BranchFunctional(f, (node,))
+
+    @pytest.mark.parametrize("psi", ["unit", "harmonic"])
+    def test_leaf_node_matches_path_functional(self, asymmetric, psi):
+        f = lambda h, y: (1.3 if y == "A" else 0.45) * (1.0 + 0.25 * h) if h <= 2 else 0.0
+        plain = lambda shape, lt, bt: f(shape.leaf_heights[0], lt[0])
+        for x0 in asymmetric.types:
+            bf = BruteForceMoments(asymmetric, x0, 3)
+            want = (moment_m2f(asymmetric, MomentQuery(1, x0, plain, 3, psi)).hex(), bf.moment(1, plain, 3).hex())
+            recursion = set()
+            for node in (BranchFunctional(f), PathFunctional(f)):
+                q = MomentQuery(k=1, x0=x0, F=node, R=3, psi=psi)
+                assert (moment_m2f(asymmetric, q).hex(), bf.moment(1, node, 3).hex()) == want, x0
+                recursion.add(moment_recursive(asymmetric, q).hex())
+            assert len(recursion) == 1
+
+    def test_node_is_its_own_shape_functional(self, asymmetric):
+        # the node called directly, and a plain closure around it as the
+        # shape routes saw it before, give the same bits
+        for k, (func, R) in pinned_functionals().items():
+            closure = lambda shape, lt, bt, func=func: func(shape, lt, bt)
+            for x0 in asymmetric.types:
+                bf = BruteForceMoments(asymmetric, x0, R)
+                for F in (as_functional(func), closure):
+                    q = MomentQuery(k=k, x0=x0, F=F, R=R, psi="harmonic")
+                    got = (moment_m2f(asymmetric, q).hex(), bf.moment(k, F, R).hex())
+                    assert got == PINNED_PRODUCT_BITS["asymmetric", k, x0][1:], (k, x0)
+
+    @pytest.mark.parametrize("name, psi", [("asymmetric", "harmonic"), ("nondyadic", "unit")])
+    def test_pinned_bits(self, request, name, psi):
+        model = request.getfixturevalue(name)
+        for k, (func, R) in pinned_functionals().items():
+            for x0 in model.types:
+                q = MomentQuery(k=k, x0=x0, F=func, R=R, psi=psi)
+                got = (
+                    moment_recursive(model, q),
+                    moment_m2f(model, q),
+                    BruteForceMoments(model, x0, R).moment(k, func, R),
+                )
+                assert tuple(v.hex() for v in got) == PINNED_PRODUCT_BITS[name, k, x0], (k, x0)
+
+
+class TestStartAndSizeRefusals:
+    """The spine routes refuse what brute force refuses, as ValueErrors."""
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda m, F: moment_m2f(m, MomentQuery(k=2, x0="z", F=F, R=2)),
+            lambda m, F: moments.moment_m2f_radii(m, MomentQuery(k=2, x0="z", F=F, R=2), [1, 2]),
+            lambda m, F: rescaled_moment(m, 2, F, 3, "z"),
+            lambda m, F: ultrametric_moment(m, 2, F, 3, "z"),
+            lambda m, F: moment_recursive(m, MomentQuery(k=2, x0="z", F=F, R=2)),
+            lambda m, F: moment_bruteforce(m, MomentQuery(k=2, x0="z", F=F, R=2)),
+        ],
+        ids=["m2f", "m2f_radii", "rescaled", "ultrametric", "recursive", "bruteforce"],
+    )
+    def test_unknown_start_type(self, binary, route):
+        pair = BranchFunctional(lambda s, y: 1.0, (PathFunctional(lambda h, y: 1.0),) * 2)
+        with pytest.raises(ValueError, match="^unknown start type 'z'$"):
+            route(binary, pair)
+
+    def test_recursion_refuses_negative_radius(self, binary):
+        # it returned 0.0, where brute force and the shape sum refuse
+        q = MomentQuery(k=1, x0="a", F=PathFunctional(lambda h, y: 1.0), R=-1)
+        with pytest.raises(ValueError, match="^R must be nonnegative$"):
+            moment_recursive(binary, q)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_ultrametric_refuses_k_below_one(self, binary, k):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            ultrametric_moment(binary, k, count_F, 3, "a")
+
+
 class TestRescaledMoments:
     def test_pair_height_indicator_exact_value(self, binary):
         # n * value = S(n) / (2 n^3) with S(n) = sum of min(l1, l2)
