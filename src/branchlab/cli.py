@@ -106,6 +106,21 @@ def _cfg_float(cfg, key, default=None):
     return float(value)
 
 
+def _cfg_checked(cfg, key, ok, rule, default=None):
+    """_cfg_float(cfg, key, default), or unless ok(value) a ConfigError
+    saying that the key must be <rule>."""
+    value = _cfg_float(cfg, key, default)
+    if not ok(value):
+        raise ConfigError(f"config key {key!r} must be {rule}, got {value!r}")
+    return value
+
+
+def _cfg_r(spec):
+    """The radius "r" of a functional or phi; a NaN would make every
+    indicator zero."""
+    return _cfg_checked(spec, "r", lambda r: not math.isnan(r), "a number, not NaN")
+
+
 def _cfg_x0(cfg, model, default=None):
     """cfg["x0"] (or default), a ConfigError naming x0 unless it is one of
     the model's types."""
@@ -212,9 +227,11 @@ def _leaf_weights(spec, model):
     weights = spec.get("weights")
     if weights is None:
         return None
-    if not isinstance(weights, dict) or not all(map(_is_number, weights.values())):
+    if not isinstance(weights, dict) or not all(
+        _is_number(w) and math.isfinite(w) for w in weights.values()
+    ):
         raise ConfigError(
-            f"functional key 'weights' must map types to numbers, got {weights!r}"
+            f"functional key 'weights' must map types to finite numbers, got {weights!r}"
         )
     unknown = set(weights) - set(model.types)
     if unknown:
@@ -251,10 +268,10 @@ def build_functional(spec, model, k=None):
     if name == "count":
         batched = lambda L, B, lt: np.full(len(L), wprod(lt))
     elif name == "height_indicator":
-        r = _cfg_float(spec, "r")
+        r = _cfg_r(spec)
         batched = lambda L, B, lt: np.where(L.max(axis=1) <= r, wprod(lt), 0.0)
     elif name == "pair_indicator":
-        r = _cfg_float(spec, "r")
+        r = _cfg_r(spec)
 
         def batched(L, B, lt):
             if L.shape[1] < 2:
@@ -296,7 +313,7 @@ def build_phi(spec, k):
     elif name == "pair_indicator":
         if k < 2:
             raise ConfigError("pair_indicator needs k >= 2")
-        r = _cfg_float(spec, "r")
+        r = _cfg_r(spec)
         batched = lambda D, marks: np.where(D[:, 1, 2] <= r, 1.0, 0.0)
     else:
         raise ConfigError(f"unknown phi {name!r}")
@@ -359,8 +376,9 @@ def cmd_verify_m2f(args):
     for key, values in (("ks", ks), ("Rs", Rs), ("psis", psis)):
         if not values:
             raise ConfigError(f"config key {key!r} must not be empty: nothing would be checked")
-    tol = _cfg_float(cfg, "tol", 1e-9)
-    cap = _cfg_int(cfg, "cap", process.OUTCOME_CAP)
+    # a NaN or negative tol fails every row, an infinite one none
+    tol = _cfg_checked(cfg, "tol", lambda v: 0 <= v < math.inf, "a finite nonnegative number", 1e-9)
+    cap = _cfg_int(cfg, "cap", process.OUTCOME_CAP, least=1)
     F = build_functional(cfg.get("functional", {"name": "count"}), model, k=min(ks))
     rows = []
     failed = False
@@ -402,7 +420,7 @@ def cmd_moments(args):
     )
     k = _cfg_int(cfg, "k", least=1)
     R = _cfg_int(cfg, "R", least=0)
-    cap = _cfg_int(cfg, "cap", process.OUTCOME_CAP)
+    cap = _cfg_int(cfg, "cap", process.OUTCOME_CAP, least=1)
     model = _load_model(cfg, args)
     x0 = _cfg_x0(cfg, model)
     psi = cfg.get("psi", "unit")
@@ -523,10 +541,8 @@ def cmd_cpp(args):
             f"config key 'eps' must be below pair_indicator's r/2 = {spec['r'] / 2!r}, got {eps!r}"
         )
     n_inner = _cfg_int(cfg, "n_inner", 8, least=1)
-    z_max = _cfg_float(cfg, "z_max", 3.0)
     # a nan would fail every z, as a verification failure
-    if not z_max > 0:
-        raise ConfigError(f"config key 'z_max' must be a positive number, got {z_max!r}")
+    z_max = _cfg_checked(cfg, "z_max", lambda v: v > 0, "a positive number", 3.0)
     formula = limits.cpp_moment(query, grid_step=_cfg_float(cfg, "grid_step", 1e-3))
     estimate, stderr = limits.cpp_monomial_mc(
         query, n_samples=n_samples, eps=eps, n_inner=n_inner, rng=args.seed

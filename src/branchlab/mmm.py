@@ -24,31 +24,6 @@ __all__ = [
 ]
 
 _TRIANGLE_CHECK_LIMIT = 300
-# elements per temporary of the blocked triangle check
-_TRIANGLE_BLOCK = 2**16
-
-
-def _is_symmetric(dist):
-    """np.allclose(dist, dist.T, atol=1e-9) spelled out: equal entries
-    (infinities included) are close, NaN never is."""
-    t = dist.T
-    if (dist == t).all():
-        return True
-    with np.errstate(invalid="ignore"):
-        close = (np.abs(dist - t) <= 1e-9 + 1e-5 * np.abs(t)) & np.isfinite(t) | (dist == t)
-    return bool(close.all())
-
-
-def _satisfies_triangle(dist):
-    """No d[i, j] above d[i, p] + d[p, j] + 1e-9, checked for blocks of
-    intermediate points p at a time."""
-    n = len(dist)
-    step = max(1, _TRIANGLE_BLOCK // max(n * n, 1))
-    for p in range(0, n, step):
-        via = dist[:, p : p + step].T[:, :, None] + dist[p : p + step, None, :] + 1e-9
-        if (dist > via).any():
-            return False
-    return True
 
 
 class FiniteMmmSpace:
@@ -69,14 +44,17 @@ class FiniteMmmSpace:
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise ValueError("distance matrix must be square")
         n = len(dist)
-        if not _is_symmetric(dist):
+        if not np.allclose(dist, dist.T, atol=1e-9):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.abs(np.diag(dist)) > 1e-12):
             raise ValueError("distance matrix must have zero diagonal")
         if np.any(dist < 0):
             raise ValueError("distances must be nonnegative")
-        if n <= _TRIANGLE_CHECK_LIMIT and not _satisfies_triangle(dist):
-            raise ValueError("triangle inequality fails")
+        if n <= _TRIANGLE_CHECK_LIMIT:
+            # one intermediate point p at a time: O(n^2) memory
+            for p in range(n):
+                if np.any(dist > dist[:, p, None] + dist[p] + 1e-9):
+                    raise ValueError("triangle inequality fails")
         mass = np.asarray(mass, dtype=float)
         if mass.shape != (n,) or np.any(mass < 0):
             raise ValueError("mass must be a nonnegative vector over points")

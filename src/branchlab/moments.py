@@ -431,13 +431,16 @@ def _recursive_vector(kernel, func, R):
 def moment_recursive(model, query):
     """k-point moment of a product-form functional by branch recursion.
 
-    query.F must be a BranchFunctional node, whose nesting the recursion
-    reads; stems are summed up to height R, so the functional has to
-    vanish beyond that.  Agrees with moment_m2f on the same query whenever
-    the functional's total support fits under R.
+    query.F must be a BranchFunctional node with query.k leaves, whose
+    nesting the recursion reads; stems are summed up to height R, so the
+    functional has to vanish beyond that.  Agrees with moment_m2f on the
+    same query whenever the functional's total support fits under R.
     """
     if not isinstance(query.F, BranchFunctional):
         raise TypeError("moment_recursive needs a product-form functional")
+    # the recursion reads k off the nesting; another query.k would be ignored
+    if query.k != query.F.k:
+        raise ValueError(f"query k = {query.k} but the functional has k = {query.F.k} leaves")
     _check_start(model, query.x0)
     R = int(query.R)
     _check_radius(R)

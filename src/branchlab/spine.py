@@ -59,8 +59,8 @@ class SpineKernel:
     def __init__(self, model, psi_values):
         self.model = model
         psi = np.asarray(psi_values, dtype=float)
-        if psi.shape != (len(model.types),) or np.any(psi <= 0):
-            raise ValueError("psi must be a positive vector over the types")
+        if psi.shape != (len(model.types),) or not np.all((psi > 0) & (psi < np.inf)):
+            raise ValueError("psi must be a positive finite vector over the types")
         self.psi = psi
         nt = len(model.types)
         dmax = model.max_brood
@@ -148,7 +148,7 @@ def build_kernel(model, psi="unit"):
 
     psi may be "unit", "harmonic" (the Perron right eigenvector normalised
     against the left one), a mapping from each type label, and no other,
-    to a positive number, or a positive vector in type order.
+    to a positive finite number, or such a vector in type order.
     """
     if isinstance(psi, str):
         if psi == "unit":

@@ -400,6 +400,57 @@ class TestConfigFloats:
         only_config_error(*run(capsys, "verify-m2f", "--config", str(cfg)), "'weights'")
 
 
+class TestConfigRefusesSilentBreaks:
+    """Numbers that ran a command to a wrong answer, or failed it under
+    another key's name, are config errors naming their own key."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            # a NaN or negative tol printed FAIL on every row and exited 3
+            ("verify-m2f", {"tol": math.nan}, "config key 'tol' must be a finite nonnegative number, got nan"),
+            ("verify-m2f", {"tol": -1}, "config key 'tol' must be a finite nonnegative number, got -1.0"),
+            ("verify-m2f", {"tol": math.inf}, "config key 'tol' must be a finite nonnegative number, got inf"),
+            # convergence printed observed 0 and limit 0 and exited 0
+            (
+                "convergence",
+                {"x0": "a", "k": 1, "n_values": [4], "functional": {"name": "height_indicator", "r": math.nan}},
+                "config key 'r' must be a number, not NaN, got nan",
+            ),
+            (
+                "convergence",
+                {"x0": "a", "k": 2, "n_values": [4], "functional": {"name": "pair_indicator", "r": math.nan}},
+                "config key 'r' must be a number, not NaN, got nan",
+            ),
+            # both routes printed nan and exited 0
+            (
+                "moments",
+                {"x0": "a", "k": 1, "R": 2, "functional": {"name": "count", "weights": {"a": math.nan}}},
+                "functional key 'weights' must map types to finite numbers",
+            ),
+            (
+                "moments",
+                {"x0": "a", "k": 1, "R": 2, "functional": {"name": "count", "weights": {"a": -math.inf}}},
+                "functional key 'weights' must map types to finite numbers",
+            ),
+            # blamed 'eps': must be below pair_indicator's r/2 = nan
+            ("cpp", {"k": 2, "phi": {"name": "pair_indicator", "r": math.nan}}, "config key 'r' must be a number, not NaN, got nan"),
+            # exited 1 with "enumeration would exceed cap=0"
+            ("verify-m2f", {"cap": 0}, "config key 'cap' must be at least 1, got 0"),
+            ("moments", {"x0": "a", "k": 1, "R": 2, "cap": -5}, "config key 'cap' must be at least 1, got -5"),
+        ],
+        ids=["tol-nan", "tol-negative", "tol-inf", "height-r-nan", "pair-r-nan",
+             "weights-nan", "weights-inf", "phi-r-nan", "verify-cap", "moments-cap"],
+    )
+    def test_refused_by_name(self, capsys, tmp_path, fmt, command, body, message):
+        write_model(tmp_path, "m.json", ["a"], BINARY)
+        body = body if command == "cpp" else {"model": "m.json", **body}
+        cfg = write_config(tmp_path, "c.json", body)
+        rc, out, err = run(capsys, command, "--config", str(cfg), "--format", fmt)
+        only_config_error(rc, out, err, message)
+
+
 class TestConfigStartType:
     @pytest.mark.parametrize(
         "command, payload",
@@ -549,7 +600,14 @@ class TestVerify:
         assert all(r["status"] == "ok" for r in rows)
         assert all(r["abs_diff"] <= 1e-9 for r in rows)
 
-    def test_impossible_tolerance_gives_code_3(self, capsys, tmp_path):
+    def test_impossible_tolerance_gives_code_3(self, capsys, tmp_path, monkeypatch):
+        # tol 0 against shape sums one ulp off; a negative tol is a config error
+        from branchlab import moments
+
+        radii = moments.moment_m2f_radii
+        monkeypatch.setattr(
+            moments, "moment_m2f_radii", lambda *a: [math.nextafter(v, math.inf) for v in radii(*a)]
+        )
         write_model(
             tmp_path,
             "m.json",
@@ -559,7 +617,7 @@ class TestVerify:
         cfg = write_config(
             tmp_path,
             "v.json",
-            {"model": "m.json", "ks": [1], "Rs": [1], "tol": -1.0},
+            {"model": "m.json", "ks": [1], "Rs": [1], "tol": 0.0},
         )
         rc, out, _ = run(capsys, "verify-m2f", "--config", str(cfg), "--format", "json")
         assert rc == 3
@@ -738,6 +796,18 @@ class TestMoments:
         assert rc == 1 and out == ""
         assert err.startswith("error: psi must map every model type") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("psi", [[math.nan], {"a": math.inf}, [-math.inf]])
+    def test_psi_must_be_finite(self, capsys, tmp_path, fmt, psi):
+        # a NaN or infinite weight printed value nan and exited 0, the
+        # infinite one with numpy warnings
+        model = str(Path(CONFIG_DIR, "binary_gw.json").resolve())
+        body = {"model": model, "x0": "a", "k": 2, "R": 3, "psi": psi, "route": "m2f"}
+        cfg = write_config(tmp_path, "c.json", body)
+        rc, out, err = run(capsys, "moments", "--config", str(cfg), "--format", fmt)
+        assert (rc, out) == (1, "")
+        assert err == "error: psi must be a positive finite vector over the types\n"
 
     def test_hopeless_shape_sum_refused(self, capsys, tmp_path):
         # k = 4 at R = 40 would sum 9.6e9 shapes, about 17 h

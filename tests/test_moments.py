@@ -435,6 +435,17 @@ class TestProductRecursion:
         with pytest.raises(ValueError):
             BranchFunctional(lambda s, t: 1.0, (PathFunctional(lambda l, t: 1.0),))
 
+    def test_refuses_a_k_other_than_the_functionals(self, binary):
+        # the recursion read k off the node and returned the pair's moment,
+        # 2.0, for a 3-point query on which the other routes give 0.0
+        leaf = PathFunctional(lambda h, y: float(h <= 1))
+        pair = BranchFunctional(lambda s, y: float(s <= 0), (leaf, leaf))
+        q = MomentQuery(k=3, x0="a", F=pair, R=2)
+        assert moment_m2f(binary, q) == 0.0 and moment_bruteforce(binary, q) == 0.0
+        with pytest.raises(ValueError, match=r"^query k = 3 but the functional has k = 2 leaves$"):
+            moment_recursive(binary, q)
+        assert moment_recursive(binary, MomentQuery(k=2, x0="a", F=pair, R=2)) == 2.0
+
 
 def _leaf(r, w):
     return PathFunctional(lambda h, y: (w if y == "A" else 1.0) * (1.0 + 0.25 * h) if h <= r else 0.0)

@@ -140,6 +140,17 @@ class TestKernelTables:
         with pytest.raises(ValueError):
             build_kernel(binary, "perron")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_psi_must_be_finite(self, asymmetric, bad):
+        # NaN passed the positivity test and the routes returned nan; an
+        # infinite weight did too, with numpy warnings on the way
+        message = "^psi must be a positive finite vector over the types$"
+        for psi in ([1.0, bad], {"A": bad, "B": 1.0}, np.array([bad, 1.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    build_kernel(asymmetric, psi)
+
     def test_matrix_power_cache(self, asymmetric):
         ker = build_kernel(asymmetric, "unit")
         want = np.linalg.matrix_power(ker.step, 5)
